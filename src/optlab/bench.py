@@ -125,6 +125,8 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
     if not budgets:
         raise ConfigurationError(f"{source}: suite.budgets must list at least one budget")
     seeds = int(meta.get("suite.seeds", 3))
+    if seeds < 1:
+        raise ConfigurationError(f"{source}: suite.seeds must be >= 1, got {seeds}")
     base_seed = int(meta.get("suite.base_seed", 1))
     base_config: dict = {}
     overrides: dict[str, dict] = {}

@@ -27,8 +27,10 @@ class ParamBlock:
         if self.role not in ROLES:
             raise ContractViolationError(f"unknown role {self.role!r} for block {self.name!r}")
         self.values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if self.role == "matrix" and self.values.ndim < 2:
-            raise ContractViolationError(f"matrix block {self.name!r} needs >= 2 dimensions")
+        if self.role == "matrix" and self.values.ndim != 2:
+            raise ContractViolationError(
+                f"matrix block {self.name!r} needs exactly 2 dimensions, got {self.values.ndim}"
+            )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -60,9 +62,6 @@ class CommonHyper:
             raise ContractViolationError("lam must be finite and >= 0")
         if not (np.isfinite(self.eps) and self.eps > 0.0):
             raise ContractViolationError("eps must be finite and > 0")
-
-    def with_gamma(self, gamma: float) -> "CommonHyper":
-        return CommonHyper(gamma, self.lam, self.eps)
 
 
 def global_norm(arrays) -> float:

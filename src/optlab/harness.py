@@ -106,6 +106,16 @@ def _build_schedule(cfg: dict, gamma_max: float) -> ScheduleSpec:
     )
 
 
+def _build_engine(name: str, params: dict, problem: Problem, blocks, total_steps: int):
+    """``make_optimizer`` plus the check that a GNB rule gets a categorical problem."""
+    engine = make_optimizer(name, blocks, total_steps, params)
+    if engine.gnb_freq is not None and not problem.supports_gnb:
+        raise ConfigurationError(
+            f"optimizer {name!r} needs the GNB estimator but problem {problem.name!r} has no categorical output"
+        )
+    return engine
+
+
 def setup_run(cfg: dict):
     """Build (problem, blocks, engine, schedule) from a resolved config."""
     cfg = {**DEFAULTS, **cfg}
@@ -120,11 +130,7 @@ def setup_run(cfg: dict):
             raise ConfigurationError("run.coupled_wd_demo is only defined for the signum optimizer")
         opt_params["coupled_wd"] = True
     blocks = problem.init_blocks(0)
-    engine = make_optimizer(opt_name, blocks, cfg["run.steps"], opt_params)
-    if engine.gnb_freq is not None and not problem.supports_gnb:
-        raise ConfigurationError(
-            f"optimizer {opt_name!r} needs the GNB estimator but problem {problem.name!r} has no categorical output"
-        )
+    engine = _build_engine(opt_name, opt_params, problem, blocks, cfg["run.steps"])
     schedule = _build_schedule(cfg, engine.lr)
     return cfg, problem, blocks, engine, schedule
 
@@ -210,13 +216,7 @@ def time_optimizer(
         raise ConfigurationError("steps and repeats must be >= 1")
     repeat_means = []
     for rep in range(repeats):
-        blocks = problem.init_blocks(rep)
-        engine = make_optimizer(optimizer_name, blocks, steps, opt_params)
-        if engine.gnb_freq is not None and not problem.supports_gnb:
-            raise ConfigurationError(
-                f"optimizer {optimizer_name!r} needs the GNB estimator but "
-                f"problem {problem.name!r} has no categorical output"
-            )
+        engine = _build_engine(optimizer_name, opt_params, problem, problem.init_blocks(rep), steps)
         rep_seed = stable_hash(seed, optimizer_name, rep)
         times = []
         for t in range(1, steps + 1):

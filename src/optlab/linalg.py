@@ -84,14 +84,6 @@ def sym_eigenbasis(a) -> np.ndarray:
     return np.ascontiguousarray(vecs)
 
 
-def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and the matching :func:`sym_eigenbasis` columns."""
-    vecs = sym_eigenbasis(a)
-    a = as_matrix(a)
-    vals = np.einsum("ij,ij->j", vecs, (a + a.T) / 2.0 @ vecs)
-    return vals, vecs
-
-
 def svd_singular_values(a) -> np.ndarray:
     """Descending singular values computed from the eigenvalues of a^T a."""
     a = as_matrix(a)

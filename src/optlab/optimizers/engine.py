@@ -6,12 +6,17 @@ method answers anything other than the current parameters), then calls
 ``step(grads, scale)`` where ``scale`` is the schedule multiplier in (0, 1]:
 each group's learning rate is its peak value times ``scale``.
 
+Hybrid rules (Muon, DMuon, SOAP and the MARS family) share one router,
+:class:`_Hybrid`: ``matrix`` blocks take the rule's matrix path and every
+other block runs AdamW with the rule's 1-D values.
+
 Engines are constructed through :func:`make_optimizer`, which maps flat
 config keys onto constructor arguments and rejects unknown ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +190,40 @@ class Signum(_PerBlock):
         )
 
 
-class Muon(_PerBlock):
+class _Hybrid(_PerBlock):
+    """Engines that send matrix blocks through the rule and the rest to AdamW.
+
+    Routing is decided once, here: a block takes the matrix path when its
+    role is ``matrix`` and no side exceeds ``max_side``; its state, built by
+    ``matrix_state(block)``, goes in ``states``. Every other block is the 1-D
+    group: its state goes in ``adam_states`` and ``base.adamw_step`` steps it
+    at ``lr_1d * scale`` with ``weight_decay_1d`` and ``betas_1d``.
+    Subclasses implement ``_matrix_step``.
+    """
+
+    def __init__(self, blocks, matrix_state, lr_1d, weight_decay_1d, eps, betas_1d, max_side=math.inf):
+        super().__init__(blocks)
+        self.lr_1d, self.weight_decay_1d, self.eps = lr_1d, weight_decay_1d, eps
+        self.betas_1d = betas_1d
+        self.states, self.adam_states = {}, {}
+        for b in self.blocks:
+            if b.matrix_routed() and max(b.shape) <= max_side:
+                self.states[b.name] = matrix_state(b)
+            else:
+                self.adam_states[b.name] = base.AdamLikeState.zeros(b.shape)
+
+    def _matrix_step(self, block: ParamBlock, grad: np.ndarray, state, scale: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def _step_block(self, block, grad, scale):
+        adam = self.adam_states.get(block.name)
+        if adam is None:
+            return self._matrix_step(block, grad, self.states[block.name], scale)
+        hyper = CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
+        return base.adamw_step(block, grad, adam, hyper, *self.betas_1d)
+
+
+class Muon(_Hybrid):
     """Orthogonalized momentum on matrices, AdamW with its own lr on the rest."""
 
     name = "muon"
@@ -203,22 +241,18 @@ class Muon(_PerBlock):
         beta1_1d=0.8,
         beta2_1d=0.999,
     ):
-        super().__init__(blocks)
-        self.lr, self.lr_1d = lr, lr_1d
-        self.weight_decay, self.eps = weight_decay, eps
+        super().__init__(blocks, muon.MuonState.for_block, lr_1d, weight_decay, eps, (beta1_1d, beta2_1d))
+        self.lr, self.weight_decay = lr, weight_decay
         self.momentum = momentum
-        self.betas_1d = (beta1_1d, beta2_1d)
-        self.states = {b.name: muon.MuonState.for_block(b, ns_iters, ns_coeffs) for b in self.blocks}
+        self.ns_iters, self.ns_coeffs = ns_iters, ns_coeffs
 
-    def _step_block(self, block, grad, scale):
+    def _matrix_step(self, block, grad, state, scale):
+        # the matrix path applies no weight decay
         hyper = CommonHyper(self.lr * scale, 0.0, self.eps)
-        adam_hyper = CommonHyper(self.lr_1d * scale, self.weight_decay, self.eps)
-        return muon.muon_step(
-            block, grad, self.states[block.name], hyper, self.momentum, adam_hyper, self.betas_1d
-        )
+        return muon.muon_step(block, grad, state, hyper, self.momentum, self.ns_iters, self.ns_coeffs)
 
 
-class DMuon(_PerBlock):
+class DMuon(_Hybrid):
     """One lr and weight decay for all groups; RMS-matched matrix updates."""
 
     name = "dmuon"
@@ -236,21 +270,21 @@ class DMuon(_PerBlock):
         beta1_1d=0.8,
         beta2_1d=0.999,
     ):
-        super().__init__(blocks)
-        self.lr = lr
-        self.weight_decay, self.eps = weight_decay, eps
+        super().__init__(blocks, muon.MuonState.for_block, lr, weight_decay, eps, (beta1_1d, beta2_1d))
+        self.lr, self.weight_decay = lr, weight_decay
         self.momentum, self.rms_factor = momentum, rms_factor
-        self.betas_1d = (beta1_1d, beta2_1d)
-        self.states = {b.name: muon.MuonState.for_block(b, ns_iters, ns_coeffs) for b in self.blocks}
+        self.ns_iters, self.ns_coeffs = ns_iters, ns_coeffs
 
-    def _step_block(self, block, grad, scale):
+    def _matrix_step(self, block, grad, state, scale):
         hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
         return muon.dmuon_step(
-            block, grad, self.states[block.name], hyper, self.momentum, self.rms_factor, self.betas_1d
+            block, grad, state, hyper, self.momentum, self.rms_factor, self.ns_iters, self.ns_coeffs
         )
 
 
-class Soap(_PerBlock):
+class Soap(_Hybrid):
+    """Rotated Adam on matrices up to ``precond_max_dim`` a side; AdamW on the rest."""
+
     name = "soap"
 
     def __init__(
@@ -266,18 +300,16 @@ class Soap(_PerBlock):
         bias_correction=True,
         identity_init=False,
     ):
-        super().__init__(blocks)
-        self.lr = lr
-        self.weight_decay, self.eps = weight_decay, eps
-        self.beta1, self.beta2 = beta1, beta2
-        self.states = {
-            b.name: soap.SoapState.for_block(b, precond_freq, bias_correction, precond_max_dim, identity_init)
-            for b in self.blocks
-        }
+        def matrix_state(block):
+            return soap.SoapState.for_block(block, precond_freq, bias_correction, identity_init)
 
-    def _step_block(self, block, grad, scale):
+        super().__init__(blocks, matrix_state, lr, weight_decay, eps, (beta1, beta2), max_side=precond_max_dim)
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2 = beta1, beta2
+
+    def _matrix_step(self, block, grad, state, scale):
         hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        return soap.soap_step(block, grad, self.states[block.name], hyper, self.beta1, self.beta2)
+        return soap.soap_step(block, grad, state, hyper, self.beta1, self.beta2)
 
 
 class Sophia(_PerBlock):
@@ -384,7 +416,7 @@ class Prodigy(Optimizer):
         return StepInfo(global_norm(deltas.values()), eff_lr, self.state.d)
 
 
-class Mars(_PerBlock):
+class Mars(_Hybrid):
     name = "mars-adamw"
     variant = "adamw"
 
@@ -404,23 +436,18 @@ class Mars(_PerBlock):
         beta1_1d=0.8,
         beta2_1d=0.999,
     ):
-        super().__init__(blocks)
-        self.lr, self.lr_1d = lr, lr_1d
-        self.weight_decay = weight_decay
-        self.weight_decay_1d = weight_decay if weight_decay_1d is None else weight_decay_1d
-        self.eps = eps
+        wd_1d = weight_decay if weight_decay_1d is None else weight_decay_1d
+        super().__init__(blocks, mars.MarsState.for_block, lr_1d, wd_1d, eps, (beta1_1d, beta2_1d))
+        self.lr, self.weight_decay = lr, weight_decay
         self.beta1, self.beta2, self.eta = beta1, beta2, eta
         self.ns_iters, self.ns_coeffs = ns_iters, ns_coeffs
-        self.betas_1d = (beta1_1d, beta2_1d)
-        self.states = {b.name: mars.MarsState.for_block(b) for b in self.blocks}
 
-    def _step_block(self, block, grad, scale):
+    def _matrix_step(self, block, grad, state, scale):
         hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        adam_hyper = CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
         return mars.mars_step(
             block,
             grad,
-            self.states[block.name],
+            state,
             hyper,
             self.variant,
             self.beta1,
@@ -428,8 +455,6 @@ class Mars(_PerBlock):
             self.eta,
             self.ns_iters,
             self.ns_coeffs,
-            adam_hyper,
-            self.betas_1d,
         )
 
 

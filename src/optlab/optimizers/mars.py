@@ -4,9 +4,9 @@ from the previous step's gradient before feeding the moments.
 c_t = g_t + eta * (beta1 / (1 - beta1)) * (g_t - g_{t-1})
 
 The corrected gradient is clipped to unit l2 norm for the adamw and lion
-variants (not for shampoo, which orthogonalizes the momentum instead). Matrix
-blocks take the variance-reduced path; everything else runs AdamW with its
-own learning rate, following the usual hybrid routing.
+variants (not for shampoo, which orthogonalizes the momentum instead).
+``mars_step`` takes matrix blocks only; the engines route every other block
+to AdamW with its own learning rate, following the usual hybrid routing.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
 from ..linalg import frobenius_norm
-from .base import (
-    AdamLikeState,
-    adamw_step,
-    check_beta,
-    check_finite_buffers,
-    check_finite_grad,
-    check_finite_values,
-)
+from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
 from .muon import NS_COEFFS, NS_ITERS, newton_schulz_orthogonalize
 
 VARIANTS = ("adamw", "lion", "shampoo")
@@ -33,23 +26,16 @@ VARIANTS = ("adamw", "lion", "shampoo")
 
 @dataclass
 class MarsState:
-    """Last gradient + inner moments for matrix blocks, AdamW state otherwise."""
+    """Last gradient and inner moments of one matrix block."""
 
-    g_prev: np.ndarray | None = None
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    g_prev: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    adam: AdamLikeState | None = None
 
     @classmethod
     def for_block(cls, block: ParamBlock) -> "MarsState":
-        if block.matrix_routed():
-            return cls(
-                g_prev=np.zeros(block.shape),
-                m=np.zeros(block.shape),
-                v=np.zeros(block.shape),
-            )
-        return cls(adam=AdamLikeState.zeros(block.shape))
+        return cls(np.zeros(block.shape), np.zeros(block.shape), np.zeros(block.shape))
 
 
 def mars_step(
@@ -63,14 +49,10 @@ def mars_step(
     eta: float = 0.025,
     ns_iters: int = NS_ITERS,
     ns_coeffs=NS_COEFFS,
-    adam_hyper: CommonHyper | None = None,
-    adam_betas: tuple[float, float] = (0.8, 0.999),
 ) -> np.ndarray:
-    """One variance-reduced update on a matrix block (AdamW on 1-D blocks)."""
+    """One variance-reduced update on a matrix block."""
     if variant not in VARIANTS:
         raise ContractViolationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not block.matrix_routed():
-        return adamw_step(block, grad, state.adam, adam_hyper or hyper, *adam_betas)
     check_finite_grad(grad)
     check_beta("beta1", beta1)
     check_beta("beta2", beta2)

@@ -1,10 +1,11 @@
 """Matrix-momentum updates orthogonalized by Newton-Schulz iteration.
 
-``muon_step`` applies the orthogonalized momentum to matrix blocks (with no
-weight decay there, faithful to the original scheme) and plain AdamW with its
-own learning rate to everything else. ``dmuon_step`` is the variant that
-shares one learning rate and weight decay across all groups by rescaling the
-orthogonalized update to AdamW-like RMS: 0.2 * sqrt(max(rows, cols)).
+``muon_step`` applies the orthogonalized momentum to a matrix block, with no
+weight decay there, faithful to the original scheme. ``dmuon_step`` is the
+variant that takes weight decay and rescales the orthogonalized update to
+AdamW-like RMS, 0.2 * sqrt(max(rows, cols)), so that one learning rate can
+serve all groups. Both take matrix blocks only; the engines route every other
+block to AdamW.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
 from ..linalg import as_matrix, frobenius_norm
-from .base import (
-    AdamLikeState,
-    adamw_step,
-    check_beta,
-    check_finite_buffers,
-    check_finite_grad,
-    check_finite_values,
-)
+from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
 
 #: Quintic iteration coefficients tuned for fast convergence of the top
 #: singular values; the fixed band they converge to is what the regression
@@ -62,18 +56,13 @@ def newton_schulz_orthogonalize(g, iters: int = NS_ITERS, coeffs=NS_COEFFS) -> n
 
 @dataclass
 class MuonState:
-    """Matrix momentum for the orthogonalized path, AdamW state otherwise."""
+    """Momentum buffer of one matrix block."""
 
-    m: np.ndarray | None = None
-    adam: AdamLikeState | None = None
-    ns_iters: int = NS_ITERS
-    ns_coeffs: tuple = NS_COEFFS
+    m: np.ndarray
 
     @classmethod
-    def for_block(cls, block: ParamBlock, ns_iters: int = NS_ITERS, ns_coeffs=NS_COEFFS) -> "MuonState":
-        if block.matrix_routed():
-            return cls(m=np.zeros(block.shape), ns_iters=ns_iters, ns_coeffs=ns_coeffs)
-        return cls(adam=AdamLikeState.zeros(block.shape), ns_iters=ns_iters, ns_coeffs=ns_coeffs)
+    def for_block(cls, block: ParamBlock) -> "MuonState":
+        return cls(np.zeros(block.shape))
 
 
 def _nesterov_momentum(state: MuonState, grad: np.ndarray, beta: float) -> np.ndarray:
@@ -87,23 +76,20 @@ def muon_step(
     state: MuonState,
     hyper: CommonHyper,
     beta: float = 0.95,
-    adam_hyper: CommonHyper | None = None,
-    adam_betas: tuple[float, float] = (0.8, 0.999),
+    ns_iters: int = NS_ITERS,
+    ns_coeffs=NS_COEFFS,
 ) -> np.ndarray:
-    """Orthogonalized momentum for matrix blocks, AdamW for the 1-D group.
+    """Orthogonalized Nesterov momentum on a matrix block: x <- x - gamma * NS(d).
 
-    ``hyper.gamma`` is the matrix-path learning rate; ``adam_hyper`` carries
-    the 1-D group's own learning rate, weight decay, and epsilon. The matrix
-    path applies no weight decay, so matrix parameters are independent of lam.
+    No weight decay is applied, so the parameters are independent of
+    ``hyper.lam``.
     """
-    if not block.matrix_routed():
-        return adamw_step(block, grad, state.adam, adam_hyper or hyper, *adam_betas)
     check_finite_grad(grad)
     check_beta("beta", beta, allow_zero=True)
     d = _nesterov_momentum(state, grad, beta)
     if frobenius_norm(d) == 0.0:
         return np.zeros(block.shape)
-    delta = -hyper.gamma * newton_schulz_orthogonalize(d, state.ns_iters, state.ns_coeffs)
+    delta = -hyper.gamma * newton_schulz_orthogonalize(d, ns_iters, ns_coeffs)
     block.values += delta
     check_finite_buffers("muon", state.m)
     check_finite_values(block)
@@ -117,15 +103,13 @@ def dmuon_step(
     hyper: CommonHyper,
     beta: float = 0.95,
     rms_factor: float = RMS_FACTOR,
-    adam_betas: tuple[float, float] = (0.8, 0.999),
+    ns_iters: int = NS_ITERS,
+    ns_coeffs=NS_COEFFS,
 ) -> np.ndarray:
     """Shared-gamma variant: RMS-matched orthogonalized update plus weight decay.
 
-    Matrix path: x <- x - gamma * (0.2 * sqrt(max(rows, cols)) * NS(d) + lam * x),
-    with the same gamma and lam used for the AdamW path on 1-D blocks.
+    x <- x - gamma * (0.2 * sqrt(max(rows, cols)) * NS(d) + lam * x)
     """
-    if not block.matrix_routed():
-        return adamw_step(block, grad, state.adam, hyper, *adam_betas)
     check_finite_grad(grad)
     check_beta("beta", beta, allow_zero=True)
     d = _nesterov_momentum(state, grad, beta)
@@ -133,7 +117,7 @@ def dmuon_step(
     if frobenius_norm(d) == 0.0:
         ortho = np.zeros(block.shape)
     else:
-        ortho = newton_schulz_orthogonalize(d, state.ns_iters, state.ns_coeffs)
+        ortho = newton_schulz_orthogonalize(d, ns_iters, ns_coeffs)
     delta = -hyper.gamma * (scale * ortho + hyper.lam * block.values)
     block.values += delta
     check_finite_buffers("dmuon", state.m)

@@ -13,6 +13,9 @@ bases frozen at identity the rule reduces exactly to AdamW.
 Bias correction divides the rotated momentum and the second moment by the
 usual (1 - beta^t) factors, with epsilon added outside, so that the
 identity-basis reduction matches AdamW at any epsilon.
+
+``soap_step`` takes matrix blocks only; the engine routes 1-D blocks, and
+matrices with a side over ``precond_max_dim``, to AdamW.
 """
 
 from __future__ import annotations
@@ -24,19 +27,12 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import DegenerateInputError, NumericalFailureError
 from ..linalg import qr_orthonormal, sym_eigenbasis
-from .base import (
-    AdamLikeState,
-    adamw_step,
-    check_beta,
-    check_finite_buffers,
-    check_finite_grad,
-    check_finite_values,
-)
+from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
 
 
 @dataclass
 class SoapState:
-    """Rotating-basis state for one matrix block (or AdamW state for 1-D blocks)."""
+    """Rotating-basis state for one matrix block."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None  # second moment, kept in the rotated basis
@@ -47,7 +43,6 @@ class SoapState:
     precond_freq: int | None = 10
     bias_correction: bool = True
     t: int = 0
-    adam: AdamLikeState | None = None
 
     @classmethod
     def for_block(
@@ -55,12 +50,8 @@ class SoapState:
         block: ParamBlock,
         precond_freq: int | None = 10,
         bias_correction: bool = True,
-        max_side: int = 10000,
         identity_init: bool = False,
     ) -> "SoapState":
-        if not block.matrix_routed() or max(block.shape) > max_side:
-            # oversized matrices fall back to plain AdamW
-            return cls(adam=AdamLikeState.zeros(block.shape), precond_freq=precond_freq)
         rows, cols = block.shape
         state = cls(
             m=np.zeros(block.shape),
@@ -91,9 +82,7 @@ def soap_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
 ) -> np.ndarray:
-    """One rotated-Adam update; 1-D and oversized blocks take plain AdamW."""
-    if state.adam is not None:
-        return adamw_step(block, grad, state.adam, hyper, beta1, beta2)
+    """One rotated-Adam update on a matrix block."""
     check_finite_grad(grad)
     check_beta("beta1", beta1)
     check_beta("beta2", beta2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import _reference as ref
 from . import optimizers as opts
 from .blocks import CommonHyper, ParamBlock
 from .linalg import frobenius_norm, matmul, qr_orthonormal, svd_singular_values, sym_eigenbasis
-from .optimizers.engine import AdamW, Lion, Muon, Signum, Soap
+from .optimizers.engine import AdamW, Lion, Muon, Signum, Soap, make_optimizer
 from .problems import build_problem, finite_difference_gradient
 from .rng import Rng
 from .schedules import EmaScheduleSpec, ScheduleSpec, ademamix_alpha_at, ademamix_beta3_at, lr_at
@@ -47,18 +48,14 @@ def _fail(name, detail):
     return CheckResult(name, False, detail)
 
 
-def _grads(key: str, steps: int, n: int) -> list[np.ndarray]:
+def _draws(key: str, steps: int, *shape: int) -> list[np.ndarray]:
     r = Rng(2024, key)
-    return [r.normal(n) for _ in range(steps)]
+    return [r.normal(math.prod(shape)).reshape(shape) for _ in range(steps)]
 
 
-def _mat_grads(key: str, steps: int, rows: int, cols: int) -> list[np.ndarray]:
-    r = Rng(2024, key)
-    return [r.normal_matrix(rows, cols) for _ in range(steps)]
-
-
-def _lrs(steps: int, peak: float) -> list[float]:
-    return [peak * (0.55 + 0.45 * math.cos(math.pi * (t - 1) / steps)) for t in range(1, steps + 1)]
+def _scales(steps: int) -> list[float]:
+    """Schedule multipliers s_t in (0, 1]: a cosine from 1 down to 0.1."""
+    return [0.55 + 0.45 * math.cos(math.pi * (t - 1) / steps) for t in range(1, steps + 1)]
 
 
 def _to_list(a: np.ndarray):
@@ -73,229 +70,199 @@ def _max_dev(name: str, devs: list[float]) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar-oracle equivalence, one check per update rule
+# scalar-oracle equivalence, one check per update rule, through the engines
+
+
+class _Group(NamedTuple):
+    """One block of an oracle case and the plain-loop reference it must follow."""
+
+    block: str
+    role: str
+    shape: tuple[int, ...]
+    lr_key: str  # engine parameter holding this group's peak learning rate
+    reference: Callable  # start point as a list -> reference object
+
+
+_LAM = 0.1
+_SOPHIA_BATCH = 8
+
+
+def _vector(reference, lr_key="lr") -> _Group:
+    return _Group("b", "vector", (7,), lr_key, reference)
+
+
+def _matrix(reference, shape=(3, 4)) -> _Group:
+    return _Group("w", "matrix", shape, "lr", reference)
+
+
+def _adamw_1d(lam=_LAM, beta1=0.8, beta2=0.999):
+    return lambda x0: ref.RefAdamW(lam=lam, beta1=beta1, beta2=beta2, eps=1e-8)
+
+
+def _mars_case(variant: str):
+    # the 1-D group has its own lr and weight decay
+    params = {"lr": 5e-3, "lr_1d": 2.5e-3, "weight_decay": _LAM, "weight_decay_1d": 0.05}
+    groups = [
+        _matrix(lambda x0: ref.RefMarsMatrix(variant=variant, lam=_LAM)),
+        _vector(_adamw_1d(lam=0.05), "lr_1d"),
+    ]
+    return params, groups
+
+
+#: rule -> (engine parameters, groups). Hybrid rules step a matrix block and a
+#: vector block together; the vector reference is AdamW at the rule's own 1-D
+#: learning rate, weight decay and betas.
+ORACLE_CASES: dict[str, tuple[dict, list[_Group]]] = {
+    "adamw": ({"lr": 2e-3, "weight_decay": _LAM}, [_vector(_adamw_1d(beta1=0.9))]),
+    "adopt": (
+        {"lr": 2e-3, "weight_decay": _LAM},
+        [_vector(lambda x0: ref.RefAdopt(lam=_LAM, beta1=0.9, beta2=0.999, eps=1e-6))],
+    ),
+    "ademamix": (
+        {"lr": 2e-3, "weight_decay": _LAM},
+        [
+            _vector(
+                lambda x0: ref.RefAdemamix(
+                    lam=_LAM, beta1=0.9, beta2=0.999, beta3=0.9999, alpha=8.0,
+                    beta_start=0.9, t_alpha=ORACLE_STEPS, t_beta3=ORACLE_STEPS, eps=1e-8,
+                )
+            )
+        ],
+    ),
+    "lion": ({"lr": 1e-3, "weight_decay": _LAM}, [_vector(lambda x0: ref.RefLion(lam=_LAM, beta1=0.9, beta2=0.99))]),
+    "signum": (
+        {"lr": 1e-3, "weight_decay": _LAM},
+        [_vector(lambda x0: ref.RefSignum(lam=_LAM, beta=0.95, nesterov=True))],
+    ),
+    "muon": (
+        {"lr": 5e-3, "lr_1d": 2.5e-3, "weight_decay": _LAM},
+        [_matrix(lambda x0: ref.RefMuonMatrix(beta=0.95)), _vector(_adamw_1d(), "lr_1d")],
+    ),
+    "dmuon": (
+        {"lr": 5e-3, "weight_decay": _LAM},
+        [_matrix(lambda x0: ref.RefDMuonMatrix(lam=_LAM, beta=0.95)), _vector(_adamw_1d())],
+    ),
+    # square block: the Gram matrices stay full-rank for the QR refreshes
+    "soap": (
+        {"lr": 2e-3, "weight_decay": _LAM, "precond_freq": 10},
+        [
+            _matrix(lambda x0: ref.RefSoapMatrix(lam=_LAM, precond_freq=10), shape=(3, 3)),
+            _vector(_adamw_1d(beta1=0.9)),
+        ],
+    ),
+    "sophia": (
+        {"lr": 1e-3, "weight_decay": _LAM},
+        [_vector(lambda x0: ref.RefSophia(lam=_LAM, beta1=0.9, beta2=0.999, rho=0.04, estimator_freq=10, eps=1e-15))],
+    ),
+    "sf-adamw": (
+        {"lr": 1e-3, "weight_decay": _LAM, "sf_warmup": 20},
+        [_vector(lambda x0: ref.RefScheduleFree(x0, lam=_LAM, beta1=0.9, beta2=0.9999, warmup=20, eps=1e-8))],
+    ),
+    "prodigy": (
+        {"lr": 1.0, "weight_decay": _LAM},
+        [_vector(lambda x0: ref.RefProdigy(x0, lam=_LAM, beta1=0.9, beta2=0.999, bias_correction=True))],
+    ),
+    "mars-adamw": _mars_case("adamw"),
+    "mars-lion": _mars_case("lion"),
+    "mars-shampoo": _mars_case("shampoo"),
+}
+
+
+def _ref_step(r, x, g, gamma, hess):
+    """Advance one reference; the schedule-free and Prodigy ones keep x themselves."""
+    if isinstance(r, (ref.RefScheduleFree, ref.RefProdigy)):
+        return r.step(g, gamma)
+    if isinstance(r, ref.RefSophia):
+        return r.step(x, g, gamma, hess, _SOPHIA_BATCH)
+    return r.step(x, g, gamma)
+
+
+def _run_oracle(rule: str) -> CheckResult:
+    """Step ``rule``'s engine and its references side by side for ORACLE_STEPS steps.
+
+    The engine steps with schedule scale s_t; each reference steps with its
+    group's peak learning rate times s_t, so the engine's routing and scale
+    plumbing are checked along with the rule.
+    """
+    name = f"scalar-oracle/{rule}"
+    params, groups = ORACLE_CASES[rule]
+    blocks = [ParamBlock(g.block, _draws(f"oracle/{rule}/{g.block}/x0", 1, *g.shape)[0], g.role) for g in groups]
+    engine = make_optimizer(rule, blocks, ORACLE_STEPS, params)
+    refs = [g.reference(_to_list(b.values)) for g, b in zip(groups, blocks)]
+    xs = [_to_list(b.values) for b in blocks]
+    grads = {g.block: _draws(f"oracle/{rule}/{g.block}", ORACLE_STEPS, *g.shape) for g in groups}
+    hess = None
+    if engine.gnb_freq is not None:
+        hess = {g.block: _draws(f"oracle/{rule}/{g.block}/hess", ORACLE_STEPS, *g.shape) for g in groups}
+    devs = []
+    for t, s_t in enumerate(_scales(ORACLE_STEPS)):
+        step_grads = {b.name: grads[b.name][t] for b in blocks}
+        resampled = {b.name: hess[b.name][t] for b in blocks} if engine.wants_estimate() else None
+        info = engine.step(step_grads, s_t, resampled, _SOPHIA_BATCH)
+        for i, (g, b, r) in enumerate(zip(groups, blocks, refs)):
+            gamma = params[g.lr_key] * s_t
+            h = _to_list(hess[b.name][t]) if hess else None
+            xs[i] = _ref_step(r, xs[i], _to_list(step_grads[b.name]), gamma, h)
+            devs.append(float(np.max(np.abs(b.values - np.array(xs[i])))))
+        if info.d is not None and abs(info.d - refs[0].d) > ORACLE_TOL:
+            return _fail(name, f"d mismatch: {info.d} vs {refs[0].d}")
+    return _max_dev(name, devs)
 
 
 def check_oracle_adamw() -> CheckResult:
-    n, lam = 7, 0.1
-    grads = _grads("oracle/adamw", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, 2e-3)
-    block = ParamBlock("x", Rng(2024, "oracle/adamw/x0").normal(n))
-    state = opts.AdamLikeState.zeros(n)
-    r = ref.RefAdamW(lam=lam, beta1=0.9, beta2=0.999, eps=1e-8)
-    x_ref = _to_list(block.values)
-    devs = []
-    for g, lr in zip(grads, lrs):
-        opts.adamw_step(block, g, state, CommonHyper(lr, lam), 0.9, 0.999)
-        x_ref = r.step(x_ref, _to_list(g), lr)
-        devs.append(float(np.max(np.abs(block.values - np.array(x_ref)))))
-    return _max_dev("scalar-oracle/adamw", devs)
+    return _run_oracle("adamw")
 
 
 def check_oracle_adopt() -> CheckResult:
-    n, lam = 7, 0.1
-    grads = _grads("oracle/adopt", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, 2e-3)
-    block = ParamBlock("x", Rng(2024, "oracle/adopt/x0").normal(n))
-    state = opts.AdoptState.zeros(n)
-    r = ref.RefAdopt(lam=lam, beta1=0.9, beta2=0.999, eps=1e-6)
-    x_ref = _to_list(block.values)
-    devs = []
-    for i, (g, lr) in enumerate(zip(grads, lrs)):
-        if i == 0:
-            opts.adopt_init(state, g)
-        else:
-            opts.adopt_step(block, g, state, CommonHyper(lr, lam, 1e-6), 0.9, 0.999)
-        x_ref = r.step(x_ref, _to_list(g), lr)
-        devs.append(float(np.max(np.abs(block.values - np.array(x_ref)))))
-    return _max_dev("scalar-oracle/adopt", devs)
+    return _run_oracle("adopt")
 
 
 def check_oracle_ademamix() -> CheckResult:
-    n, lam = 7, 0.1
-    grads = _grads("oracle/ademamix", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, 2e-3)
-    block = ParamBlock("x", Rng(2024, "oracle/ademamix/x0").normal(n))
-    state = opts.AdemamixState.zeros(n)
-    ema = EmaScheduleSpec(alpha=8.0, beta3=0.9999, beta_start=0.9, t_alpha=ORACLE_STEPS, t_beta3=ORACLE_STEPS)
-    r = ref.RefAdemamix(
-        lam=lam, beta1=0.9, beta2=0.999, beta3=0.9999, alpha=8.0,
-        beta_start=0.9, t_alpha=ORACLE_STEPS, t_beta3=ORACLE_STEPS, eps=1e-8,
-    )
-    x_ref = _to_list(block.values)
-    devs = []
-    for g, lr in zip(grads, lrs):
-        opts.ademamix_step(block, g, state, CommonHyper(lr, lam), ema, 0.9, 0.999)
-        x_ref = r.step(x_ref, _to_list(g), lr)
-        devs.append(float(np.max(np.abs(block.values - np.array(x_ref)))))
-    return _max_dev("scalar-oracle/ademamix", devs)
+    return _run_oracle("ademamix")
 
 
 def check_oracle_lion() -> CheckResult:
-    n, lam = 7, 0.1
-    grads = _grads("oracle/lion", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, 1e-3)
-    block = ParamBlock("x", Rng(2024, "oracle/lion/x0").normal(n))
-    state = opts.SignState.zeros(n)
-    r = ref.RefLion(lam=lam, beta1=0.9, beta2=0.99)
-    x_ref = _to_list(block.values)
-    devs = []
-    for g, lr in zip(grads, lrs):
-        opts.lion_step(block, g, state, CommonHyper(lr, lam), 0.9, 0.99)
-        x_ref = r.step(x_ref, _to_list(g), lr)
-        devs.append(float(np.max(np.abs(block.values - np.array(x_ref)))))
-    return _max_dev("scalar-oracle/lion", devs)
+    return _run_oracle("lion")
 
 
 def check_oracle_signum() -> CheckResult:
-    n, lam = 7, 0.1
-    grads = _grads("oracle/signum", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, 1e-3)
-    block = ParamBlock("x", Rng(2024, "oracle/signum/x0").normal(n))
-    state = opts.SignState.zeros(n)
-    r = ref.RefSignum(lam=lam, beta=0.95, nesterov=True)
-    x_ref = _to_list(block.values)
-    devs = []
-    for g, lr in zip(grads, lrs):
-        opts.signum_step(block, g, state, CommonHyper(lr, lam), 0.95, True)
-        x_ref = r.step(x_ref, _to_list(g), lr)
-        devs.append(float(np.max(np.abs(block.values - np.array(x_ref)))))
-    return _max_dev("scalar-oracle/signum", devs)
-
-
-def check_oracle_sophia() -> CheckResult:
-    n, lam, batch = 7, 0.1, 8
-    grads = _grads("oracle/sophia", ORACLE_STEPS, n)
-    hess = _grads("oracle/sophia/hess", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, 1e-3)
-    block = ParamBlock("x", Rng(2024, "oracle/sophia/x0").normal(n))
-    state = opts.SophiaState.zeros(n)
-    r = ref.RefSophia(lam=lam, beta1=0.9, beta2=0.999, rho=0.04, estimator_freq=10, eps=1e-15)
-    x_ref = _to_list(block.values)
-    devs = []
-    for t, (g, hg, lr) in enumerate(zip(grads, hess, lrs), start=1):
-        refresh = opts.sophia_wants_estimate(t, 10)
-        opts.sophia_step(
-            block, g, state, CommonHyper(lr, lam, 1e-15), 0.9, 0.999, 0.04, 10,
-            hg if refresh else None, batch if refresh else None,
-        )
-        x_ref = r.step(x_ref, _to_list(g), lr, _to_list(hg), batch)
-        devs.append(float(np.max(np.abs(block.values - np.array(x_ref)))))
-    return _max_dev("scalar-oracle/sophia", devs)
-
-
-def check_oracle_sfadamw() -> CheckResult:
-    n, lam = 7, 0.1
-    grads = _grads("oracle/sfadamw", ORACLE_STEPS, n)
-    x0 = Rng(2024, "oracle/sfadamw/x0").normal(n)
-    blocks = [ParamBlock("x", x0.copy())]
-    state = opts.ScheduleFreeState.for_blocks(blocks, warmup_steps=20)
-    r = ref.RefScheduleFree(_to_list(x0), lam=lam, beta1=0.9, beta2=0.9999, warmup=20, eps=1e-8)
-    devs = []
-    for g in grads:
-        opts.sfadamw_step(blocks, {"x": g}, state, CommonHyper(1e-3, lam), 0.9, 0.9999)
-        x_ref = r.step(_to_list(g), 1e-3)
-        devs.append(float(np.max(np.abs(blocks[0].values - np.array(x_ref)))))
-    return _max_dev("scalar-oracle/sf-adamw", devs)
-
-
-def check_oracle_prodigy() -> CheckResult:
-    n, lam = 7, 0.1
-    grads = _grads("oracle/prodigy", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, 1.0)
-    x0 = Rng(2024, "oracle/prodigy/x0").normal(n)
-    blocks = [ParamBlock("x", x0.copy())]
-    state = opts.ProdigyState.for_blocks(blocks)
-    r = ref.RefProdigy(_to_list(x0), lam=lam, beta1=0.9, beta2=0.999, bias_correction=True)
-    devs = []
-    for g, lr in zip(grads, lrs):
-        opts.prodigy_step(blocks, {"x": g}, state, CommonHyper(lr, lam), 0.9, 0.999)
-        x_ref = r.step(_to_list(g), lr)
-        devs.append(float(np.max(np.abs(blocks[0].values - np.array(x_ref)))))
-        if abs(state.d - r.d) > ORACLE_TOL:
-            return _fail("scalar-oracle/prodigy", f"d mismatch: {state.d} vs {r.d}")
-    return _max_dev("scalar-oracle/prodigy", devs)
-
-
-def _hybrid_oracle(name: str, prod_matrix_step, ref_matrix, rows=3, cols=4, peak=5e-3, lam=0.1):
-    """Drive a matrix block and a routed 7-vector block against references."""
-    n = 7
-    mgrads = _mat_grads(f"oracle/{name}/m", ORACLE_STEPS, rows, cols)
-    vgrads = _grads(f"oracle/{name}/v", ORACLE_STEPS, n)
-    lrs = _lrs(ORACLE_STEPS, peak)
-    mat_block = ParamBlock("w", Rng(2024, f"oracle/{name}/w0").normal_matrix(rows, cols), role="matrix")
-    vec_block = ParamBlock("b", Rng(2024, f"oracle/{name}/b0").normal(n), role="vector")
-    adam_state = opts.AdamLikeState.zeros(n)
-    ref_adam = ref.RefAdamW(lam=lam, beta1=0.8, beta2=0.999, eps=1e-8)
-    w_ref = _to_list(mat_block.values)
-    b_ref = _to_list(vec_block.values)
-    devs = []
-    for t, (gm, gv, lr) in enumerate(zip(mgrads, vgrads, lrs), start=1):
-        prod_matrix_step(mat_block, gm, lr)
-        adam_lr = 0.5 * lr
-        opts.adamw_step(vec_block, gv, adam_state, CommonHyper(adam_lr, lam), 0.8, 0.999)
-        w_ref = ref_matrix.step(w_ref, [list(row) for row in gm.tolist()], lr)
-        b_ref = ref_adam.step(b_ref, _to_list(gv), adam_lr)
-        devs.append(float(np.max(np.abs(mat_block.values - np.array(w_ref)))))
-        devs.append(float(np.max(np.abs(vec_block.values - np.array(b_ref)))))
-    return _max_dev(f"scalar-oracle/{name}", devs)
+    return _run_oracle("signum")
 
 
 def check_oracle_muon() -> CheckResult:
-    state = {}
-
-    def prod(block, g, lr):
-        if "s" not in state:
-            state["s"] = opts.MuonState.for_block(block)
-        opts.muon_step(block, g, state["s"], CommonHyper(lr, 0.1), 0.95)
-
-    return _hybrid_oracle("muon", prod, ref.RefMuonMatrix(beta=0.95))
+    return _run_oracle("muon")
 
 
 def check_oracle_dmuon() -> CheckResult:
-    state = {}
-
-    def prod(block, g, lr):
-        if "s" not in state:
-            state["s"] = opts.MuonState.for_block(block)
-        opts.dmuon_step(block, g, state["s"], CommonHyper(lr, 0.1), 0.95)
-
-    return _hybrid_oracle("dmuon", prod, ref.RefDMuonMatrix(lam=0.1, beta=0.95))
+    return _run_oracle("dmuon")
 
 
 def check_oracle_soap() -> CheckResult:
-    state = {}
-
-    def prod(block, g, lr):
-        if "s" not in state:
-            state["s"] = opts.SoapState.for_block(block, precond_freq=10)
-        opts.soap_step(block, g, state["s"], CommonHyper(lr, 0.1), 0.9, 0.999)
-
-    # square block: the Gram matrices stay full-rank for the QR refreshes
-    return _hybrid_oracle("soap", prod, ref.RefSoapMatrix(lam=0.1, precond_freq=10), rows=3, cols=3, peak=2e-3)
+    return _run_oracle("soap")
 
 
-def _check_oracle_mars(variant: str) -> CheckResult:
-    state = {}
+def check_oracle_sophia() -> CheckResult:
+    return _run_oracle("sophia")
 
-    def prod(block, g, lr):
-        if "s" not in state:
-            state["s"] = opts.MarsState.for_block(block)
-        opts.mars_step(block, g, state["s"], CommonHyper(lr, 0.1), variant, 0.95, 0.99, 0.025)
 
-    return _hybrid_oracle(f"mars-{variant}", prod, ref.RefMarsMatrix(variant=variant, lam=0.1))
+def check_oracle_sfadamw() -> CheckResult:
+    return _run_oracle("sf-adamw")
+
+
+def check_oracle_prodigy() -> CheckResult:
+    return _run_oracle("prodigy")
 
 
 def check_oracle_mars_adamw() -> CheckResult:
-    return _check_oracle_mars("adamw")
+    return _run_oracle("mars-adamw")
 
 
 def check_oracle_mars_lion() -> CheckResult:
-    return _check_oracle_mars("lion")
+    return _run_oracle("mars-lion")
 
 
 def check_oracle_mars_shampoo() -> CheckResult:
-    return _check_oracle_mars("shampoo")
+    return _run_oracle("mars-shampoo")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +401,7 @@ def check_newton_schulz_identity() -> CheckResult:
 
 def check_soap_identity_reduction() -> CheckResult:
     rows, cols, steps = 3, 4, 100
-    grads = _mat_grads("soap-id", steps, rows, cols)
+    grads = _draws("soap-id", steps, rows, cols)
     x0 = Rng(5, "soap-id/x0").normal_matrix(rows, cols)
     soap_block = ParamBlock("w", x0.copy(), role="matrix")
     adam_block = ParamBlock("w", x0.copy(), role="matrix")
@@ -453,7 +420,7 @@ def check_soap_identity_reduction() -> CheckResult:
 
 def check_sign_scale_invariance() -> CheckResult:
     steps, n = 150, 7
-    base = _grads("sign-scale", steps, n)
+    base = _draws("sign-scale", steps, n)
     x0 = Rng(6, "sign-scale/x0").normal(n)
     for scale in (0.1, 7.3):
         for engine_cls, kwargs in ((Signum, {"momentum": 0.95}), (Lion, {"beta1": 0.9, "beta2": 0.99})):
@@ -503,7 +470,7 @@ def check_sf_convex_combination() -> CheckResult:
     state = opts.ScheduleFreeState.for_blocks(blocks, warmup_steps=3)
     zs = []
     cs = []
-    grads = _grads("sf/grads", steps, n)
+    grads = _draws("sf/grads", steps, n)
     for t, g in enumerate(grads, start=1):
         before = state.lr_sq_sum
         opts.sfadamw_step(blocks, {"x": g}, state, CommonHyper(1e-2, 0.0), 0.9, 0.9999)
@@ -589,8 +556,8 @@ def check_zero_grad_fixed_points() -> CheckResult:
 
 def check_muon_wd_independence() -> CheckResult:
     steps = 40
-    grads_m = _mat_grads("muon-wd/m", steps, 4, 3)
-    grads_v = _grads("muon-wd/v", steps, 5)
+    grads_m = _draws("muon-wd/m", steps, 4, 3)
+    grads_v = _draws("muon-wd/v", steps, 5)
     finals = []
     vec_finals = []
     for lam in (0.0, 0.7):

@@ -204,7 +204,6 @@ class TestVerifyAndPresets:
 
     def test_verify_names_failing_invariant(self, monkeypatch, capsys):
         # fault injection: a mutated adamw epsilon must be caught and named
-        import optlab.optimizers as opts
         from optlab.optimizers import base
 
         real = base.adamw_step
@@ -213,7 +212,7 @@ class TestVerifyAndPresets:
             bad = type(hyper)(hyper.gamma, hyper.lam, hyper.eps * 10.0)
             return real(block, grad, state, bad, beta1, beta2)
 
-        monkeypatch.setattr(opts, "adamw_step", tampered)
+        monkeypatch.setattr(base, "adamw_step", tampered)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  scalar-oracle/adamw" in out
@@ -273,3 +272,13 @@ def test_bench_suite_validation(tmp_path, capsys):
     )
     assert main(["bench", "--config", str(suite), "--out", str(tmp_path / "o")]) == 2
     assert "duplicates" in capsys.readouterr().err
+
+
+def test_bench_rejects_zero_seeds(tmp_path, capsys):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw\nsuite.budgets = 10\nsuite.seeds = 0\n"
+        "problem.kind = quadratic\nschedule.family = constant\n"
+    )
+    assert main(["bench", "--config", str(suite), "--out", str(tmp_path / "o")]) == 2
+    assert "suite.seeds must be >= 1" in capsys.readouterr().err

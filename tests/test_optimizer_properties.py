@@ -8,7 +8,7 @@ import pytest
 import optlab.optimizers as opts
 import optlab.verify as verify
 from optlab.blocks import ParamBlock
-from optlab.errors import PoisonedStateError
+from optlab.errors import ContractViolationError, PoisonedStateError
 from optlab.optimizers.engine import OPTIMIZERS, make_optimizer
 from optlab.rng import Rng
 
@@ -77,6 +77,13 @@ def test_engines_step_all_roles(name):
         assert info.effective_lr > 0.0
     for b in blocks:
         assert np.all(np.isfinite(b.values))
+
+
+@pytest.mark.parametrize("name", ["muon", "dmuon", "soap", "mars-shampoo"])
+def test_matrix_rules_reject_matrix_blocks_beyond_2d(name):
+    # rejected when the block is built, so no rule ever sees it
+    with pytest.raises(ContractViolationError, match="exactly 2 dimensions"):
+        make_optimizer(name, [ParamBlock("w", np.zeros((2, 3, 4)), role="matrix")], 10, {})
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))

@@ -8,6 +8,7 @@ import pytest
 import optlab.optimizers as opts
 from optlab.blocks import CommonHyper, ParamBlock
 from optlab.errors import ContractViolationError, PoisonedStateError
+from optlab.optimizers.engine import Mars, Muon, Soap
 from optlab.schedules import EmaScheduleSpec
 
 H = CommonHyper(0.1, 0.0)
@@ -164,11 +165,11 @@ class TestMuonRouting:
         grads = [np.array([0.3, -0.7, 0.2]) * (i + 1) for i in range(20)]
         b_muon = ParamBlock("b", np.ones(3), role="vector")
         b_adam = ParamBlock("b", np.ones(3), role="vector")
-        ms = opts.MuonState.for_block(b_muon)
+        engine = Muon([b_muon], lr=0.01, lr_1d=1e-3, weight_decay=0.1)
         asx = opts.AdamLikeState.zeros(3)
         hyper = CommonHyper(1e-3, 0.1)
         for g in grads:
-            opts.muon_step(b_muon, g, ms, CommonHyper(0.01, 0.0), adam_hyper=hyper, adam_betas=(0.8, 0.999))
+            engine.step({"b": g})
             opts.adamw_step(b_adam, g, asx, hyper, 0.8, 0.999)
         assert np.array_equal(b_muon.values, b_adam.values)
 
@@ -186,19 +187,19 @@ class TestSoap:
     def test_vector_block_matches_adamw(self):
         b_soap = ParamBlock("b", np.ones(5), role="vector")
         b_adam = ParamBlock("b", np.ones(5), role="vector")
-        state = opts.SoapState.for_block(b_soap)
+        engine = Soap([b_soap], lr=1e-3, weight_decay=0.1)
         astate = opts.AdamLikeState.zeros(5)
         hyper = CommonHyper(1e-3, 0.1)
         for i in range(15):
             g = np.sin(np.arange(5.0) + i)
-            opts.soap_step(b_soap, g, state, hyper)
+            engine.step({"b": g})
             opts.adamw_step(b_adam, g, astate, hyper)
         assert np.array_equal(b_soap.values, b_adam.values)
 
     def test_oversized_block_falls_back_to_adamw(self):
         block = ParamBlock("w", np.zeros((4, 3)), role="matrix")
-        state = opts.SoapState.for_block(block, max_side=2)
-        assert state.adam is not None
+        engine = Soap([block], precond_max_dim=2)
+        assert "w" in engine.adam_states and "w" not in engine.states
 
     def test_first_gradient_initializes_without_motion(self):
         block = ParamBlock("w", np.ones((3, 3)), role="matrix")
@@ -307,12 +308,12 @@ class TestMars:
     def test_vector_blocks_route_to_adamw(self):
         b_mars = ParamBlock("b", np.ones(4), role="vector")
         b_adam = ParamBlock("b", np.ones(4), role="vector")
-        state = opts.MarsState.for_block(b_mars)
+        engine = Mars([b_mars], lr=3e-3, lr_1d=1e-3, weight_decay=0.1)
         astate = opts.AdamLikeState.zeros(4)
         hyper = CommonHyper(1e-3, 0.1)
         for i in range(10):
             g = np.cos(np.arange(4.0) * (i + 1))
-            opts.mars_step(b_mars, g, state, CommonHyper(3e-3, 0.1), adam_hyper=hyper, adam_betas=(0.8, 0.999))
+            engine.step({"b": g})
             opts.adamw_step(b_adam, g, astate, hyper, 0.8, 0.999)
         assert np.array_equal(b_mars.values, b_adam.values)
 
