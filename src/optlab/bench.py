@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .config import KNOWN_KEYS, config_hash, resolve, value_to_str
 from .errors import ConfigurationError
-from .harness import run
-from .optimizers import OPTIMIZER_NAMES
+from .harness import optimizer_params, run
+from .optimizers import OPTIMIZER_NAMES, OPTIMIZERS
 from .presets import get_preset
 from .rng import stable_hash
 from .runio import write_run_artifacts
@@ -143,6 +143,12 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
             base_config[key] = value
         else:
             raise ConfigurationError(f"{source}: unknown key {key!r}")
+    # every cell's hyperparameters are checked here, before any cell runs
+    for opt in optimizers:
+        try:
+            OPTIMIZERS[opt].check_params(optimizer_params({**base_config, **overrides.get(opt, {})}))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{source}: {exc}") from None
     return SuiteSpec(name, tuple(optimizers), budgets, seeds, base_seed, base_config, overrides)
 
 

@@ -19,44 +19,14 @@ import re
 from pathlib import Path
 
 from .errors import ConfigurationError
+from .optimizers import OPTIMIZERS
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(?:[.-][a-z0-9_]+)*$")
 
-#: Hyperparameter names accepted under ``optimizer.``; which ones an engine
-#: actually understands is checked at construction time.
-OPTIMIZER_KEYS = (
-    "lr",
-    "lr_1d",
-    "weight_decay",
-    "weight_decay_1d",
-    "eps",
-    "beta1",
-    "beta2",
-    "beta3",
-    "alpha",
-    "beta_start",
-    "t_alpha",
-    "t_beta3",
-    "momentum",
-    "nesterov",
-    "dampening",
-    "ns_iters",
-    "ns_a",
-    "ns_b",
-    "ns_c",
-    "precond_freq",
-    "precond_max_dim",
-    "bias_correction",
-    "identity_init",
-    "rho",
-    "estimator_freq",
-    "sf_warmup",
-    "eta",
-    "beta1_1d",
-    "beta2_1d",
-    "rms_factor",
-    "d0",
-)
+#: Hyperparameter names accepted under ``optimizer.``: the union of the
+#: engines' ``defaults`` tables. Which ones a rule takes is checked when its
+#: engine is built, and by ``bench`` when it parses a suite.
+OPTIMIZER_KEYS = tuple(dict.fromkeys(key for cls in OPTIMIZERS.values() for key in cls.defaults))
 
 KNOWN_KEYS = frozenset(
     [

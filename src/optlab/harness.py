@@ -10,13 +10,14 @@ permanent: nothing moves after the flagged step.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import time
 from dataclasses import dataclass, field
 
 from .blocks import global_norm
-from .config import DEFAULTS, value_to_str
+from .config import DEFAULTS, KNOWN_KEYS, value_to_str
 from .errors import ConfigurationError, PoisonedStateError
 from .optimizers import make_optimizer
 from .problems import Problem, build_problem
@@ -90,7 +91,8 @@ def clip_gradients(grads: dict, threshold: float) -> tuple[dict, float]:
     return grads, norm
 
 
-def _optimizer_params(cfg: dict) -> dict:
+def optimizer_params(cfg: dict) -> dict:
+    """The ``optimizer.*`` hyperparameters of a flat config, without the prefix."""
     skip = ("optimizer.name", "optimizer.preset")
     return {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("optimizer.") and k not in skip}
 
@@ -124,7 +126,7 @@ def setup_run(cfg: dict):
     kind = problem_keys.pop("kind")
     problem = build_problem(kind, seed, **problem_keys)
     opt_name = cfg["optimizer.name"]
-    opt_params = _optimizer_params(cfg)
+    opt_params = optimizer_params(cfg)
     if cfg["run.coupled_wd_demo"]:
         if opt_name != "signum":
             raise ConfigurationError("run.coupled_wd_demo is only defined for the signum optimizer")
@@ -238,30 +240,15 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     Each grid cell runs with an independent seed derived from the base seed
     and the cell index, so cells are comparable but not correlated.
     """
-    from .config import KNOWN_KEYS
-
     base = {**DEFAULTS, **base_config}
     for key in grid:
         if key not in KNOWN_KEYS:
             raise ConfigurationError(f"sweep key {key!r} is not a known config field")
     if not grid:
         return [({}, run(base))]
-    keys = list(grid)
     results = []
-    index = 0
-    def product(pos: int, assignment: dict):
-        nonlocal index
-        if pos == len(keys):
-            cfg = dict(base)
-            cfg.update(assignment)
-            cfg["run.seed"] = stable_hash(base["run.seed"], index)
-            results.append((dict(assignment), run(cfg)))
-            index += 1
-            return
-        for value in grid[keys[pos]]:
-            assignment[keys[pos]] = value
-            product(pos + 1, assignment)
-        del assignment[keys[pos]]
-
-    product(0, {})
+    for index, values in enumerate(itertools.product(*grid.values())):
+        assignment = dict(zip(grid, values))
+        cfg = {**base, **assignment, "run.seed": stable_hash(base["run.seed"], index)}
+        results.append((assignment, run(cfg)))
     return results

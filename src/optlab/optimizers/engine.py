@@ -6,17 +6,24 @@ method answers anything other than the current parameters), then calls
 ``step(grads, scale)`` where ``scale`` is the schedule multiplier in (0, 1]:
 each group's learning rate is its peak value times ``scale``.
 
-Hybrid rules (Muon, DMuon, SOAP and the MARS family) share one router,
-:class:`_Hybrid`: ``matrix`` blocks take the rule's matrix path and every
-other block runs AdamW with the rule's 1-D values.
+Each engine class declares its hyperparameters once, in ``defaults`` (name to
+default value). That table is the only list of what the rule accepts:
+:class:`Optimizer` rejects any other key and any value unlike its default's
+kind, then stores every value as an attribute. ``config.OPTIMIZER_KEYS`` is
+the union of the tables.
 
-Engines are constructed through :func:`make_optimizer`, which maps flat
-config keys onto constructor arguments and rejects unknown ones.
+Block-by-block rules (:class:`_PerBlock`) build each block's
+:class:`CommonHyper` and hand it to the rule's ``_rule``. Hybrid rules (Muon,
+DMuon, SOAP and the MARS family) share one router, :class:`_Hybrid`:
+``matrix`` blocks take the rule's matrix path and every other block runs
+AdamW with the rule's 1-D values.
+
+Engines are constructed through :func:`make_optimizer`.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +32,12 @@ from ..blocks import CommonHyper, ParamBlock, global_norm
 from ..errors import ConfigurationError
 from ..schedules import EmaScheduleSpec
 from . import base, mars, muon, prodigy, schedule_free, sign, soap, sophia
+
+#: Newton-Schulz settings shared by the orthogonalizing rules.
+_NS = {"ns_iters": muon.NS_ITERS, **dict(zip(("ns_a", "ns_b", "ns_c"), muon.NS_COEFFS))}
+
+#: AdamW betas of the hybrid rules' 1-D group.
+_BETAS_1D = {"beta1_1d": 0.8, "beta2_1d": 0.999}
 
 
 @dataclass(frozen=True)
@@ -36,16 +49,52 @@ class StepInfo:
     d: float | None = None
 
 
+def _kind(default) -> tuple[type, str]:
+    """The type of value a hyperparameter takes, judged by its default."""
+    if isinstance(default, bool):
+        return bool, "true or false"
+    if isinstance(default, int):
+        return numbers.Integral, "a whole number"
+    return numbers.Real, "a number"
+
+
 class Optimizer:
-    """Base class: block bookkeeping plus the default gradient point."""
+    """Base class: hyperparameter checks, block bookkeeping and the default gradient point."""
 
     name = "base"
+    #: hyperparameter name -> default value; the only list of what the rule takes
+    defaults: dict = {}
+    #: keys that also take ``None`` although their default is not ``None``
+    nullable: tuple[str, ...] = ()
 
-    def __init__(self, blocks: list[ParamBlock]):
+    def __init__(self, blocks: list[ParamBlock], **params):
+        self.check_params(params)
+        for key, default in self.defaults.items():
+            setattr(self, key, params.get(key, default))
         self.blocks = list(blocks)
         names = [b.name for b in self.blocks]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate block names: {names}")
+
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        """Reject keys outside ``defaults`` and values unlike their default's kind."""
+        for key, value in params.items():
+            if key not in cls.defaults:
+                raise ConfigurationError(
+                    f"optimizer {cls.name!r} takes no hyperparameter {key!r}; "
+                    f"it accepts: {', '.join(cls.defaults)}"
+                )
+            default = cls.defaults[key]
+            nullable = default is None or key in cls.nullable
+            kind, wanted = _kind(default)
+            if value is None and nullable:
+                continue
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"optimizer {cls.name!r}: hyperparameter {key!r} needs {wanted}"
+                    f"{' or none' if nullable else ''}, got {value!r}"
+                )
 
     @property
     def gnb_freq(self) -> int | None:
@@ -63,10 +112,29 @@ class Optimizer:
 
 
 class _PerBlock(Optimizer):
-    """Engines whose rule applies block by block."""
+    """Engines whose rule applies block by block.
+
+    Each block's state comes from ``_new_state``; a step hands ``_rule`` the
+    block's state and a :class:`CommonHyper` at ``lr * scale``.
+    """
+
+    state_type = None
+    #: the sign rules take no epsilon and step with CommonHyper's default
+    eps = 1e-8
+
+    def __init__(self, blocks, **params):
+        super().__init__(blocks, **params)
+        self.states = {b.name: self._new_state(b) for b in self.blocks}
+
+    def _new_state(self, block: ParamBlock):
+        return self.state_type.zeros(block.shape)
+
+    def _rule(self, block: ParamBlock, grad: np.ndarray, state, hyper: CommonHyper) -> np.ndarray:
+        raise NotImplementedError
 
     def _step_block(self, block: ParamBlock, grad: np.ndarray, scale: float) -> np.ndarray:
-        raise NotImplementedError
+        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+        return self._rule(block, grad, self.states[block.name], hyper)
 
     def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
         deltas = [self._step_block(b, grads[b.name], scale) for b in self.blocks]
@@ -75,265 +143,177 @@ class _PerBlock(Optimizer):
 
 class AdamW(_PerBlock):
     name = "adamw"
+    defaults = {"lr": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "beta1": 0.9, "beta2": 0.999}
+    state_type = base.AdamLikeState
 
-    def __init__(self, blocks, lr=1e-3, weight_decay=0.0, eps=1e-8, beta1=0.9, beta2=0.999):
-        super().__init__(blocks)
-        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
-        self.beta1, self.beta2 = beta1, beta2
-        self.states = {b.name: base.AdamLikeState.zeros(b.shape) for b in self.blocks}
-
-    def _step_block(self, block, grad, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        return base.adamw_step(block, grad, self.states[block.name], hyper, self.beta1, self.beta2)
+    def _rule(self, block, grad, state, hyper):
+        return base.adamw_step(block, grad, state, hyper, self.beta1, self.beta2)
 
 
 class Adopt(_PerBlock):
     """First call only seeds v0 from the observed gradient (no motion)."""
 
     name = "adopt"
+    defaults = {"lr": 1e-3, "weight_decay": 0.0, "eps": 1e-6, "beta1": 0.9, "beta2": 0.999}
+    state_type = base.AdoptState
 
-    def __init__(self, blocks, lr=1e-3, weight_decay=0.0, eps=1e-6, beta1=0.9, beta2=0.999):
-        super().__init__(blocks)
-        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
-        self.beta1, self.beta2 = beta1, beta2
-        self.states = {b.name: base.AdoptState.zeros(b.shape) for b in self.blocks}
-
-    def _step_block(self, block, grad, scale):
-        state = self.states[block.name]
+    def _rule(self, block, grad, state, hyper):
         if not state.v_ready:
             base.adopt_init(state, grad)
             return np.zeros(block.shape)
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
         return base.adopt_step(block, grad, state, hyper, self.beta1, self.beta2)
 
 
 class Ademamix(_PerBlock):
     name = "ademamix"
+    defaults = {
+        "lr": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "beta1": 0.9, "beta2": 0.999,
+        "beta3": 0.9999, "alpha": 8.0, "beta_start": None, "t_alpha": None, "t_beta3": None,
+    }
+    state_type = base.AdemamixState
 
-    def __init__(
-        self,
-        blocks,
-        total_steps,
-        lr=1e-3,
-        weight_decay=0.0,
-        eps=1e-8,
-        beta1=0.9,
-        beta2=0.999,
-        beta3=0.9999,
-        alpha=8.0,
-        beta_start=None,
-        t_alpha=None,
-        t_beta3=None,
-    ):
-        super().__init__(blocks)
-        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
-        self.beta1, self.beta2 = beta1, beta2
+    def __init__(self, blocks, total_steps, **params):
+        super().__init__(blocks, **params)
         # the mixing schedulers default to spanning the whole run
         self.ema = EmaScheduleSpec(
-            alpha=alpha,
-            beta3=beta3,
-            beta_start=beta1 if beta_start is None else beta_start,
-            t_alpha=total_steps if t_alpha is None else t_alpha,
-            t_beta3=total_steps if t_beta3 is None else t_beta3,
+            alpha=self.alpha,
+            beta3=self.beta3,
+            beta_start=self.beta1 if self.beta_start is None else self.beta_start,
+            t_alpha=total_steps if self.t_alpha is None else self.t_alpha,
+            t_beta3=total_steps if self.t_beta3 is None else self.t_beta3,
         )
-        self.states = {b.name: base.AdemamixState.zeros(b.shape) for b in self.blocks}
 
-    def _step_block(self, block, grad, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        return base.ademamix_step(block, grad, self.states[block.name], hyper, self.ema, self.beta1, self.beta2)
+    def _rule(self, block, grad, state, hyper):
+        return base.ademamix_step(block, grad, state, hyper, self.ema, self.beta1, self.beta2)
 
 
 class Lion(_PerBlock):
     name = "lion"
+    defaults = {"lr": 1e-4, "weight_decay": 0.0, "beta1": 0.9, "beta2": 0.99}
+    state_type = sign.SignState
 
-    def __init__(self, blocks, lr=1e-4, weight_decay=0.0, beta1=0.9, beta2=0.99):
-        super().__init__(blocks)
-        self.lr, self.weight_decay = lr, weight_decay
-        self.beta1, self.beta2 = beta1, beta2
-        self.states = {b.name: sign.SignState.zeros(b.shape) for b in self.blocks}
-
-    def _step_block(self, block, grad, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay)
-        return sign.lion_step(block, grad, self.states[block.name], hyper, self.beta1, self.beta2)
+    def _rule(self, block, grad, state, hyper):
+        return sign.lion_step(block, grad, state, hyper, self.beta1, self.beta2)
 
 
 class Signum(_PerBlock):
     name = "signum"
+    defaults = {"lr": 1e-3, "weight_decay": 0.0, "momentum": 0.95, "nesterov": True, "dampening": 0.0}
+    state_type = sign.SignState
 
-    def __init__(
-        self,
-        blocks,
-        lr=1e-3,
-        weight_decay=0.0,
-        momentum=0.95,
-        nesterov=True,
-        dampening=0.0,
-        coupled_wd=False,
-    ):
-        super().__init__(blocks)
-        self.lr, self.weight_decay = lr, weight_decay
-        self.momentum, self.nesterov, self.dampening = momentum, nesterov, dampening
+    def __init__(self, blocks, *, coupled_wd=False, **params):
+        super().__init__(blocks, **params)
+        # coupled l2 decay is only set by run.coupled_wd_demo, never a config key
         self.coupled_wd = coupled_wd
-        self.states = {b.name: sign.SignState.zeros(b.shape) for b in self.blocks}
 
-    def _step_block(self, block, grad, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay)
+    def _rule(self, block, grad, state, hyper):
         return sign.signum_step(
-            block,
-            grad,
-            self.states[block.name],
-            hyper,
-            self.momentum,
-            self.nesterov,
-            self.dampening,
-            self.coupled_wd,
+            block, grad, state, hyper, self.momentum, self.nesterov, self.dampening, self.coupled_wd
         )
 
 
 class _Hybrid(_PerBlock):
     """Engines that send matrix blocks through the rule and the rest to AdamW.
 
-    Routing is decided once, here: a block takes the matrix path when its
-    role is ``matrix`` and no side exceeds ``max_side``; its state, built by
-    ``matrix_state(block)``, goes in ``states``. Every other block is the 1-D
-    group: its state goes in ``adam_states`` and ``base.adamw_step`` steps it
-    at ``lr_1d * scale`` with ``weight_decay_1d`` and ``betas_1d``.
-    Subclasses implement ``_matrix_step``.
+    Routing is decided once, here: a block takes the matrix path when
+    ``_takes_matrix_path`` says so (its role is ``matrix``); its state, built
+    by ``_new_state``, goes in ``states``. Every other block is the 1-D group:
+    its state goes in ``adam_states`` and ``base.adamw_step`` steps it at
+    ``lr_1d * scale`` with ``weight_decay_1d`` and ``betas_1d``, read from the
+    attributes that ``keys_1d`` names.
     """
 
-    def __init__(self, blocks, matrix_state, lr_1d, weight_decay_1d, eps, betas_1d, max_side=math.inf):
-        super().__init__(blocks)
-        self.lr_1d, self.weight_decay_1d, self.eps = lr_1d, weight_decay_1d, eps
-        self.betas_1d = betas_1d
+    #: attributes giving the 1-D group its lr, weight decay, beta1 and beta2
+    keys_1d = ("lr_1d", "weight_decay", "beta1_1d", "beta2_1d")
+
+    def __init__(self, blocks, **params):
+        # the routing below replaces _PerBlock's one state per block
+        Optimizer.__init__(self, blocks, **params)
+        lr_1d, wd_1d, beta1_1d, beta2_1d = (getattr(self, key) for key in self.keys_1d)
+        self.lr_1d, self.weight_decay_1d, self.betas_1d = lr_1d, wd_1d, (beta1_1d, beta2_1d)
         self.states, self.adam_states = {}, {}
         for b in self.blocks:
-            if b.matrix_routed() and max(b.shape) <= max_side:
-                self.states[b.name] = matrix_state(b)
+            if self._takes_matrix_path(b):
+                self.states[b.name] = self._new_state(b)
             else:
                 self.adam_states[b.name] = base.AdamLikeState.zeros(b.shape)
 
-    def _matrix_step(self, block: ParamBlock, grad: np.ndarray, state, scale: float) -> np.ndarray:
-        raise NotImplementedError
+    def _takes_matrix_path(self, block: ParamBlock) -> bool:
+        return block.matrix_routed()
+
+    def _new_state(self, block):
+        return self.state_type.for_block(block)
 
     def _step_block(self, block, grad, scale):
         adam = self.adam_states.get(block.name)
         if adam is None:
-            return self._matrix_step(block, grad, self.states[block.name], scale)
+            hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+            return self._rule(block, grad, self.states[block.name], hyper)
         hyper = CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
         return base.adamw_step(block, grad, adam, hyper, *self.betas_1d)
 
 
 class Muon(_Hybrid):
-    """Orthogonalized momentum on matrices, AdamW with its own lr on the rest."""
+    """Orthogonalized momentum on matrices, AdamW with its own lr on the rest.
+
+    The matrix path applies no weight decay: ``muon_step`` ignores ``hyper.lam``.
+    """
 
     name = "muon"
+    defaults = {"lr": 0.01, "lr_1d": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "momentum": 0.95, **_NS, **_BETAS_1D}
+    state_type = muon.MuonState
 
-    def __init__(
-        self,
-        blocks,
-        lr=0.01,
-        lr_1d=1e-3,
-        weight_decay=0.0,
-        eps=1e-8,
-        momentum=0.95,
-        ns_iters=muon.NS_ITERS,
-        ns_coeffs=muon.NS_COEFFS,
-        beta1_1d=0.8,
-        beta2_1d=0.999,
-    ):
-        super().__init__(blocks, muon.MuonState.for_block, lr_1d, weight_decay, eps, (beta1_1d, beta2_1d))
-        self.lr, self.weight_decay = lr, weight_decay
-        self.momentum = momentum
-        self.ns_iters, self.ns_coeffs = ns_iters, ns_coeffs
-
-    def _matrix_step(self, block, grad, state, scale):
-        # the matrix path applies no weight decay
-        hyper = CommonHyper(self.lr * scale, 0.0, self.eps)
-        return muon.muon_step(block, grad, state, hyper, self.momentum, self.ns_iters, self.ns_coeffs)
+    def _rule(self, block, grad, state, hyper):
+        coeffs = (self.ns_a, self.ns_b, self.ns_c)
+        return muon.muon_step(block, grad, state, hyper, self.momentum, self.ns_iters, coeffs)
 
 
 class DMuon(_Hybrid):
     """One lr and weight decay for all groups; RMS-matched matrix updates."""
 
     name = "dmuon"
+    defaults = {
+        "lr": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "momentum": 0.95, "rms_factor": muon.RMS_FACTOR,
+        **_NS, **_BETAS_1D,
+    }
+    state_type = muon.MuonState
+    keys_1d = ("lr", "weight_decay", "beta1_1d", "beta2_1d")
 
-    def __init__(
-        self,
-        blocks,
-        lr=1e-3,
-        weight_decay=0.0,
-        eps=1e-8,
-        momentum=0.95,
-        rms_factor=muon.RMS_FACTOR,
-        ns_iters=muon.NS_ITERS,
-        ns_coeffs=muon.NS_COEFFS,
-        beta1_1d=0.8,
-        beta2_1d=0.999,
-    ):
-        super().__init__(blocks, muon.MuonState.for_block, lr, weight_decay, eps, (beta1_1d, beta2_1d))
-        self.lr, self.weight_decay = lr, weight_decay
-        self.momentum, self.rms_factor = momentum, rms_factor
-        self.ns_iters, self.ns_coeffs = ns_iters, ns_coeffs
-
-    def _matrix_step(self, block, grad, state, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        return muon.dmuon_step(
-            block, grad, state, hyper, self.momentum, self.rms_factor, self.ns_iters, self.ns_coeffs
-        )
+    def _rule(self, block, grad, state, hyper):
+        coeffs = (self.ns_a, self.ns_b, self.ns_c)
+        return muon.dmuon_step(block, grad, state, hyper, self.momentum, self.rms_factor, self.ns_iters, coeffs)
 
 
 class Soap(_Hybrid):
     """Rotated Adam on matrices up to ``precond_max_dim`` a side; AdamW on the rest."""
 
     name = "soap"
+    defaults = {
+        "lr": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "beta1": 0.9, "beta2": 0.999,
+        "precond_freq": 10, "precond_max_dim": 10000, "bias_correction": True, "identity_init": False,
+    }
+    # a precond_freq of None freezes the bases
+    nullable = ("precond_freq",)
+    keys_1d = ("lr", "weight_decay", "beta1", "beta2")
 
-    def __init__(
-        self,
-        blocks,
-        lr=1e-3,
-        weight_decay=0.0,
-        eps=1e-8,
-        beta1=0.9,
-        beta2=0.999,
-        precond_freq=10,
-        precond_max_dim=10000,
-        bias_correction=True,
-        identity_init=False,
-    ):
-        def matrix_state(block):
-            return soap.SoapState.for_block(block, precond_freq, bias_correction, identity_init)
+    def _takes_matrix_path(self, block):
+        return block.matrix_routed() and max(block.shape) <= self.precond_max_dim
 
-        super().__init__(blocks, matrix_state, lr, weight_decay, eps, (beta1, beta2), max_side=precond_max_dim)
-        self.lr, self.weight_decay = lr, weight_decay
-        self.beta1, self.beta2 = beta1, beta2
+    def _new_state(self, block):
+        return soap.SoapState.for_block(block, self.precond_freq, self.bias_correction, self.identity_init)
 
-    def _matrix_step(self, block, grad, state, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+    def _rule(self, block, grad, state, hyper):
         return soap.soap_step(block, grad, state, hyper, self.beta1, self.beta2)
 
 
 class Sophia(_PerBlock):
     name = "sophia"
-
-    def __init__(
-        self,
-        blocks,
-        lr=3e-4,
-        weight_decay=0.0,
-        eps=1e-15,
-        beta1=0.9,
-        beta2=0.999,
-        rho=0.04,
-        estimator_freq=10,
-    ):
-        super().__init__(blocks)
-        self.lr = lr
-        self.weight_decay, self.eps = weight_decay, eps
-        self.beta1, self.beta2 = beta1, beta2
-        self.rho, self.estimator_freq = rho, estimator_freq
-        self.states = {b.name: sophia.SophiaState.zeros(b.shape) for b in self.blocks}
-        self._resampled = None
-        self._batch_size = None
+    defaults = {
+        "lr": 3e-4, "weight_decay": 0.0, "eps": 1e-15, "beta1": 0.9, "beta2": 0.999,
+        "rho": 0.04, "estimator_freq": 10,
+    }
+    state_type = sophia.SophiaState
+    _resampled = _batch_size = None
 
     @property
     def gnb_freq(self) -> int:
@@ -350,32 +330,19 @@ class Sophia(_PerBlock):
         finally:
             self._resampled = self._batch_size = None
 
-    def _step_block(self, block, grad, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+    def _rule(self, block, grad, state, hyper):
         resampled = self._resampled[block.name] if self._resampled is not None else None
-        return sophia.sophia_step(
-            block,
-            grad,
-            self.states[block.name],
-            hyper,
-            self.beta1,
-            self.beta2,
-            self.rho,
-            self.estimator_freq,
-            resampled,
-            self._batch_size,
-        )
+        freq, batch = self.estimator_freq, self._batch_size
+        return sophia.sophia_step(block, grad, state, hyper, self.beta1, self.beta2, self.rho, freq, resampled, batch)
 
 
 class ScheduleFreeAdamW(Optimizer):
     name = "sf-adamw"
+    defaults = {"lr": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "beta1": 0.9, "beta2": 0.9999, "sf_warmup": 0}
 
-    def __init__(self, blocks, lr=1e-3, weight_decay=0.0, eps=1e-8, beta1=0.9, beta2=0.9999, sf_warmup=0):
-        super().__init__(blocks)
-        self.lr = lr
-        self.weight_decay, self.eps = weight_decay, eps
-        self.beta1, self.beta2 = beta1, beta2
-        self.state = schedule_free.ScheduleFreeState.for_blocks(self.blocks, sf_warmup)
+    def __init__(self, blocks, **params):
+        super().__init__(blocks, **params)
+        self.state = schedule_free.ScheduleFreeState.for_blocks(self.blocks, self.sf_warmup)
 
     def eval_point(self):
         return schedule_free.sf_eval_point(self.blocks, self.state, self.beta1)
@@ -388,23 +355,14 @@ class ScheduleFreeAdamW(Optimizer):
 
 class Prodigy(Optimizer):
     name = "prodigy"
+    defaults = {
+        "lr": 1.0, "weight_decay": 0.0, "eps": 1e-8, "beta1": 0.9, "beta2": 0.999,
+        "bias_correction": True, "d0": prodigy.D_INIT,
+    }
 
-    def __init__(
-        self,
-        blocks,
-        lr=1.0,
-        weight_decay=0.0,
-        eps=1e-8,
-        beta1=0.9,
-        beta2=0.999,
-        bias_correction=True,
-        d0=prodigy.D_INIT,
-    ):
-        super().__init__(blocks)
-        self.lr = lr
-        self.weight_decay, self.eps = weight_decay, eps
-        self.beta1, self.beta2 = beta1, beta2
-        self.state = prodigy.ProdigyState.for_blocks(self.blocks, d0, bias_correction)
+    def __init__(self, blocks, **params):
+        super().__init__(blocks, **params)
+        self.state = prodigy.ProdigyState.for_blocks(self.blocks, self.d0, self.bias_correction)
 
     @property
     def d(self) -> float:
@@ -419,42 +377,22 @@ class Prodigy(Optimizer):
 class Mars(_Hybrid):
     name = "mars-adamw"
     variant = "adamw"
+    defaults = {
+        "lr": 3e-3, "lr_1d": 1e-3, "weight_decay": 0.0, "weight_decay_1d": None, "eps": 1e-8,
+        "beta1": 0.95, "beta2": 0.99, "eta": 0.025, **_NS, **_BETAS_1D,
+    }
+    state_type = mars.MarsState
+    keys_1d = ("lr_1d", "weight_decay_1d", "beta1_1d", "beta2_1d")
 
-    def __init__(
-        self,
-        blocks,
-        lr=3e-3,
-        lr_1d=1e-3,
-        weight_decay=0.0,
-        weight_decay_1d=None,
-        eps=1e-8,
-        beta1=0.95,
-        beta2=0.99,
-        eta=0.025,
-        ns_iters=muon.NS_ITERS,
-        ns_coeffs=muon.NS_COEFFS,
-        beta1_1d=0.8,
-        beta2_1d=0.999,
-    ):
-        wd_1d = weight_decay if weight_decay_1d is None else weight_decay_1d
-        super().__init__(blocks, mars.MarsState.for_block, lr_1d, wd_1d, eps, (beta1_1d, beta2_1d))
-        self.lr, self.weight_decay = lr, weight_decay
-        self.beta1, self.beta2, self.eta = beta1, beta2, eta
-        self.ns_iters, self.ns_coeffs = ns_iters, ns_coeffs
+    def __init__(self, blocks, **params):
+        super().__init__(blocks, **params)
+        if self.weight_decay_1d is None:
+            self.weight_decay_1d = self.weight_decay
 
-    def _matrix_step(self, block, grad, state, scale):
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+    def _rule(self, block, grad, state, hyper):
+        coeffs = (self.ns_a, self.ns_b, self.ns_c)
         return mars.mars_step(
-            block,
-            grad,
-            state,
-            hyper,
-            self.variant,
-            self.beta1,
-            self.beta2,
-            self.eta,
-            self.ns_iters,
-            self.ns_coeffs,
+            block, grad, state, hyper, self.variant, self.beta1, self.beta2, self.eta, self.ns_iters, coeffs
         )
 
 
@@ -497,19 +435,12 @@ _NEEDS_TOTAL_STEPS = {"ademamix"}
 def make_optimizer(name: str, blocks, total_steps: int, params: dict | None = None) -> Optimizer:
     """Build an engine from flat config-style parameters.
 
-    ``ns_a``/``ns_b``/``ns_c`` are folded into an ``ns_coeffs`` tuple; unknown
-    keys raise :class:`ConfigurationError` naming the offender.
+    Keys outside the rule's ``defaults`` raise :class:`ConfigurationError`
+    naming the rule, the key and the accepted keys.
     """
     if name not in OPTIMIZERS:
         raise ConfigurationError(f"unknown optimizer {name!r}; valid names: {', '.join(OPTIMIZER_NAMES)}")
     kwargs = dict(params or {})
-    coeffs = [kwargs.pop(k, None) for k in ("ns_a", "ns_b", "ns_c")]
-    if any(c is not None for c in coeffs):
-        defaults = muon.NS_COEFFS
-        kwargs["ns_coeffs"] = tuple(c if c is not None else d for c, d in zip(coeffs, defaults))
     if name in _NEEDS_TOTAL_STEPS:
         kwargs["total_steps"] = total_steps
-    try:
-        return OPTIMIZERS[name](blocks, **kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad hyperparameters for optimizer {name!r}: {exc}") from exc
+    return OPTIMIZERS[name](blocks, **kwargs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
-from ..errors import DegenerateInputError, NumericalFailureError
+from ..errors import ContractViolationError, DegenerateInputError, NumericalFailureError
 from ..linalg import qr_orthonormal, sym_eigenbasis
 from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
 
@@ -52,6 +52,8 @@ class SoapState:
         bias_correction: bool = True,
         identity_init: bool = False,
     ) -> "SoapState":
+        if precond_freq is not None and precond_freq < 1:
+            raise ContractViolationError(f"precond_freq must be >= 1 or None, got {precond_freq}")
         rows, cols = block.shape
         state = cls(
             m=np.zeros(block.shape),

@@ -33,6 +33,8 @@ class SophiaState:
 
 def sophia_wants_estimate(t_next: int, estimator_freq: int) -> bool:
     """True when step ``t_next`` refreshes the diagonal estimate."""
+    if estimator_freq < 1:
+        raise ContractViolationError(f"estimator_freq must be >= 1, got {estimator_freq}")
     return t_next % estimator_freq == 1 % estimator_freq
 
 

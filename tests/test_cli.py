@@ -56,6 +56,31 @@ class TestRun:
         summary = json.loads((_single_run_dir(out) / "summary.json").read_text())
         assert summary["config"]["optimizer.lr"] == 2e-3
 
+    @pytest.mark.parametrize("name,key", [("soap", "precond_freq"), ("sophia", "estimator_freq")])
+    def test_zero_refresh_period_exit_2(self, cfg_file, tmp_path, capsys, name, key):
+        code = main(
+            ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o"),
+             "--set", f"optimizer.name={name}", "--set", "problem.kind=mlp", "--set", f"optimizer.{key}=0"]
+        )
+        assert code == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings,needs",
+        [
+            (["optimizer.lr=fast"], "'lr' needs a number"),
+            (["optimizer.lr=none"], "'lr' needs a number"),
+            (["optimizer.eps=none"], "'eps' needs a number"),
+            (["optimizer.name=muon", "optimizer.ns_iters=2.5"], "'ns_iters' needs a whole number"),
+        ],
+    )
+    def test_value_of_wrong_kind_exit_2_names_key(self, cfg_file, tmp_path, capsys, settings, needs):
+        args = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 2
+        assert f"hyperparameter {needs}" in capsys.readouterr().err
+
     def test_parse_error_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("run.steps = 10\nnot a setting\n")
@@ -282,3 +307,16 @@ def test_bench_rejects_zero_seeds(tmp_path, capsys):
     )
     assert main(["bench", "--config", str(suite), "--out", str(tmp_path / "o")]) == 2
     assert "suite.seeds must be >= 1" in capsys.readouterr().err
+
+
+def test_bench_checks_every_rules_keys_before_running(tmp_path, capsys):
+    # adamw takes no momentum: caught at parse time, before the signum cells run
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = signum, adamw\nsuite.budgets = 10\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\nadamw.optimizer.momentum = 0.9\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    assert "'adamw' takes no hyperparameter 'momentum'" in capsys.readouterr().err
+    assert not list(out.rglob("runs"))

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from optlab.blocks import ParamBlock
 from optlab.config import (
     DEFAULTS,
+    KNOWN_KEYS,
     config_hash,
     format_config,
     parse_config_text,
@@ -11,7 +14,8 @@ from optlab.config import (
     validate_keys,
 )
 from optlab.errors import ConfigurationError
-from optlab.optimizers import OPTIMIZER_NAMES
+from optlab.harness import optimizer_params
+from optlab.optimizers import OPTIMIZER_NAMES, make_optimizer
 from optlab.presets import get_preset, list_presets, preset_tags
 
 
@@ -124,7 +128,20 @@ class TestPresets:
         assert get_preset(name, tag)[key] == expected
 
     def test_presets_resolve_into_valid_configs(self):
+        blocks = [ParamBlock("w", np.zeros((3, 4)), role="matrix"), ParamBlock("b", np.zeros(4))]
         for name, tag in list_presets():
             preset = get_preset(name, tag)
             cfg = resolve({"optimizer.name": name}, preset)
             assert cfg["optimizer.name"] == name
+            engine = make_optimizer(name, blocks, cfg["run.steps"], optimizer_params(cfg))
+            assert engine.name == name
+
+
+def test_optimizer_keys_are_the_engines_hyperparameters():
+    keys = {k.split(".", 1)[1] for k in KNOWN_KEYS if k.startswith("optimizer.")}
+    assert keys - {"name", "preset"} == {
+        "lr", "lr_1d", "weight_decay", "weight_decay_1d", "eps", "beta1", "beta2", "beta3", "alpha",
+        "beta_start", "t_alpha", "t_beta3", "momentum", "nesterov", "dampening", "ns_iters", "ns_a", "ns_b",
+        "ns_c", "precond_freq", "precond_max_dim", "bias_correction", "identity_init", "rho", "estimator_freq",
+        "sf_warmup", "eta", "beta1_1d", "beta2_1d", "rms_factor", "d0",
+    }

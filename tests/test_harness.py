@@ -6,6 +6,7 @@ import pytest
 from optlab.errors import ConfigurationError, PoisonedStateError
 from optlab.harness import clip_gradients, run, sweep, time_optimizer
 from optlab.problems import build_problem
+from optlab.rng import stable_hash
 
 
 def quad_config(**overrides):
@@ -128,8 +129,13 @@ class TestSweep:
     def test_grid_product_and_distinct_seeds(self):
         results = sweep(quad_config(**{"run.steps": 5}), {"optimizer.lr": [0.01, 0.02, 0.03], "run.clip": [0.5, None]})
         assert len(results) == 6
-        seeds = {rec.config["run.seed"] for _, rec in results}
-        assert len(seeds) == 6
+        # the first grid key varies slowest
+        assert [assignment for assignment, _ in results] == [
+            {"optimizer.lr": lr, "run.clip": clip} for lr in (0.01, 0.02, 0.03) for clip in (0.5, None)
+        ]
+        seeds = [rec.config["run.seed"] for _, rec in results]
+        assert seeds == [stable_hash(1, i) for i in range(6)]
+        assert len(set(seeds)) == 6
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):

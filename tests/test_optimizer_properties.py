@@ -121,11 +121,15 @@ def test_engine_states_are_picklable():
         assert pickle.loads(blob) is not None
 
 
-def test_make_optimizer_rejects_unknowns():
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_make_optimizer_rejects_unknowns(name):
+    from optlab.config import OPTIMIZER_KEYS
     from optlab.errors import ConfigurationError
 
     blocks = _blocks()
     with pytest.raises(ConfigurationError, match="valid names"):
         make_optimizer("sgd", blocks, 10, {})
-    with pytest.raises(ConfigurationError, match="adamw"):
-        make_optimizer("adamw", blocks, 10, {"rho": 0.04})
+    # a real config key that this rule does not take
+    key = next(k for k in OPTIMIZER_KEYS if k not in OPTIMIZERS[name].defaults)
+    with pytest.raises(ConfigurationError, match=f"{name!r} takes no hyperparameter {key!r}; it accepts: lr, "):
+        make_optimizer(name, blocks, 10, {key: 0.5})

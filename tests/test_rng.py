@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optlab
 from optlab.rng import Rng, fnv1a64, rng_normal, stable_hash
 
 
@@ -48,8 +51,11 @@ def test_streams_reproduce_across_processes():
         "r = Rng(2718, 'proc')\n"
         "print([r.next_u64() for _ in range(8)], r.normal(4).tobytes().hex())\n"
     )
-    out1 = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    out2 = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the children import the same optlab as this process, installed or not
+    src = str(Path(optlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out1 = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    out2 = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out1.stdout == out2.stdout and out1.stdout.strip()
 
 
