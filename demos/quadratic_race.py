@@ -7,7 +7,6 @@ its curvature estimator and therefore races on the MLP problem instead.
 """
 
 from optlab import OPTIMIZER_NAMES, sweep
-from optlab.presets import get_preset
 
 GRIDS = {
     "lion": [0.003, 0.01, 0.03],
@@ -22,17 +21,16 @@ LR_KEY = {name: "optimizer.lr_1d" for name in ("muon", "mars-adamw", "mars-lion"
 
 print(f"{'optimizer':14} {'best lr':>8} {'final loss':>12} {'reduction':>12}")
 for name in OPTIMIZER_NAMES:
-    base = dict(get_preset(name, "124m-large"))
-    base.update(
-        {
-            "optimizer.name": name,
-            "run.steps": 500,
-            "run.seed": 11,
-            "schedule.family": "constant",
-            "schedule.warmup_steps": 0,
-            "schedule.final_lr_factor": None,
-        }
-    )
+    # each rule's tuned 124m-large preset, with the schedule held constant
+    base = {
+        "optimizer.name": name,
+        "optimizer.preset": "124m-large",
+        "run.steps": 500,
+        "run.seed": 11,
+        "schedule.family": "constant",
+        "schedule.warmup_steps": 0,
+        "schedule.final_lr_factor": None,
+    }
     if name == "sophia":
         base.update({"problem.kind": "mlp", "problem.samples": 256, "problem.batch_size": 64})
     else:

@@ -21,11 +21,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import KNOWN_KEYS, config_hash, resolve, value_to_str
+from .config import config_hash, resolve, value_to_str
 from .errors import ConfigurationError
 from .harness import optimizer_params, run
 from .optimizers import OPTIMIZER_NAMES, OPTIMIZERS
-from .presets import get_preset
 from .rng import stable_hash
 from .runio import write_run_artifacts
 
@@ -133,20 +132,16 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
     for key, value in flat.items():
         if key.startswith("suite."):
             continue
-        owner = next((o for o in OPTIMIZER_NAMES if key.startswith(o + ".")), None)
-        if owner is not None and owner in optimizers:
-            sub = key[len(owner) + 1 :]
-            if sub not in KNOWN_KEYS:
-                raise ConfigurationError(f"{source}: unknown config key {sub!r} in override {key!r}")
-            overrides.setdefault(owner, {})[sub] = value
-        elif key in KNOWN_KEYS:
+        owner = next((o for o in optimizers if key.startswith(o + ".")), None)
+        if owner is None:
             base_config[key] = value
         else:
-            raise ConfigurationError(f"{source}: unknown key {key!r}")
-    # every cell's hyperparameters are checked here, before any cell runs
+            overrides.setdefault(owner, {})[key[len(owner) + 1 :]] = value
+    # every rule's keys, values and hyperparameters are checked here, before any cell runs
     for opt in optimizers:
         try:
-            OPTIMIZERS[opt].check_params(optimizer_params({**base_config, **overrides.get(opt, {})}))
+            cfg = resolve(base_config, overrides.get(opt), {"optimizer.name": opt})
+            OPTIMIZERS[opt].check_params(optimizer_params(cfg))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{source}: {exc}") from None
     return SuiteSpec(name, tuple(optimizers), budgets, seeds, base_seed, base_config, overrides)
@@ -159,17 +154,12 @@ def _csv_list(value, source, key) -> list[str]:
 
 
 def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) -> dict:
-    file_cfg = dict(suite.base_config)
-    file_cfg.update(suite.overrides.get(optimizer, {}))
-    file_cfg["optimizer.name"] = optimizer
-    preset_cfg = None
-    tag = file_cfg.get("optimizer.preset")
-    if tag:
-        preset_cfg = get_preset(optimizer, str(tag))
-    cfg = resolve(file_cfg, preset_cfg)
-    cfg["run.steps"] = budget
-    cfg["run.seed"] = stable_hash(suite.base_seed, optimizer, budget, replicate)
-    return cfg
+    cell = {
+        "optimizer.name": optimizer,
+        "run.steps": budget,
+        "run.seed": stable_hash(suite.base_seed, optimizer, budget, replicate),
+    }
+    return resolve(suite.base_config, suite.overrides.get(optimizer), cell)
 
 
 def _run_cell(args: tuple[dict, str]) -> dict:

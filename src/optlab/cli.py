@@ -44,10 +44,7 @@ def _resolve_run_config(args) -> dict:
     overrides = parse_overrides(args.set)
     if args.seed is not None:
         overrides["run.seed"] = args.seed
-    merged_name = overrides.get("optimizer.name", file_cfg.get("optimizer.name", "adamw"))
-    merged_tag = overrides.get("optimizer.preset", file_cfg.get("optimizer.preset"))
-    preset_cfg = get_preset(str(merged_name), str(merged_tag)) if merged_tag else None
-    return resolve(file_cfg, preset_cfg, overrides)
+    return resolve(file_cfg, overrides)
 
 
 def cmd_run(args) -> int:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .optimizers import OPTIMIZERS
+from .optimizers.engine import wrong_kind
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(?:[.-][a-z0-9_]+)*$")
 
@@ -55,6 +56,8 @@ KNOWN_KEYS = frozenset(
     + [f"optimizer.{k}" for k in OPTIMIZER_KEYS]
 )
 
+#: Each key's kind (text, true/false, a whole number, a number, or ``none``
+#: for a number or none) is the kind ``resolve`` requires of its value.
 DEFAULTS = {
     "problem.kind": "quadratic",
     "problem.dim": 20,
@@ -165,13 +168,30 @@ def validate_keys(cfg: dict, *, source: str = "config") -> None:
         raise ConfigurationError(f"{source}: unknown keys: {', '.join(unknown)}")
 
 
-def resolve(file_cfg: dict | None = None, preset_cfg: dict | None = None, overrides: dict | None = None) -> dict:
-    """defaults < preset < config file < --set overrides."""
+def resolve(*layers: dict | None) -> dict:
+    """The one way to build a run config: defaults < preset < each layer in order.
+
+    The preset is the one the merged ``optimizer.preset`` names for the merged
+    ``optimizer.name``; the layers are, for the CLI, the config file and then
+    the ``--set`` overrides. Unknown keys, and values unlike the kind of their
+    ``DEFAULTS`` entry, raise :class:`ConfigurationError`. Resolving a resolved
+    config gives it back unchanged.
+    """
+    merged: dict = {}
+    for layer in layers:
+        merged.update(layer or {})
     cfg = dict(DEFAULTS)
-    for layer in (preset_cfg, file_cfg, overrides):
-        if layer:
-            cfg.update(layer)
+    tag = merged.get("optimizer.preset")
+    if tag:
+        from .presets import get_preset  # presets parses its registry with this module
+
+        cfg.update(get_preset(str(merged.get("optimizer.name", DEFAULTS["optimizer.name"])), str(tag)))
+    cfg.update(merged)
     validate_keys(cfg)
+    for key, default in DEFAULTS.items():
+        wanted = wrong_kind(cfg[key], default)
+        if wanted:
+            raise ConfigurationError(f"config key {key!r} needs {wanted}, got {cfg[key]!r}")
     return cfg
 
 

@@ -1,7 +1,10 @@
 """The training loop: clipping, scheduling, stepping, logging, timing.
 
-``run(config)`` executes one fully deterministic training run from a resolved
-flat config and returns a :class:`RunRecord`. Per step it: evaluates the loss
+``run(config)`` executes one fully deterministic training run from a flat
+config and returns a :class:`RunRecord`. The config goes through
+:func:`optlab.config.resolve` first, as it does from the CLI and ``bench``:
+defaults and the named preset fill it in, and unknown keys or values of the
+wrong kind are rejected before anything runs. Per step it: evaluates the loss
 and gradient at the point the optimizer asks for, checks for divergence,
 clips by global norm, applies the scheduled learning rate, steps the
 optimizer (timed in isolation from gradient work), and logs. Divergence is
@@ -17,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .blocks import global_norm
-from .config import DEFAULTS, KNOWN_KEYS, value_to_str
+from .config import resolve, value_to_str
 from .errors import ConfigurationError, PoisonedStateError
 from .optimizers import make_optimizer
 from .problems import Problem, build_problem
@@ -119,8 +122,8 @@ def _build_engine(name: str, params: dict, problem: Problem, blocks, total_steps
 
 
 def setup_run(cfg: dict):
-    """Build (problem, blocks, engine, schedule) from a resolved config."""
-    cfg = {**DEFAULTS, **cfg}
+    """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from it."""
+    cfg = resolve(cfg)
     seed = cfg["run.seed"]
     problem_keys = {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("problem.")}
     kind = problem_keys.pop("kind")
@@ -143,7 +146,7 @@ def run(config: dict) -> RunRecord:
     seed = cfg["run.seed"]
     total = cfg["run.steps"]
     clip = cfg["run.clip"]
-    log_every = max(1, int(cfg["run.log_every"]))
+    log_every = max(1, cfg["run.log_every"])
     record = RunRecord(config=cfg)
     times: list[int] = []
     for t in range(1, total + 1):
@@ -154,12 +157,7 @@ def run(config: dict) -> RunRecord:
             record.divergence_step = t
             break
         try:
-            if clip is not None:
-                grads, pre_norm = clip_gradients(grads, float(clip))
-            else:
-                pre_norm = global_norm(grads.values())
-                if not math.isfinite(pre_norm):
-                    raise PoisonedStateError("non-finite gradient norm")
+            grads, pre_norm = clip_gradients(grads, math.inf if clip is None else float(clip))
             lr_t = lr_at(schedule, t)
             resampled = problem.gnb_grad(point, (seed, t)) if engine.wants_estimate() else None
             start = time.perf_counter_ns()
@@ -238,17 +236,15 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     """Cartesian-product runs over config fields; empty grid = one base run.
 
     Each grid cell runs with an independent seed derived from the base seed
-    and the cell index, so cells are comparable but not correlated.
+    and the cell index, so cells are comparable but not correlated. Every
+    cell's config is resolved by ``run``, so a misspelt grid key fails there.
     """
-    base = {**DEFAULTS, **base_config}
-    for key in grid:
-        if key not in KNOWN_KEYS:
-            raise ConfigurationError(f"sweep key {key!r} is not a known config field")
     if not grid:
-        return [({}, run(base))]
+        return [({}, run(base_config))]
+    base_seed = resolve(base_config)["run.seed"]
     results = []
     for index, values in enumerate(itertools.product(*grid.values())):
         assignment = dict(zip(grid, values))
-        cfg = {**base, **assignment, "run.seed": stable_hash(base["run.seed"], index)}
+        cfg = {**base_config, **assignment, "run.seed": stable_hash(base_seed, index)}
         results.append((assignment, run(cfg)))
     return results

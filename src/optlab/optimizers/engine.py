@@ -49,13 +49,28 @@ class StepInfo:
     d: float | None = None
 
 
-def _kind(default) -> tuple[type, str]:
-    """The type of value a hyperparameter takes, judged by its default."""
-    if isinstance(default, bool):
-        return bool, "true or false"
-    if isinstance(default, int):
-        return numbers.Integral, "a whole number"
-    return numbers.Real, "a number"
+def wrong_kind(value, default, nullable: bool = False) -> str | None:
+    """What ``value`` should be when it is unlike ``default``'s kind, else None.
+
+    The kinds are text, true or false, a whole number and a number. ``None``
+    also fits where ``nullable`` is set or the default itself is ``None``.
+    """
+    if type(value) is type(default):  # the common case, without the slower ABC checks below
+        return None
+    nullable = nullable or default is None
+    if value is None and nullable:
+        return None
+    if isinstance(default, str):
+        kind, wanted = str, "text"
+    elif isinstance(default, bool):
+        kind, wanted = bool, "true or false"
+    elif isinstance(default, int):
+        kind, wanted = numbers.Integral, "a whole number"
+    else:
+        kind, wanted = numbers.Real, "a number"
+    if isinstance(value, bool) == (kind is bool) and isinstance(value, kind):
+        return None
+    return wanted + (" or none" if nullable else "")
 
 
 class Optimizer:
@@ -85,15 +100,10 @@ class Optimizer:
                     f"optimizer {cls.name!r} takes no hyperparameter {key!r}; "
                     f"it accepts: {', '.join(cls.defaults)}"
                 )
-            default = cls.defaults[key]
-            nullable = default is None or key in cls.nullable
-            kind, wanted = _kind(default)
-            if value is None and nullable:
-                continue
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            wanted = wrong_kind(value, cls.defaults[key], key in cls.nullable)
+            if wanted:
                 raise ConfigurationError(
-                    f"optimizer {cls.name!r}: hyperparameter {key!r} needs {wanted}"
-                    f"{' or none' if nullable else ''}, got {value!r}"
+                    f"optimizer {cls.name!r}: hyperparameter {key!r} needs {wanted}, got {value!r}"
                 )
 
     @property

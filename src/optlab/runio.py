@@ -29,10 +29,3 @@ def read_record_csv(run_dir: str | Path) -> tuple[list[str], list[list[str]]]:
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:] if line]
     return header, rows
-
-
-def read_summary(run_dir: str | Path) -> dict:
-    path = Path(run_dir) / "summary.json"
-    if not path.is_file():
-        raise ConfigurationError(f"{path} not found; not a run directory?")
-    return json.loads(path.read_text(encoding="utf-8"))

@@ -209,60 +209,18 @@ def _run_oracle(rule: str) -> CheckResult:
     return _max_dev(name, devs)
 
 
-def check_oracle_adamw() -> CheckResult:
-    return _run_oracle("adamw")
+def _oracle_check(rule: str) -> Callable[[], CheckResult]:
+    """The named check that runs ``rule``'s oracle case."""
+
+    def check() -> CheckResult:
+        return _run_oracle(rule)
+
+    # sf-adamw's check has always been check_oracle_sfadamw
+    check.__name__ = check.__qualname__ = "check_oracle_" + rule.replace("sf-", "sf").replace("-", "_")
+    return check
 
 
-def check_oracle_adopt() -> CheckResult:
-    return _run_oracle("adopt")
-
-
-def check_oracle_ademamix() -> CheckResult:
-    return _run_oracle("ademamix")
-
-
-def check_oracle_lion() -> CheckResult:
-    return _run_oracle("lion")
-
-
-def check_oracle_signum() -> CheckResult:
-    return _run_oracle("signum")
-
-
-def check_oracle_muon() -> CheckResult:
-    return _run_oracle("muon")
-
-
-def check_oracle_dmuon() -> CheckResult:
-    return _run_oracle("dmuon")
-
-
-def check_oracle_soap() -> CheckResult:
-    return _run_oracle("soap")
-
-
-def check_oracle_sophia() -> CheckResult:
-    return _run_oracle("sophia")
-
-
-def check_oracle_sfadamw() -> CheckResult:
-    return _run_oracle("sf-adamw")
-
-
-def check_oracle_prodigy() -> CheckResult:
-    return _run_oracle("prodigy")
-
-
-def check_oracle_mars_adamw() -> CheckResult:
-    return _run_oracle("mars-adamw")
-
-
-def check_oracle_mars_lion() -> CheckResult:
-    return _run_oracle("mars-lion")
-
-
-def check_oracle_mars_shampoo() -> CheckResult:
-    return _run_oracle("mars-shampoo")
+ORACLE_CHECKS = [_oracle_check(rule) for rule in ORACLE_CASES]
 
 
 # ---------------------------------------------------------------------------
@@ -616,23 +574,6 @@ def check_clip_examples() -> CheckResult:
         return _fail("harness/clip", f"direction not preserved, cos = {cos}")
     return _ok("harness/clip", "3-4-5 clipping exact, direction preserved")
 
-
-ORACLE_CHECKS = [
-    check_oracle_adamw,
-    check_oracle_adopt,
-    check_oracle_ademamix,
-    check_oracle_lion,
-    check_oracle_signum,
-    check_oracle_muon,
-    check_oracle_dmuon,
-    check_oracle_soap,
-    check_oracle_sophia,
-    check_oracle_sfadamw,
-    check_oracle_prodigy,
-    check_oracle_mars_adamw,
-    check_oracle_mars_lion,
-    check_oracle_mars_shampoo,
-]
 
 ALL_CHECKS = ORACLE_CHECKS + [
     check_matmul_vs_loops,

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from optlab.cli import main
+from optlab.harness import run
+from optlab.runio import write_run_artifacts
 
 MINIMAL = """\
 problem.kind = quadratic
@@ -80,6 +83,47 @@ class TestRun:
             args += ["--set", setting]
         assert main(args) == 2
         assert f"hyperparameter {needs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting,needs",
+        [
+            ("run.log_every=fast", "'run.log_every' needs a whole number"),
+            ("run.clip=fast", "'run.clip' needs a number or none"),
+            ("problem.dim=fast", "'problem.dim' needs a whole number"),
+            ("run.steps=2.5", "'run.steps' needs a whole number"),
+        ],
+    )
+    def test_non_optimizer_value_of_wrong_kind_exit_2_names_key(self, cfg_file, tmp_path, capsys, setting, needs):
+        args = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--set", setting]
+        assert main(args) == 2
+        assert f"config key {needs}, got" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_library_run_with_preset_matches_cli(self, tmp_path):
+        settings = {
+            "problem.kind": "quadratic",
+            "optimizer.name": "lion",
+            "optimizer.preset": "124m-small",
+            "run.steps": 20,
+            "schedule.warmup_steps": 5,
+        }
+        out = tmp_path / "cli"
+        args = ["run", "--out", str(out)]
+        for key, value in settings.items():
+            args += ["--set", f"{key}={value}"]
+        assert main(args) == 0
+        cli_dir = _single_run_dir(out)
+        lib_dir = write_run_artifacts(run(settings), tmp_path / "lib")
+
+        def digest(path: Path) -> str:
+            rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+            return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+        assert digest(lib_dir / "record.csv") == digest(cli_dir / "record.csv")
+        lib_config = json.loads((lib_dir / "summary.json").read_text())["config"]
+        cli_config = json.loads((cli_dir / "summary.json").read_text())["config"]
+        assert lib_config == cli_config
+        assert cli_config["optimizer.lr"] == 0.0001  # from the preset
 
     def test_parse_error_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -319,4 +363,16 @@ def test_bench_checks_every_rules_keys_before_running(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
     assert "'adamw' takes no hyperparameter 'momentum'" in capsys.readouterr().err
+    assert not list(out.rglob("runs"))
+
+
+def test_bench_checks_every_value_before_running(tmp_path, capsys):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw, signum\nsuite.budgets = 10\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\nsignum.run.clip = fast\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    assert "config key 'run.clip' needs a number or none, got 'fast'" in capsys.readouterr().err
     assert not list(out.rglob("runs"))

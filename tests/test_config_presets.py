@@ -62,10 +62,10 @@ class TestGrammar:
 
 class TestResolve:
     def test_precedence_defaults_preset_file_set(self):
-        preset = {"optimizer.lr": 0.001, "schedule.warmup_steps": 2000}
-        file_cfg = {"schedule.warmup_steps": 5}
+        # adamw/124m-large sets optimizer.lr = 0.001 and schedule.warmup_steps = 2000
+        file_cfg = {"optimizer.name": "adamw", "optimizer.preset": "124m-large", "schedule.warmup_steps": 5}
         overrides = {"optimizer.lr": 0.5}
-        cfg = resolve(file_cfg, preset, overrides)
+        cfg = resolve(file_cfg, overrides)
         assert cfg["optimizer.lr"] == 0.5
         assert cfg["schedule.warmup_steps"] == 5
         assert cfg["problem.kind"] == DEFAULTS["problem.kind"]
@@ -74,6 +74,30 @@ class TestResolve:
         with pytest.raises(ConfigurationError, match="unknown keys"):
             resolve({"optimizer.learning_rate": 0.1})
         validate_keys({"optimizer.lr": 0.1})
+
+    @pytest.mark.parametrize(
+        "key,value,needs",
+        [
+            ("run.steps", 2.5, "a whole number"),
+            ("run.log_every", "fast", "a whole number"),
+            ("run.clip", "fast", "a number or none"),
+            ("run.coupled_wd_demo", 1, "true or false"),
+            ("problem.kind", 3, "text"),
+            ("problem.condition", True, "a number"),
+        ],
+    )
+    def test_value_unlike_its_default_rejected(self, key, value, needs):
+        with pytest.raises(ConfigurationError, match=f"config key '{key}' needs {needs}, got"):
+            resolve({key: value})
+
+    def test_none_only_where_the_default_is_none(self):
+        assert resolve({"run.clip": None, "schedule.final_lr_factor": None})["run.clip"] is None
+        with pytest.raises(ConfigurationError, match="'run.steps' needs a whole number, got None"):
+            resolve({"run.steps": None})
+
+    def test_resolving_twice_changes_nothing(self):
+        cfg = resolve({"optimizer.name": "lion", "optimizer.preset": "124m-small"}, {"optimizer.lr": 0.5})
+        assert resolve(cfg) == cfg
 
     def test_hash_ignores_seed(self):
         a = resolve({"run.seed": 1})
@@ -130,9 +154,9 @@ class TestPresets:
     def test_presets_resolve_into_valid_configs(self):
         blocks = [ParamBlock("w", np.zeros((3, 4)), role="matrix"), ParamBlock("b", np.zeros(4))]
         for name, tag in list_presets():
-            preset = get_preset(name, tag)
-            cfg = resolve({"optimizer.name": name}, preset)
+            cfg = resolve({"optimizer.name": name, "optimizer.preset": tag})
             assert cfg["optimizer.name"] == name
+            assert cfg == {**cfg, **get_preset(name, tag)}
             engine = make_optimizer(name, blocks, cfg["run.steps"], optimizer_params(cfg))
             assert engine.name == name
 

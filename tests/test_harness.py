@@ -142,6 +142,25 @@ class TestSweep:
             sweep(quad_config(), {"optimizer.learning_rate": [0.1]})
 
 
+class TestConfigResolution:
+    @pytest.mark.parametrize("key", ["problem.dimm", "run.stepz"])
+    def test_misspelt_key_rejected_naming_it(self, key):
+        with pytest.raises(ConfigurationError, match=key):
+            run(quad_config(**{key: 5}))
+
+    def test_preset_applies_as_on_the_command_line(self):
+        record = run(quad_config(**{"optimizer.preset": "124m-small", "schedule.warmup_steps": 5}))
+        assert record.config["optimizer.lr"] == 0.03  # the caller's value beats the preset
+        assert record.config["run.clip"] == 0.5  # the preset beats the default
+        assert record.config["optimizer.beta1"] == 0.8
+
+    def test_sweep_applies_each_cells_preset(self):
+        base = quad_config(**{"run.steps": 5, "optimizer.preset": "124m-small", "schedule.warmup_steps": 1})
+        del base["optimizer.lr"]
+        results = sweep(base, {"optimizer.name": ["adamw", "lion"]})
+        assert [rec.config["optimizer.lr"] for _, rec in results] == [0.0005, 0.0001]
+
+
 class TestTimeOptimizer:
     def test_mean_and_std_reported(self):
         problem = build_problem("quadratic", 1, dim=10, condition=5.0)
