@@ -28,7 +28,7 @@ from .problems import (
     quadratic_problem,
     rosenbrock_problem,
 )
-from .rng import Rng, rng_normal, stable_hash
+from .rng import Rng, stable_hash
 from .schedules import (
     EmaScheduleSpec,
     ScheduleSpec,
@@ -71,7 +71,6 @@ __all__ = [
     "newton_schulz_orthogonalize",
     "qr_orthonormal",
     "quadratic_problem",
-    "rng_normal",
     "rosenbrock_problem",
     "run",
     "stable_hash",

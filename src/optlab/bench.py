@@ -9,6 +9,10 @@ A suite file uses the flat config grammar with a ``suite.`` section::
     problem.kind = quadratic          # everything else: base run config
     signum.optimizer.lr = 0.003       # per-optimizer overrides
 
+``config.validate_keys`` checks the ``suite.*`` keys against
+``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
+>= 1, and every rule's run config is resolved before any cell runs.
+
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
 diverged seed is flagged and ranked behind all clean aggregates.
@@ -21,12 +25,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import config_hash, resolve, value_to_str
+from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError
 from .harness import optimizer_params, run
 from .optimizers import OPTIMIZER_NAMES, OPTIMIZERS
+from .optimizers.engine import wrong_kind
 from .rng import stable_hash
 from .runio import write_run_artifacts
+
+
+#: The ``suite.*`` keys with defaults; ``suite.optimizers`` and
+#: ``suite.budgets`` are required comma-separated lists.
+SUITE_DEFAULTS = {"suite.name": "bench", "suite.seeds": 3, "suite.base_seed": 1}
+SUITE_KEYS = frozenset([*SUITE_DEFAULTS, "suite.optimizers", "suite.budgets"])
 
 
 @dataclass(frozen=True)
@@ -108,25 +119,20 @@ class ReportTable:
 
 
 def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
-    meta = {k: flat[k] for k in flat if k.startswith("suite.")}
-    name = meta.get("suite.name", "bench")
-    optimizers = _csv_list(meta.get("suite.optimizers"), source, "suite.optimizers")
-    if not optimizers:
-        raise ConfigurationError(f"{source}: suite.optimizers must list at least one optimizer")
-    if len(set(optimizers)) != len(optimizers):
-        raise ConfigurationError(f"{source}: suite.optimizers has duplicates")
+    meta = {k: v for k, v in flat.items() if k.startswith("suite.")}
+    validate_keys(meta, SUITE_KEYS, SUITE_DEFAULTS, source=f"{source}: suite")
+    meta = {**SUITE_DEFAULTS, **meta}
+    optimizers = _csv_list(meta, "suite.optimizers", "optimizer", source)
     for opt in optimizers:
         if opt not in OPTIMIZER_NAMES:
             raise ConfigurationError(
                 f"{source}: unknown optimizer {opt!r}; valid names: {', '.join(OPTIMIZER_NAMES)}"
             )
-    budgets = tuple(int(b) for b in _csv_list(meta.get("suite.budgets"), source, "suite.budgets"))
-    if not budgets:
-        raise ConfigurationError(f"{source}: suite.budgets must list at least one budget")
-    seeds = int(meta.get("suite.seeds", 3))
-    if seeds < 1:
-        raise ConfigurationError(f"{source}: suite.seeds must be >= 1, got {seeds}")
-    base_seed = int(meta.get("suite.base_seed", 1))
+    budgets = _csv_list(meta, "suite.budgets", "budget", source, parse=parse_value)
+    if any(wrong_kind(b, 1) or b < 1 for b in budgets):
+        raise ConfigurationError(f"{source}: suite.budgets must be whole numbers >= 1, got {budgets}")
+    if meta["suite.seeds"] < 1:
+        raise ConfigurationError(f"{source}: suite.seeds must be >= 1, got {meta['suite.seeds']}")
     base_config: dict = {}
     overrides: dict[str, dict] = {}
     for key, value in flat.items():
@@ -144,13 +150,19 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
             OPTIMIZERS[opt].check_params(optimizer_params(cfg))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{source}: {exc}") from None
-    return SuiteSpec(name, tuple(optimizers), budgets, seeds, base_seed, base_config, overrides)
+    return SuiteSpec(meta["suite.name"], tuple(optimizers), tuple(budgets), meta["suite.seeds"],
+                     meta["suite.base_seed"], base_config, overrides)
 
 
-def _csv_list(value, source, key) -> list[str]:
-    if value is None:
+def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> list:
+    if meta.get(key) is None:
         raise ConfigurationError(f"{source}: missing {key}")
-    return [item.strip() for item in str(value).split(",") if item.strip()]
+    items = [parse(item) for item in str(meta[key]).split(",") if item.strip()]
+    if not items:
+        raise ConfigurationError(f"{source}: {key} must list at least one {noun}")
+    if len(set(items)) != len(items):
+        raise ConfigurationError(f"{source}: {key} has duplicates")
+    return items
 
 
 def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) -> dict:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bench import parse_suite, run_suite, suite_hash
-from .config import config_hash, load_config_file, parse_overrides, resolve
+from .config import config_hash, load_config_file, parse_overrides, resolve, validate_keys
 from .errors import ConfigurationError, ContractViolationError, UnsupportedEstimatorError
 from .harness import run
 from .presets import get_preset, list_presets
@@ -30,6 +30,9 @@ PLOT_KINDS = {
     "normgrowth": "param_norm",
     "d": "d_t",
 }
+
+#: The settings ``plotdata --set`` takes: EMA window 1 is the raw column.
+PLOT_DEFAULTS = {"plot.window": 1}
 
 
 def _out_root(args) -> Path:
@@ -99,18 +102,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    settings = {**PLOT_DEFAULTS, **parse_overrides(args.set)}
+    validate_keys(settings, PLOT_DEFAULTS, PLOT_DEFAULTS, source="plotdata")
+    window = settings["plot.window"]
+    if window < 1:
+        raise ConfigurationError("plot.window must be >= 1")
     column = PLOT_KINDS[args.kind]
     header, rows = read_record_csv(args.run_dir)
     idx = header.index(column)
     step_idx = header.index("step")
     pairs = [(r[step_idx], r[idx]) for r in rows if r[idx] != ""]
-    overrides = parse_overrides(args.set)
-    unknown = sorted(set(overrides) - {"plot.window"})
-    if unknown:
-        raise ConfigurationError(f"plotdata only understands plot.window, got: {', '.join(unknown)}")
-    window = int(overrides.get("plot.window", 1))
-    if window < 1:
-        raise ConfigurationError("plot.window must be >= 1")
     out_path = Path(args.out) if args.out else Path(args.run_dir) / f"plot_{args.kind}.csv"
     lines = ["step,value"]
     if pairs:
@@ -144,9 +145,8 @@ def cmd_presets(args) -> int:
     return 0
 
 
-def _add_common(parser, *, config=True, jobs=False):
-    if config:
-        parser.add_argument("--config", help="flat key=value config file (or a run summary.json)")
+def _add_common(parser, *, jobs=False):
+    parser.add_argument("--config", help="flat key=value config file (or a run summary.json)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config entry")
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", help="output root (default ./runs or $OPTLAB_OUT)")

@@ -29,33 +29,6 @@ _KEY_RE = re.compile(r"^[a-z0-9_]+(?:[.-][a-z0-9_]+)*$")
 #: engine is built, and by ``bench`` when it parses a suite.
 OPTIMIZER_KEYS = tuple(dict.fromkeys(key for cls in OPTIMIZERS.values() for key in cls.defaults))
 
-KNOWN_KEYS = frozenset(
-    [
-        "problem.kind",
-        "problem.dim",
-        "problem.condition",
-        "problem.noise",
-        "problem.batch_size",
-        "problem.in_dim",
-        "problem.hidden",
-        "problem.classes",
-        "problem.samples",
-        "optimizer.name",
-        "optimizer.preset",
-        "schedule.family",
-        "schedule.warmup_steps",
-        "schedule.final_lr_factor",
-        "schedule.wsd_cooldown_fraction",
-        "run.steps",
-        "run.seed",
-        "run.clip",
-        "run.log_every",
-        "run.coupled_wd_demo",
-        "plot.window",
-    ]
-    + [f"optimizer.{k}" for k in OPTIMIZER_KEYS]
-)
-
 #: Each key's kind (text, true/false, a whole number, a number, or ``none``
 #: for a number or none) is the kind ``resolve`` requires of its value.
 DEFAULTS = {
@@ -79,6 +52,10 @@ DEFAULTS = {
     "run.log_every": 1,
     "run.coupled_wd_demo": False,
 }
+
+#: Every run-config key: the ``DEFAULTS`` keys, the preset tag, and one
+#: ``optimizer.<key>`` per engine hyperparameter.
+KNOWN_KEYS = frozenset([*DEFAULTS, "optimizer.preset", *(f"optimizer.{k}" for k in OPTIMIZER_KEYS)])
 
 
 def parse_value(text: str):
@@ -162,10 +139,14 @@ def parse_overrides(pairs) -> dict:
     return out
 
 
-def validate_keys(cfg: dict, *, source: str = "config") -> None:
-    unknown = sorted(k for k in cfg if k not in KNOWN_KEYS)
+def validate_keys(values: dict, known=KNOWN_KEYS, defaults=DEFAULTS, *, source: str = "config") -> None:
+    """Reject keys outside ``known``, and values unlike the kind of their ``defaults`` entry."""
+    unknown = sorted(k for k in values if k not in known)
     if unknown:
         raise ConfigurationError(f"{source}: unknown keys: {', '.join(unknown)}")
+    for key, default in defaults.items():
+        if key in values and (wanted := wrong_kind(values[key], default)):
+            raise ConfigurationError(f"{source} key {key!r} needs {wanted}, got {values[key]!r}")
 
 
 def resolve(*layers: dict | None) -> dict:
@@ -173,9 +154,10 @@ def resolve(*layers: dict | None) -> dict:
 
     The preset is the one the merged ``optimizer.preset`` names for the merged
     ``optimizer.name``; the layers are, for the CLI, the config file and then
-    the ``--set`` overrides. Unknown keys, and values unlike the kind of their
-    ``DEFAULTS`` entry, raise :class:`ConfigurationError`. Resolving a resolved
-    config gives it back unchanged.
+    the ``--set`` overrides. Unknown keys, values unlike the kind of their
+    ``DEFAULTS`` entry, and ``run.coupled_wd_demo`` on a rule other than
+    ``signum`` raise :class:`ConfigurationError`. Resolving a resolved config
+    gives it back unchanged.
     """
     merged: dict = {}
     for layer in layers:
@@ -188,10 +170,8 @@ def resolve(*layers: dict | None) -> dict:
         cfg.update(get_preset(str(merged.get("optimizer.name", DEFAULTS["optimizer.name"])), str(tag)))
     cfg.update(merged)
     validate_keys(cfg)
-    for key, default in DEFAULTS.items():
-        wanted = wrong_kind(cfg[key], default)
-        if wanted:
-            raise ConfigurationError(f"config key {key!r} needs {wanted}, got {cfg[key]!r}")
+    if cfg["run.coupled_wd_demo"] and cfg["optimizer.name"] != "signum":
+        raise ConfigurationError("run.coupled_wd_demo is only defined for the signum optimizer")
     return cfg
 
 

@@ -130,9 +130,7 @@ def setup_run(cfg: dict):
     problem = build_problem(kind, seed, **problem_keys)
     opt_name = cfg["optimizer.name"]
     opt_params = optimizer_params(cfg)
-    if cfg["run.coupled_wd_demo"]:
-        if opt_name != "signum":
-            raise ConfigurationError("run.coupled_wd_demo is only defined for the signum optimizer")
+    if cfg["run.coupled_wd_demo"]:  # resolve has checked that the rule is signum
         opt_params["coupled_wd"] = True
     blocks = problem.init_blocks(0)
     engine = _build_engine(opt_name, opt_params, problem, blocks, cfg["run.steps"])
@@ -152,11 +150,9 @@ def run(config: dict) -> RunRecord:
     for t in range(1, total + 1):
         point = engine.eval_point()
         loss, grads = problem.loss_and_grad(point, (seed, t))
-        if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-            record.diverged = True
-            record.divergence_step = t
-            break
         try:
+            if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+                raise PoisonedStateError("loss diverged")
             grads, pre_norm = clip_gradients(grads, math.inf if clip is None else float(clip))
             lr_t = lr_at(schedule, t)
             resampled = problem.gnb_grad(point, (seed, t)) if engine.wants_estimate() else None
@@ -236,8 +232,9 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     """Cartesian-product runs over config fields; empty grid = one base run.
 
     Each grid cell runs with an independent seed derived from the base seed
-    and the cell index, so cells are comparable but not correlated. Every
-    cell's config is resolved by ``run``, so a misspelt grid key fails there.
+    and the cell index, so cells are comparable but not correlated; a grid
+    over ``run.seed`` runs the seeds it names instead. Every cell's config is
+    resolved by ``run``, so a misspelt grid key fails there.
     """
     if not grid:
         return [({}, run(base_config))]
@@ -245,6 +242,6 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     results = []
     for index, values in enumerate(itertools.product(*grid.values())):
         assignment = dict(zip(grid, values))
-        cfg = {**base_config, **assignment, "run.seed": stable_hash(base_seed, index)}
+        cfg = {**base_config, "run.seed": stable_hash(base_seed, index), **assignment}
         results.append((assignment, run(cfg)))
     return results

@@ -54,13 +54,16 @@ class Problem:
     init_blocks: Callable[[int], list[ParamBlock]]
     loss_and_grad: Callable[[dict, BatchSeed], tuple[float, dict]]
     full_loss: Callable[[dict], float]
-    supports_gnb: bool = False
     resampled_grad: Callable[[dict, BatchSeed], dict] | None = None
     minimizer: dict | None = None
     optimal_value: float | None = None
 
+    @property
+    def supports_gnb(self) -> bool:
+        return self.resampled_grad is not None
+
     def gnb_grad(self, params: dict, batch_seed: BatchSeed) -> dict:
-        if not self.supports_gnb or self.resampled_grad is None:
+        if not self.supports_gnb:
             raise UnsupportedEstimatorError(
                 f"problem {self.name!r} has no categorical output; GNB estimator unsupported"
             )
@@ -263,7 +266,6 @@ def mlp_classification_problem(
         init_blocks=init_blocks,
         loss_and_grad=loss_and_grad,
         full_loss=full_loss,
-        supports_gnb=True,
         resampled_grad=resampled_grad,
     )
 

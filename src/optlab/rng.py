@@ -126,8 +126,3 @@ class Rng:
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normal(rows * cols).reshape(rows, cols)
-
-
-def rng_normal(rng: Rng, n: int) -> np.ndarray:
-    """Functional alias for :meth:`Rng.normal`."""
-    return rng.normal(n)

@@ -197,6 +197,21 @@ class TestPlotdata:
         assert len(raw) == len(smooth)
         assert raw != smooth
 
+    @pytest.mark.parametrize(
+        "setting,error",
+        [
+            ("plot.window=abc", "plotdata key 'plot.window' needs a whole number, got 'abc'"),
+            ("plot.window=2.5", "plotdata key 'plot.window' needs a whole number, got 2.5"),
+            ("plot.window=true", "plotdata key 'plot.window' needs a whole number, got True"),
+            ("plot.windw=5", "plotdata: unknown keys: plot.windw"),
+        ],
+        ids=["abc", "2.5", "true", "unknown"],
+    )
+    def test_bad_setting_exit_2(self, run_dir, capsys, setting, error):
+        assert main(["plotdata", str(run_dir), "--kind", "loss", "--set", setting]) == 2
+        assert error in capsys.readouterr().err
+        assert not (run_dir / "plot_loss.csv").exists()
+
     def test_missing_column_warns_and_exits_zero(self, run_dir, capsys):
         assert main(["plotdata", str(run_dir), "--kind", "d"]) == 0
         out = capsys.readouterr().out
@@ -375,4 +390,46 @@ def test_bench_checks_every_value_before_running(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
     assert "config key 'run.clip' needs a number or none, got 'fast'" in capsys.readouterr().err
+    assert not list(out.rglob("runs"))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("suite.seeds", "abc"),
+        ("suite.seeds", "1.5"),
+        ("suite.base_seed", "x"),
+        ("suite.budgets", "10, x"),
+        ("suite.budgets", "10, 10"),
+        ("suite.budgets", "0"),
+        ("suite.sedes", "1"),
+    ],
+)
+def test_bench_rejects_bad_suite_values_before_running(tmp_path, capsys, key, value):
+    lines = {
+        "suite.optimizers": "adamw",
+        "suite.budgets": "10",
+        "suite.seeds": "1",
+        "problem.kind": "quadratic",
+        "schedule.family": "constant",
+        key: value,
+    }
+    suite = tmp_path / "suite.cfg"
+    suite.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.rglob("runs"))
+
+
+def test_bench_checks_coupled_wd_demo_before_running(tmp_path, capsys):
+    # the demo is signum-only: caught at parse time, before the signum cells run
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = signum, adamw\nsuite.budgets = 10\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\nrun.coupled_wd_demo = true\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    assert "run.coupled_wd_demo is only defined for the signum optimizer" in capsys.readouterr().err
     assert not list(out.rglob("runs"))

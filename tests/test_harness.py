@@ -141,9 +141,15 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep(quad_config(), {"optimizer.learning_rate": [0.1]})
 
+    def test_seed_grid_runs_the_seeds_it_names(self):
+        results = sweep(quad_config(**{"run.steps": 3}), {"run.seed": [1, 2]})
+        assert [assignment for assignment, _ in results] == [{"run.seed": 1}, {"run.seed": 2}]
+        assert [rec.config["run.seed"] for _, rec in results] == [1, 2]
+
 
 class TestConfigResolution:
-    @pytest.mark.parametrize("key", ["problem.dimm", "run.stepz"])
+    # plot.window is a plotdata setting, not a run key
+    @pytest.mark.parametrize("key", ["problem.dimm", "run.stepz", "plot.window"])
     def test_misspelt_key_rejected_naming_it(self, key):
         with pytest.raises(ConfigurationError, match=key):
             run(quad_config(**{key: 5}))

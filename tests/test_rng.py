@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import optlab
-from optlab.rng import Rng, fnv1a64, rng_normal, stable_hash
+from optlab.rng import Rng, fnv1a64, stable_hash
 
 
 def test_same_seed_same_stream():
@@ -23,8 +23,8 @@ def test_distinct_keys_are_independent():
 
 
 def test_normal_empty_and_counts():
-    assert rng_normal(Rng(1, "n"), 0).shape == (0,)
-    assert rng_normal(Rng(1, "n"), 7).shape == (7,)
+    assert Rng(1, "n").normal(0).shape == (0,)
+    assert Rng(1, "n").normal(7).shape == (7,)
     with pytest.raises(ValueError):
         Rng(1, "n").normal(-1)
 
