@@ -11,7 +11,8 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
->= 1, and every rule's run config is resolved before any cell runs.
+>= 1, and every rule's run config is resolved, and its GNB pairing checked,
+before any cell runs.
 
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
@@ -25,11 +26,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
+from .config import DEFAULTS, config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError
-from .harness import optimizer_params, run
+from .harness import check_estimator, optimizer_params, run
 from .optimizers import OPTIMIZER_NAMES, OPTIMIZERS
 from .optimizers.engine import wrong_kind
+from .problems import KINDS
 from .rng import stable_hash
 from .runio import write_run_artifacts
 
@@ -143,11 +145,12 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
             base_config[key] = value
         else:
             overrides.setdefault(owner, {})[key[len(owner) + 1 :]] = value
-    # every rule's keys, values and hyperparameters are checked here, before any cell runs
+    # every rule's keys, values, hyperparameters and GNB pairing are checked before any cell runs
     for opt in optimizers:
         try:
             cfg = resolve(base_config, overrides.get(opt), {"optimizer.name": opt})
             OPTIMIZERS[opt].check_params(optimizer_params(cfg))
+            check_estimator(opt, cfg["problem.kind"], KINDS[cfg["problem.kind"]])
         except ConfigurationError as exc:
             raise ConfigurationError(f"{source}: {exc}") from None
     return SuiteSpec(meta["suite.name"], tuple(optimizers), tuple(budgets), meta["suite.seeds"],
@@ -201,7 +204,7 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
     else:
         outcomes = [_run_cell(args) for _, args in cells]
     by_cell = {key: outcome for (key, _), outcome in zip(cells, outcomes)}
-    problem = suite.base_config.get("problem.kind", "quadratic")
+    problem = suite.base_config.get("problem.kind", DEFAULTS["problem.kind"])
     table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, str(problem))
     for optimizer in suite.optimizers:
         for budget in suite.budgets:

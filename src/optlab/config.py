@@ -18,6 +18,7 @@ import json
 import re
 from pathlib import Path
 
+from . import problems
 from .errors import ConfigurationError
 from .optimizers import OPTIMIZERS
 from .optimizers.engine import wrong_kind
@@ -30,17 +31,10 @@ _KEY_RE = re.compile(r"^[a-z0-9_]+(?:[.-][a-z0-9_]+)*$")
 OPTIMIZER_KEYS = tuple(dict.fromkeys(key for cls in OPTIMIZERS.values() for key in cls.defaults))
 
 #: Each key's kind (text, true/false, a whole number, a number, or ``none``
-#: for a number or none) is the kind ``resolve`` requires of its value.
+#: for a number or none) is the kind ``resolve`` requires of its value. The
+#: ``problem.*`` entries are ``problems.DEFAULTS``.
 DEFAULTS = {
-    "problem.kind": "quadratic",
-    "problem.dim": 20,
-    "problem.condition": 10.0,
-    "problem.noise": 0.0,
-    "problem.batch_size": 1,
-    "problem.in_dim": 8,
-    "problem.hidden": 16,
-    "problem.classes": 3,
-    "problem.samples": 512,
+    **{f"problem.{key}": value for key, value in problems.DEFAULTS.items()},
     "optimizer.name": "adamw",
     "schedule.family": "cosine",
     "schedule.warmup_steps": 0,
@@ -155,9 +149,10 @@ def resolve(*layers: dict | None) -> dict:
     The preset is the one the merged ``optimizer.preset`` names for the merged
     ``optimizer.name``; the layers are, for the CLI, the config file and then
     the ``--set`` overrides. Unknown keys, values unlike the kind of their
-    ``DEFAULTS`` entry, and ``run.coupled_wd_demo`` on a rule other than
-    ``signum`` raise :class:`ConfigurationError`. Resolving a resolved config
-    gives it back unchanged.
+    ``DEFAULTS`` entry, a ``problem.kind`` outside ``problems.KINDS``, a
+    ``run.log_every`` below 1, and ``run.coupled_wd_demo`` on a rule other
+    than ``signum`` raise :class:`ConfigurationError`. Resolving a resolved
+    config gives it back unchanged.
     """
     merged: dict = {}
     for layer in layers:
@@ -170,6 +165,10 @@ def resolve(*layers: dict | None) -> dict:
         cfg.update(get_preset(str(merged.get("optimizer.name", DEFAULTS["optimizer.name"])), str(tag)))
     cfg.update(merged)
     validate_keys(cfg)
+    if (kind := cfg["problem.kind"]) not in problems.KINDS:
+        raise ConfigurationError(f"unknown problem.kind {kind!r}; valid kinds: {', '.join(problems.KINDS)}")
+    if cfg["run.log_every"] < 1:
+        raise ConfigurationError(f"run.log_every must be >= 1, got {cfg['run.log_every']}")
     if cfg["run.coupled_wd_demo"] and cfg["optimizer.name"] != "signum":
         raise ConfigurationError("run.coupled_wd_demo is only defined for the signum optimizer")
     return cfg

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .blocks import global_norm
 from .config import resolve, value_to_str
 from .errors import ConfigurationError, PoisonedStateError
-from .optimizers import make_optimizer
+from .optimizers import OPTIMIZERS, make_optimizer
 from .problems import Problem, build_problem
 from .rng import stable_hash
 from .schedules import ScheduleSpec, lr_at
@@ -94,47 +94,37 @@ def clip_gradients(grads: dict, threshold: float) -> tuple[dict, float]:
     return grads, norm
 
 
+def _section(cfg: dict, prefix: str) -> dict:
+    """The ``prefix.*`` entries of a flat config, without the prefix."""
+    return {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
+
+
 def optimizer_params(cfg: dict) -> dict:
     """The ``optimizer.*`` hyperparameters of a flat config, without the prefix."""
-    skip = ("optimizer.name", "optimizer.preset")
-    return {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("optimizer.") and k not in skip}
+    return {k: v for k, v in _section(cfg, "optimizer").items() if k not in ("name", "preset")}
 
 
-def _build_schedule(cfg: dict, gamma_max: float) -> ScheduleSpec:
-    return ScheduleSpec(
-        family=cfg["schedule.family"],
-        gamma_max=gamma_max,
-        total_steps=cfg["run.steps"],
-        warmup_steps=cfg["schedule.warmup_steps"],
-        final_lr_factor=cfg["schedule.final_lr_factor"],
-        wsd_cooldown_fraction=cfg["schedule.wsd_cooldown_fraction"],
-    )
-
-
-def _build_engine(name: str, params: dict, problem: Problem, blocks, total_steps: int):
-    """``make_optimizer`` plus the check that a GNB rule gets a categorical problem."""
-    engine = make_optimizer(name, blocks, total_steps, params)
-    if engine.gnb_freq is not None and not problem.supports_gnb:
+def check_estimator(optimizer: str, problem: str, supports_gnb: bool) -> None:
+    """Reject a rule that needs the GNB estimator on a problem without one."""
+    if OPTIMIZERS[optimizer].needs_gnb and not supports_gnb:
         raise ConfigurationError(
-            f"optimizer {name!r} needs the GNB estimator but problem {problem.name!r} has no categorical output"
+            f"optimizer {optimizer!r} needs the GNB estimator but problem {problem!r} has no categorical output"
         )
-    return engine
 
 
 def setup_run(cfg: dict):
-    """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from it."""
+    """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from its sections."""
     cfg = resolve(cfg)
-    seed = cfg["run.seed"]
-    problem_keys = {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("problem.")}
-    kind = problem_keys.pop("kind")
-    problem = build_problem(kind, seed, **problem_keys)
+    problem_cfg = _section(cfg, "problem")
+    problem = build_problem(problem_cfg.pop("kind"), cfg["run.seed"], **problem_cfg)
     opt_name = cfg["optimizer.name"]
     opt_params = optimizer_params(cfg)
     if cfg["run.coupled_wd_demo"]:  # resolve has checked that the rule is signum
         opt_params["coupled_wd"] = True
     blocks = problem.init_blocks(0)
-    engine = _build_engine(opt_name, opt_params, problem, blocks, cfg["run.steps"])
-    schedule = _build_schedule(cfg, engine.lr)
+    engine = make_optimizer(opt_name, blocks, cfg["run.steps"], opt_params)
+    check_estimator(opt_name, problem.name, problem.supports_gnb)
+    schedule = ScheduleSpec(gamma_max=engine.lr, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
     return cfg, problem, blocks, engine, schedule
 
 
@@ -144,7 +134,7 @@ def run(config: dict) -> RunRecord:
     seed = cfg["run.seed"]
     total = cfg["run.steps"]
     clip = cfg["run.clip"]
-    log_every = max(1, cfg["run.log_every"])
+    log_every = cfg["run.log_every"]
     record = RunRecord(config=cfg)
     times: list[int] = []
     for t in range(1, total + 1):
@@ -212,7 +202,8 @@ def time_optimizer(
         raise ConfigurationError("steps and repeats must be >= 1")
     repeat_means = []
     for rep in range(repeats):
-        engine = _build_engine(optimizer_name, opt_params, problem, problem.init_blocks(rep), steps)
+        engine = make_optimizer(optimizer_name, problem.init_blocks(rep), steps, opt_params)
+        check_estimator(optimizer_name, problem.name, problem.supports_gnb)
         rep_seed = stable_hash(seed, optimizer_name, rep)
         times = []
         for t in range(1, steps + 1):

@@ -81,6 +81,8 @@ class Optimizer:
     defaults: dict = {}
     #: keys that also take ``None`` although their default is not ``None``
     nullable: tuple[str, ...] = ()
+    #: whether ``step`` needs the label-resampled (GNB) gradient of a ``supports_gnb`` problem
+    needs_gnb = False
 
     def __init__(self, blocks: list[ParamBlock], **params):
         self.check_params(params)
@@ -105,11 +107,6 @@ class Optimizer:
                 raise ConfigurationError(
                     f"optimizer {cls.name!r}: hyperparameter {key!r} needs {wanted}, got {value!r}"
                 )
-
-    @property
-    def gnb_freq(self) -> int | None:
-        """Estimator refresh period, for rules that resample labels."""
-        return None
 
     def wants_estimate(self) -> bool:
         return False
@@ -323,11 +320,8 @@ class Sophia(_PerBlock):
         "rho": 0.04, "estimator_freq": 10,
     }
     state_type = sophia.SophiaState
+    needs_gnb = True
     _resampled = _batch_size = None
-
-    @property
-    def gnb_freq(self) -> int:
-        return self.estimator_freq
 
     def wants_estimate(self) -> bool:
         t_next = next(iter(self.states.values())).t + 1

@@ -23,6 +23,15 @@ from .rng import Rng
 
 BatchSeed = tuple[int, int]
 
+#: Each ``problem.*`` run key, without the prefix, and its default; ``build_problem`` takes the keys after ``kind``.
+DEFAULTS = {
+    "kind": "quadratic", "dim": 20, "condition": 10.0, "noise": 0.0, "batch_size": 1,
+    "in_dim": 8, "hidden": 16, "classes": 3, "samples": 512,
+}
+
+#: Each problem kind and whether it offers the GNB estimator (``Problem.supports_gnb``).
+KINDS = {"quadratic": False, "rosenbrock": False, "mlp": True}
+
 
 @dataclass(frozen=True)
 class BatchSpec:
@@ -297,23 +306,17 @@ def finite_difference_gradient(problem: Problem, params: dict, batch_seed: Batch
 
 
 def build_problem(kind: str, seed: int, **params) -> Problem:
-    """Factory used by the harness; ``kind`` selects the constructor."""
-    batch = BatchSpec(
-        batch_size=int(params.pop("batch_size", 1)),
-        noise_scale=float(params.pop("noise", 0.0)),
-    )
+    """Build ``kind`` from ``DEFAULTS`` updated by ``params``, checked as a run config's keys are."""
+    from .config import validate_keys  # config derives its problem keys from this module
+
+    validate_keys(params, DEFAULTS, DEFAULTS, source="build_problem")
+    p = {**DEFAULTS, **params}
+    batch = BatchSpec(batch_size=p["batch_size"], noise_scale=p["noise"])
     rng = Rng(seed, "problem")
     if kind == "quadratic":
-        return quadratic_problem(int(params.pop("dim", 20)), float(params.pop("condition", 10.0)), rng, batch)
+        return quadratic_problem(p["dim"], p["condition"], rng, batch)
     if kind == "rosenbrock":
-        return rosenbrock_problem(int(params.pop("dim", 2)))
+        return rosenbrock_problem(p["dim"])
     if kind == "mlp":
-        return mlp_classification_problem(
-            int(params.pop("in_dim", 8)),
-            int(params.pop("hidden", 16)),
-            int(params.pop("classes", 3)),
-            int(params.pop("samples", 512)),
-            rng,
-            batch,
-        )
+        return mlp_classification_problem(p["in_dim"], p["hidden"], p["classes"], p["samples"], rng, batch)
     raise ContractViolationError(f"unknown problem kind {kind!r}")

@@ -192,7 +192,7 @@ def _run_oracle(rule: str) -> CheckResult:
     xs = [_to_list(b.values) for b in blocks]
     grads = {g.block: _draws(f"oracle/{rule}/{g.block}", ORACLE_STEPS, *g.shape) for g in groups}
     hess = None
-    if engine.gnb_freq is not None:
+    if engine.needs_gnb:
         hess = {g.block: _draws(f"oracle/{rule}/{g.block}/hess", ORACLE_STEPS, *g.shape) for g in groups}
     devs = []
     for t, s_t in enumerate(_scales(ORACLE_STEPS)):

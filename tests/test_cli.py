@@ -99,6 +99,13 @@ class TestRun:
         assert f"config key {needs}, got" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_log_every_below_one_exit_2(self, cfg_file, tmp_path, capsys, value):
+        args = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--set", f"run.log_every={value}"]
+        assert main(args) == 2
+        assert f"run.log_every must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_library_run_with_preset_matches_cli(self, tmp_path):
         settings = {
             "problem.kind": "quadratic",
@@ -432,4 +439,30 @@ def test_bench_checks_coupled_wd_demo_before_running(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
     assert "run.coupled_wd_demo is only defined for the signum optimizer" in capsys.readouterr().err
+    assert not list(out.rglob("runs"))
+
+
+def test_bench_checks_gnb_pairing_before_running(tmp_path, capsys):
+    # sophia needs the GNB estimator, which a quadratic lacks: caught before the adamw cells run
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw, sophia\nsuite.budgets = 10\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "optimizer 'sophia' needs the GNB estimator but problem 'quadratic' has no categorical output" in err
+    assert not list(out.rglob("runs"))
+
+
+def test_bench_checks_problem_kind_before_running(tmp_path, capsys):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw, signum\nsuite.budgets = 10\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\nsignum.problem.kind = maze\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    assert "unknown problem.kind 'maze'; valid kinds: quadratic, rosenbrock, mlp" in capsys.readouterr().err
     assert not list(out.rglob("runs"))

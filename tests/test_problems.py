@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from optlab.errors import ContractViolationError, UnsupportedEstimatorError
+from optlab.errors import ConfigurationError, ContractViolationError, UnsupportedEstimatorError
 from optlab.problems import (
+    DEFAULTS,
+    KINDS,
     BatchSpec,
     build_problem,
     finite_difference_gradient,
@@ -142,6 +144,28 @@ def test_build_problem_dispatch():
     assert build_problem("mlp", 1).name == "mlp"
     with pytest.raises(ContractViolationError):
         build_problem("maze", 1)
+
+
+@pytest.mark.parametrize(
+    "kind,params,key",
+    [("mlp", {"hiden": 512}, "hiden"), ("quadratic", {"dim": 2.7}, "'dim'"), ("quadratic", {"noise": "x"}, "'noise'")],
+)
+def test_build_problem_rejects_unknown_keys_and_wrong_kinds(kind, params, key):
+    with pytest.raises(ConfigurationError, match=key):
+        build_problem(kind, 5, **params)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_kinds_and_defaults_match_what_build_problem_builds(kind):
+    problem = build_problem(kind, 1)
+    assert problem.supports_gnb == KINDS[kind]
+    d = DEFAULTS
+    shapes = {
+        "quadratic": [(d["dim"],)],
+        "rosenbrock": [(d["dim"],)],
+        "mlp": [(d["in_dim"], d["hidden"]), (d["hidden"],), (d["hidden"], d["classes"]), (d["classes"],)],
+    }
+    assert [b.shape for b in problem.init_blocks(0)] == shapes[kind]
 
 
 def test_batch_spec_validation():
