@@ -12,7 +12,9 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
 >= 1, and every rule's run config is resolved, and its GNB pairing checked,
-before any cell runs.
+before any cell runs. Every rule must resolve to the same ``problem.kind``:
+ranks compare final losses across rules, and losses of different problems
+are not comparable.
 
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
@@ -26,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import DEFAULTS, config_hash, parse_value, resolve, validate_keys, value_to_str
+from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError
 from .harness import check_estimator, optimizer_params, run
 from .optimizers import OPTIMIZER_NAMES, OPTIMIZERS
@@ -145,7 +147,8 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
             base_config[key] = value
         else:
             overrides.setdefault(owner, {})[key[len(owner) + 1 :]] = value
-    # every rule's keys, values, hyperparameters and GNB pairing are checked before any cell runs
+    # every rule's keys, values, hyperparameters, GNB pairing and problem are checked before any cell runs
+    kinds = {}
     for opt in optimizers:
         try:
             cfg = resolve(base_config, overrides.get(opt), {"optimizer.name": opt})
@@ -153,8 +156,18 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
             check_estimator(opt, cfg["problem.kind"], KINDS[cfg["problem.kind"]])
         except ConfigurationError as exc:
             raise ConfigurationError(f"{source}: {exc}") from None
+        kinds[opt] = cfg["problem.kind"]
+    _single_kind(kinds, source)
     return SuiteSpec(meta["suite.name"], tuple(optimizers), tuple(budgets), meta["suite.seeds"],
                      meta["suite.base_seed"], base_config, overrides)
+
+
+def _single_kind(kinds: dict[str, str], source: str) -> str:
+    """The one ``problem.kind`` that every rule in ``kinds`` (rule -> kind) resolves to."""
+    if len(set(kinds.values())) > 1:
+        listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
+        raise ConfigurationError(f"{source}: every rule must run the same problem.kind, got {listed}")
+    return next(iter(kinds.values()))
 
 
 def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> list:
@@ -198,14 +211,14 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
                 cfg = _cell_config(suite, optimizer, budget, rep)
                 run_dir = out_dir / "runs" / f"{optimizer}-b{budget}-r{rep}"
                 cells.append(((optimizer, budget, rep), (cfg, str(run_dir))))
+    problem = _single_kind({key[0]: cfg["problem.kind"] for key, (cfg, _) in cells}, f"suite {suite.name!r}")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, [args for _, args in cells]))
     else:
         outcomes = [_run_cell(args) for _, args in cells]
     by_cell = {key: outcome for (key, _), outcome in zip(cells, outcomes)}
-    problem = suite.base_config.get("problem.kind", DEFAULTS["problem.kind"])
-    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, str(problem))
+    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, problem)
     for optimizer in suite.optimizers:
         for budget in suite.budgets:
             outcomes = [by_cell[(optimizer, budget, rep)] for rep in range(suite.seeds)]

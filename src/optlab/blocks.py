@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,11 @@ class CommonHyper:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma):
+        if not math.isfinite(self.gamma):
             raise ContractViolationError("gamma must be finite")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ContractViolationError("lam must be finite and >= 0")
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ContractViolationError("eps must be finite and > 0")
 
 
@@ -68,5 +69,6 @@ def global_norm(arrays) -> float:
     """l2 norm of the concatenation of all arrays."""
     total = 0.0
     for a in arrays:
-        total += float(np.sum(np.asarray(a) ** 2))
-    return float(np.sqrt(total))
+        a = np.asarray(a)
+        total += float(np.add.reduce(a * a, axis=None))
+    return math.sqrt(total)

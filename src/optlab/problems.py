@@ -19,7 +19,7 @@ import numpy as np
 from .blocks import ParamBlock
 from .errors import ContractViolationError, UnsupportedEstimatorError
 from .linalg import qr_orthonormal
-from .rng import Rng
+from .rng import Rng, indices_streams, normal_streams
 
 BatchSeed = tuple[int, int]
 
@@ -31,6 +31,9 @@ DEFAULTS = {
 
 #: Each problem kind and whether it offers the GNB estimator (``Problem.supports_gnb``).
 KINDS = {"quadratic": False, "rosenbrock": False, "mlp": True}
+
+#: Most values one prefetched block of per-step draws holds (steps times draws per step).
+_PREFETCH_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,35 @@ class BatchSpec:
             raise ContractViolationError("batch_size must be >= 1")
         if self.noise_scale < 0.0:
             raise ContractViolationError("noise_scale must be >= 0")
+
+
+class _StepDraws:
+    """Row ``step`` of the per-step streams ``f"{purpose}/{step}"``, drawn a block of steps ahead.
+
+    ``draw(run_seed, keys)`` returns one row per key, each what the scalar
+    ``Rng(run_seed, key)`` would give, so the block never changes a value. The
+    block doubles (1, 2, 4, ...) while each call asks for the step after the
+    last call's; any other miss draws a block of one, so out-of-order callers
+    (finite differences, checks) draw no more than the scalar stream would.
+    """
+
+    def __init__(self, purpose: str, width: int, draw: Callable):
+        self.purpose = purpose
+        self.draw = draw
+        self.max_block = max(1, _PREFETCH_VALUES // max(1, width))
+        self.run_seed = None
+        self.first = self.last = self.block = 0
+        self.rows = np.empty((0, width))
+
+    def __call__(self, run_seed: int, step: int) -> np.ndarray:
+        i = step - self.first
+        if run_seed != self.run_seed or not 0 <= i < len(self.rows):
+            ahead = run_seed == self.run_seed and step == self.last + 1
+            self.block = min(2 * self.block, self.max_block) if ahead else 1
+            self.rows = self.draw(run_seed, [f"{self.purpose}/{s}" for s in range(step, step + self.block)])
+            self.run_seed, self.first, i = run_seed, step, 0
+        self.last = step
+        return self.rows[i].copy()
 
 
 @dataclass
@@ -107,6 +139,7 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
     x0 = x_star + 2.0 * rng.normal(dim)
     sigma_eff = batch.noise_scale / math.sqrt(batch.batch_size)
     seed = rng.seed
+    noise = _StepDraws("noise", dim, lambda run_seed, keys: normal_streams(run_seed, keys, dim))
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
         if variant == 0:
@@ -121,8 +154,7 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
         grad = a @ x - b
         loss = float(0.5 * dx @ a @ dx)
         if sigma_eff > 0.0:
-            run_seed, step = batch_seed
-            xi = Rng(run_seed, f"noise/{step}").normal(dim)
+            xi = noise(*batch_seed)
             grad = grad + sigma_eff * xi
             loss += float(sigma_eff * xi @ dx)
         return loss, {"x": grad}
@@ -205,6 +237,9 @@ def mlp_classification_problem(
     data = means[labels] + rng.normal_matrix(n_samples, in_dim)
 
     init_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    batches = _StepDraws(
+        "batch", batch.batch_size, lambda run_seed, keys: indices_streams(run_seed, keys, n_samples, batch.batch_size)
+    )
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
         if variant not in init_cache:
@@ -246,8 +281,7 @@ def mlp_classification_problem(
         return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
     def _batch(batch_seed: BatchSeed):
-        run_seed, step = batch_seed
-        idx = Rng(run_seed, f"batch/{step}").indices(n_samples, batch.batch_size)
+        idx = batches(*batch_seed)
         return data[idx], labels[idx]
 
     def loss_and_grad(params: dict, batch_seed: BatchSeed):

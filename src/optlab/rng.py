@@ -10,6 +10,10 @@ the stream layout never changes.
 
 Distinct keys yield independent streams without any shared mutable state,
 which is what makes concurrent runs reproducible: each run owns its Rngs.
+Because of that, many streams of one seed can also be drawn at once:
+:func:`normal_streams` and :func:`indices_streams` run the same recurrence
+with one numpy ``uint64`` lane per key, and row ``i`` of their result is bit
+for bit what ``Rng(seed, keys[i])`` would have drawn.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
     state = (state + _GOLDEN) & _MASK
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _SPLITMIX_MUL[0]) & _MASK
+    z = ((z ^ (z >> 27)) * _SPLITMIX_MUL[1]) & _MASK
     return state, (z ^ (z >> 31)) & _MASK
 
 
@@ -109,20 +114,106 @@ class Rng:
             out[0] = self._spare
             self._spare = None
             i = 1
-        two_pi = 2.0 * math.pi
-        while i < n:
-            # u1 in (0, 1] keeps log() finite
-            u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-            u2 = (self.next_u64() >> 11) * 2.0**-53
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = r * math.cos(two_pi * u2)
-            i += 1
-            if i < n:
-                out[i] = r * math.sin(two_pi * u2)
-                i += 1
-            else:
-                self._spare = r * math.sin(two_pi * u2)
+        while i < n:  # a bounded block of pairs at a time keeps the temporaries small
+            pairs = min((n - i + 1) // 2, _NORMAL_BLOCK)
+            raw = np.fromiter((self.next_u64() for _ in range(2 * pairs)), np.uint64, 2 * pairs)
+            values = _box_muller(raw[0::2], raw[1::2])
+            m = min(2 * pairs, n - i)
+            out[i : i + m] = values[:m]
+            i += m
+            if m < 2 * pairs:
+                self._spare = float(values[-1])
         return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normal(rows * cols).reshape(rows, cols)
+
+
+#: Most normal pairs ``Rng.normal`` converts at once.
+_NORMAL_BLOCK = 2048
+#: Below this many keys the scalar streams cost less than the lanes' per-draw numpy calls.
+_MIN_LANES = 8
+#: The shift counts and constants as numpy scalars, so no ufunc call has a Python int to convert.
+_U = {c: np.uint64(c) for c in (1, 11, 17, 19, 23, 27, 30, 31, 41, 45, _GOLDEN, *_SPLITMIX_MUL)}
+_TWO_PI = 2.0 * math.pi
+
+
+def _box_muller(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normal pairs from raw draws ``a`` (for u1) and ``b`` (for u2), interleaved (cos, sin) on the last axis.
+
+    The transcendental functions are ``math``'s (``np.log`` rounds differently
+    on some inputs); the integer-to-double conversions, multiplications and
+    ``sqrt`` are correctly rounded either way, so they run in numpy.
+    """
+    u1 = memoryview((((a >> _U[11]) + _U[1]) * 2.0**-53).ravel())  # u1 in (0, 1] keeps log() finite
+    theta = memoryview(((b >> _U[11]) * 2.0**-53 * _TWO_PI).ravel())
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), np.float64, len(u1)))
+    out = np.empty(2 * len(u1))
+    out[0::2] = r * np.fromiter(map(math.cos, theta), np.float64, len(theta))
+    out[1::2] = r * np.fromiter(map(math.sin, theta), np.float64, len(theta))
+    return out.reshape(*a.shape[:-1], 2 * a.shape[-1])
+
+
+def _lane_states(seed: int, keys) -> list[np.ndarray]:
+    """The xoshiro256++ state of ``Rng(seed, key)`` for every key, one ``uint64`` lane per key."""
+    seed &= _MASK
+    sm = np.array([seed ^ fnv1a64(str(key).encode("utf-8")) for key in keys], dtype=np.uint64)
+    state = []
+    for _ in range(4):
+        sm += _U[_GOLDEN]
+        z = (sm ^ (sm >> _U[30])) * _U[_SPLITMIX_MUL[0]]
+        z = (z ^ (z >> _U[27])) * _U[_SPLITMIX_MUL[1]]
+        state.append(z ^ (z >> _U[31]))
+    state[0][(state[0] | state[1] | state[2] | state[3]) == 0] = _U[_GOLDEN]
+    return state
+
+
+def _xoshiro_lanes(state: list[np.ndarray], n: int) -> np.ndarray:
+    """The next ``n`` outputs of every lane of ``state`` (advanced in place), one row per lane."""
+    s0, s1, s2, s3 = state
+    out = np.empty((n, len(s0)), dtype=np.uint64)
+    x = np.empty_like(s0)
+    t = np.empty_like(s0)
+    for row in out:
+        np.add(s0, s3, out=x)
+        np.bitwise_or(x << _U[23], x >> _U[41], out=x)
+        np.add(x, s0, out=row)
+        np.left_shift(s1, _U[17], out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.bitwise_or(s3 << _U[45], s3 >> _U[19], out=s3)
+    return out.T
+
+
+def normal_streams(seed: int, keys, n: int) -> np.ndarray:
+    """Row ``i`` is ``Rng(seed, keys[i]).normal(n)``, bit for bit; shape ``(len(keys), n)``."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    keys = list(keys)
+    if len(keys) < _MIN_LANES:
+        return np.array([Rng(seed, key).normal(n) for key in keys]).reshape(len(keys), n)
+    raw = _xoshiro_lanes(_lane_states(seed, keys), 2 * ((n + 1) // 2))
+    return np.ascontiguousarray(_box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n])
+
+
+def indices_streams(seed: int, keys, bound: int, size: int) -> np.ndarray:
+    """Row ``i`` is ``Rng(seed, keys[i]).indices(bound, size)``, bit for bit; shape ``(len(keys), size)``.
+
+    A lane that draws a value at or above ``below``'s rejection limit would
+    have drawn again, so its row is recomputed with the scalar stream.
+    """
+    if bound <= 0:
+        raise ValueError(f"bound must be positive, got {bound}")
+    keys = list(keys)
+    if len(keys) < _MIN_LANES:
+        return np.array([Rng(seed, key).indices(bound, size) for key in keys], dtype=np.int64).reshape(len(keys), size)
+    raw = _xoshiro_lanes(_lane_states(seed, keys), size)
+    rows = (raw % np.uint64(bound)).astype(np.int64)
+    limit = (1 << 64) - ((1 << 64) % bound)
+    if limit <= _MASK:
+        for lane in np.flatnonzero((raw >= np.uint64(limit)).any(axis=1)):
+            rows[lane] = Rng(seed, keys[lane]).indices(bound, size)
+    return rows

@@ -20,7 +20,7 @@ from .blocks import CommonHyper, ParamBlock
 from .linalg import frobenius_norm, matmul, qr_orthonormal, svd_singular_values, sym_eigenbasis
 from .optimizers.engine import AdamW, Lion, Muon, Signum, Soap, make_optimizer
 from .problems import build_problem, finite_difference_gradient
-from .rng import Rng
+from .rng import Rng, indices_streams, normal_streams
 from .schedules import EmaScheduleSpec, ScheduleSpec, ademamix_alpha_at, ademamix_beta3_at, lr_at
 
 ORACLE_STEPS = 200
@@ -295,6 +295,13 @@ def check_rng_streams() -> CheckResult:
         return _fail("rng/streams", "same (seed, key) produced different integers")
     if np.array_equal(Rng(42, "s1").normal(16), Rng(42, "s2").normal(16)):
         return _fail("rng/streams", "distinct keys produced identical draws")
+    keys = [f"stream/{t}" for t in range(9)]
+    if not all(np.array_equal(row, Rng(42, key).normal(7)) for key, row in zip(keys, normal_streams(42, keys, 7))):
+        return _fail("rng/streams", "normal_streams rows differ from the scalar streams")
+    for bound in (1000, 3 * 2**61):  # the second rejects a quarter of the raw draws
+        rows = indices_streams(42, keys, bound, 6)
+        if not all(np.array_equal(row, Rng(42, key).indices(bound, 6)) for key, row in zip(keys, rows)):
+            return _fail("rng/streams", f"indices_streams rows differ from the scalar streams (bound {bound})")
     draws = Rng(7, "moments").normal(100_000)
     mean = float(np.mean(draws))
     var = float(np.var(draws))

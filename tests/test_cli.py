@@ -466,3 +466,33 @@ def test_bench_checks_problem_kind_before_running(tmp_path, capsys):
     assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
     assert "unknown problem.kind 'maze'; valid kinds: quadratic, rosenbrock, mlp" in capsys.readouterr().err
     assert not list(out.rglob("runs"))
+
+
+def test_bench_rejects_rules_on_different_problems(tmp_path, capsys):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw, signum, lion\nsuite.budgets = 10\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\nadamw.problem.kind = mlp\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    assert (
+        "every rule must run the same problem.kind, got adamw: mlp, signum: quadratic, lion: quadratic"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_bench_report_names_the_problem_its_cells_ran(tmp_path):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw, signum\nsuite.budgets = 3\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\n"
+        "adamw.problem.kind = mlp\nsignum.problem.kind = mlp\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 0
+    bench_dir = next(out.glob("bench-*"))
+    assert json.loads((bench_dir / "report.json").read_text())["problem"] == "mlp"
+    for summary in bench_dir.glob("runs/*/summary.json"):
+        assert json.loads(summary.read_text())["config"]["problem.kind"] == "mlp"

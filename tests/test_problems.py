@@ -5,6 +5,8 @@ import pytest
 
 from optlab.errors import ConfigurationError, ContractViolationError, UnsupportedEstimatorError
 from optlab.problems import (
+    _PREFETCH_VALUES,
+    _StepDraws,
     DEFAULTS,
     KINDS,
     BatchSpec,
@@ -206,3 +208,70 @@ def test_small_lr_loss_nonincreasing_over_windows(name, lr):
     windows = [sum(losses[i : i + 50]) / 50 for i in range(0, 300, 50)]
     for earlier, later in zip(windows, windows[1:]):
         assert later <= earlier * (1 + 1e-9)
+
+
+PREFETCH_PROBLEMS = {
+    "quadratic": lambda: quadratic_problem(16, 10.0, Rng(7, "q"), BatchSpec(batch_size=2, noise_scale=1.0)),
+    "mlp": lambda: mlp_classification_problem(4, 8, 3, 50, Rng(8, "m"), BatchSpec(batch_size=7)),
+}
+
+# the patterns a prefetch must serve exactly as a fresh problem asked step by step
+ACCESS_PATTERNS = {
+    "interleaved_seeds": [(s, t) for t in range(1, 40) for s in (11, 12)],
+    "backwards": [(11, t) for t in range(120, 0, -1)],
+    "repeated": [(11, 1), (11, 2), (11, 3)] + [(11, 5)] * 4 + [(11, 4)],
+    "jump_ahead": [(11, t) for t in range(1, 20)] + [(11, 200), (11, 201), (11, 57), (11, 300)],
+}
+
+
+def _sequential_answers(kind, seed, last):
+    problem = PREFETCH_PROBLEMS[kind]()
+    params = {b.name: b.values for b in problem.init_blocks(0)}
+    return {t: problem.loss_and_grad(params, (seed, t)) for t in range(1, last + 1)}
+
+
+@pytest.mark.parametrize("pattern", ACCESS_PATTERNS)
+@pytest.mark.parametrize("kind", PREFETCH_PROBLEMS)
+def test_prefetched_draws_do_not_depend_on_access_order(kind, pattern):
+    calls = ACCESS_PATTERNS[pattern]
+    last = max(t for _, t in calls)
+    expected = {seed: _sequential_answers(kind, seed, last) for seed in {s for s, _ in calls}}
+    problem = PREFETCH_PROBLEMS[kind]()
+    params = {b.name: b.values for b in problem.init_blocks(0)}
+    for seed, t in calls:
+        loss, grads = problem.loss_and_grad(params, (seed, t))
+        want_loss, want_grads = expected[seed][t]
+        assert loss == want_loss
+        assert all(np.array_equal(grads[name], want_grads[name]) for name in want_grads)
+
+
+def test_prefetched_noise_is_the_scalar_stream():
+    problem = PREFETCH_PROBLEMS["quadratic"]()
+    x_star = problem.minimizer["x"]
+    for t in range(1, 70):
+        _, grads = problem.loss_and_grad({"x": x_star}, (11, t))
+        xi = Rng(11, f"noise/{t}").normal(16)
+        assert np.array_equal(grads["x"], (1.0 / math.sqrt(2.0)) * xi)  # a x* - b is exactly 0
+
+
+def test_prefetch_block_doubles_on_sequential_steps_and_is_capped_by_values():
+    asked = []
+
+    def draw(seed, keys):
+        asked.append(len(keys))
+        return np.zeros((len(keys), width))
+
+    width = 1
+    draws = _StepDraws("noise", width, draw)
+    for t in range(1, 32):
+        draws(3, t)
+    assert asked == [1, 2, 4, 8, 16]
+    draws(3, 100)  # a jump starts over at one step
+    draws(4, 101)  # so does another run seed
+    assert asked[-2:] == [1, 1]
+    asked.clear()
+    width = _PREFETCH_VALUES // 3 + 1
+    draws = _StepDraws("noise", width, draw)
+    for t in range(1, 10):
+        draws(3, t)
+    assert asked == [1, 2, 2, 2, 2]

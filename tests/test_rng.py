@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import optlab
-from optlab.rng import Rng, fnv1a64, stable_hash
+from optlab.rng import Rng, _lane_states, _xoshiro_lanes, fnv1a64, indices_streams, normal_streams, stable_hash
 
 
 def test_same_seed_same_stream():
@@ -27,6 +27,13 @@ def test_normal_empty_and_counts():
     assert Rng(1, "n").normal(7).shape == (7,)
     with pytest.raises(ValueError):
         Rng(1, "n").normal(-1)
+
+
+def test_normal_is_one_stream_however_the_calls_split_it():
+    whole = Rng(3, "split").normal(12_000)
+    r = Rng(3, "split")
+    parts = [r.normal(k) for k in (1, 4097, 0, 3, 4096, 2, 3801)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_normal_moments():
@@ -63,3 +70,70 @@ def test_stable_hash_is_stable():
     assert stable_hash(1, "adamw", 200, 0) == stable_hash(1, "adamw", 200, 0)
     assert stable_hash(1, "adamw", 200, 0) != stable_hash(1, "adamw", 200, 1)
     assert fnv1a64(b"") == 0xCBF29CE484222325
+
+
+def test_xoshiro_known_answer():
+    # reference xoshiro256++ from the state (1, 2, 3, 4): rotl(1 + 4, 23) + 1
+    r = Rng(0)
+    r._s0, r._s1, r._s2, r._s3 = 1, 2, 3, 4
+    assert r.next_u64() == 41943041
+    lanes = [np.array([v], dtype=np.uint64) for v in (1, 2, 3, 4)]
+    assert _xoshiro_lanes(lanes, 2).tolist() == [[41943041, r.next_u64()]]
+
+
+def test_pinned_stream_values():
+    r = Rng(2718, "proc")
+    assert [r.next_u64() for _ in range(4)] == [
+        9478550774082237562, 15578299738283751048, 17115191949025691456, 17561634284223801323,
+    ]
+    r = Rng(2718, "proc")
+    assert [r.uniform() for _ in range(3)] == [0.513833267063706, 0.8445013209938803, 0.9278164146820034]
+    r = Rng(2718, "proc")
+    assert [r.below(13) for _ in range(6)] == [0, 8, 0, 6, 9, 0]
+
+
+def test_lane_states_match_scalar_seeding():
+    keys = [f"noise/{t}" for t in range(10)]
+    state = _lane_states(2**64 + 5, keys)
+    for lane, key in enumerate(keys):
+        r = Rng(2**64 + 5, key)
+        assert [int(s[lane]) for s in state] == [r._s0, r._s1, r._s2, r._s3]
+
+
+def _random_keys(gen, count):
+    return [f"{gen.choice(['noise', 'batch', 'k'])}/{int(gen.integers(0, 10**6))}" for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 4096])
+@pytest.mark.parametrize("count", [3, 9, 40])
+def test_normal_streams_rows_equal_scalar_draws(n, count):
+    gen = np.random.default_rng(n * 100 + count)
+    for _ in range(1 if n == 4096 else 3):
+        seed = int(gen.integers(0, 2**63)) * 2 + 1
+        keys = _random_keys(gen, count)
+        rows = normal_streams(seed, keys, n)
+        assert rows.shape == (count, n) and rows.dtype == np.float64
+        for key, row in zip(keys, rows):
+            assert row.tobytes() == Rng(seed, key).normal(n).tobytes()
+
+
+@pytest.mark.parametrize("bound", [1, 13, 1024, 1000, 3 * 2**61])
+@pytest.mark.parametrize("size", [0, 1, 5, 64])
+def test_indices_streams_rows_equal_scalar_draws(bound, size):
+    # at 3 * 2**61 a quarter of the raw draws are rejected, so nearly every lane
+    # of 64 draws takes the scalar fallback, and some lanes of 5 do not
+    gen = np.random.default_rng(bound % 997 + size)
+    for count in (4, 30):
+        seed = int(gen.integers(0, 2**63))
+        keys = _random_keys(gen, count)
+        rows = indices_streams(seed, keys, bound, size)
+        assert rows.shape == (count, size) and rows.dtype == np.int64
+        for key, row in zip(keys, rows):
+            assert np.array_equal(row, Rng(seed, key).indices(bound, size))
+
+
+def test_streams_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        normal_streams(1, ["a"] * 9, -1)
+    with pytest.raises(ValueError):
+        indices_streams(1, ["a"] * 9, 0, 3)
