@@ -11,10 +11,11 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
->= 1, and every rule's run config is resolved, and its GNB pairing checked,
-before any cell runs. Every rule must resolve to the same ``problem.kind``:
-ranks compare final losses across rules, and losses of different problems
-are not comparable.
+>= 1. ``run_suite`` resolves every cell's run config, and checks its rule's
+name, hyperparameters and GNB pairing, before any cell runs, so a ``SuiteSpec``
+built in code is checked as a parsed file is. Every rule must resolve to the
+same ``problem.kind``: ranks compare final losses across rules, and losses of
+different problems are not comparable.
 
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
@@ -127,11 +128,6 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
     validate_keys(meta, SUITE_KEYS, SUITE_DEFAULTS, source=f"{source}: suite")
     meta = {**SUITE_DEFAULTS, **meta}
     optimizers = _csv_list(meta, "suite.optimizers", "optimizer", source)
-    for opt in optimizers:
-        if opt not in OPTIMIZER_NAMES:
-            raise ConfigurationError(
-                f"{source}: unknown optimizer {opt!r}; valid names: {', '.join(OPTIMIZER_NAMES)}"
-            )
     budgets = _csv_list(meta, "suite.budgets", "budget", source, parse=parse_value)
     if any(wrong_kind(b, 1) or b < 1 for b in budgets):
         raise ConfigurationError(f"{source}: suite.budgets must be whole numbers >= 1, got {budgets}")
@@ -147,27 +143,8 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
             base_config[key] = value
         else:
             overrides.setdefault(owner, {})[key[len(owner) + 1 :]] = value
-    # every rule's keys, values, hyperparameters, GNB pairing and problem are checked before any cell runs
-    kinds = {}
-    for opt in optimizers:
-        try:
-            cfg = resolve(base_config, overrides.get(opt), {"optimizer.name": opt})
-            OPTIMIZERS[opt].check_params(optimizer_params(cfg))
-            check_estimator(opt, cfg["problem.kind"], KINDS[cfg["problem.kind"]])
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{source}: {exc}") from None
-        kinds[opt] = cfg["problem.kind"]
-    _single_kind(kinds, source)
     return SuiteSpec(meta["suite.name"], tuple(optimizers), tuple(budgets), meta["suite.seeds"],
                      meta["suite.base_seed"], base_config, overrides)
-
-
-def _single_kind(kinds: dict[str, str], source: str) -> str:
-    """The one ``problem.kind`` that every rule in ``kinds`` (rule -> kind) resolves to."""
-    if len(set(kinds.values())) > 1:
-        listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
-        raise ConfigurationError(f"{source}: every rule must run the same problem.kind, got {listed}")
-    return next(iter(kinds.values()))
 
 
 def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> list:
@@ -182,12 +159,21 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
 
 
 def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) -> dict:
+    """One cell's resolved run config, with its rule's name, hyperparameters and GNB pairing checked."""
     cell = {
         "optimizer.name": optimizer,
         "run.steps": budget,
         "run.seed": stable_hash(suite.base_seed, optimizer, budget, replicate),
     }
-    return resolve(suite.base_config, suite.overrides.get(optimizer), cell)
+    try:
+        if optimizer not in OPTIMIZERS:
+            raise ConfigurationError(f"unknown optimizer {optimizer!r}; valid names: {', '.join(OPTIMIZER_NAMES)}")
+        cfg = resolve(suite.base_config, suite.overrides.get(optimizer), cell)
+        OPTIMIZERS[optimizer].check_params(optimizer_params(cfg))
+        check_estimator(optimizer, cfg["problem.kind"], KINDS[cfg["problem.kind"]])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"suite {suite.name!r}: {exc}") from None
+    return cfg
 
 
 def _run_cell(args: tuple[dict, str]) -> dict:
@@ -202,7 +188,10 @@ def _run_cell(args: tuple[dict, str]) -> dict:
 
 
 def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTable:
-    """Execute all cells (optionally in parallel) and rank per budget."""
+    """Check every cell, then run them all (optionally in parallel) and rank per budget.
+
+    A bad cell config, or rules on different problem kinds, raise before any cell runs.
+    """
     out_dir = Path(out_dir)
     cells = []
     for optimizer in suite.optimizers:
@@ -211,7 +200,11 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
                 cfg = _cell_config(suite, optimizer, budget, rep)
                 run_dir = out_dir / "runs" / f"{optimizer}-b{budget}-r{rep}"
                 cells.append(((optimizer, budget, rep), (cfg, str(run_dir))))
-    problem = _single_kind({key[0]: cfg["problem.kind"] for key, (cfg, _) in cells}, f"suite {suite.name!r}")
+    kinds = {key[0]: cfg["problem.kind"] for key, (cfg, _) in cells}
+    if len(set(kinds.values())) > 1:
+        listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
+        raise ConfigurationError(f"suite {suite.name!r}: every rule must run the same problem.kind, got {listed}")
+    problem = next(iter(kinds.values()))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, [args for _, args in cells]))

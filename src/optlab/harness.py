@@ -8,7 +8,8 @@ wrong kind are rejected before anything runs. Per step it: evaluates the loss
 and gradient at the point the optimizer asks for, checks for divergence,
 clips by global norm, applies the scheduled learning rate, steps the
 optimizer (timed in isolation from gradient work), and logs. Divergence is
-permanent: nothing moves after the flagged step.
+permanent: nothing moves after the flagged step. ``time_optimizer`` times
+this same loop.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class RunRecord:
 
 def clip_gradients(grads: dict, threshold: float) -> tuple[dict, float]:
     """Global-norm clipping across all blocks; returns the pre-clip norm."""
-    if threshold <= 0.0:
-        raise ConfigurationError("clip threshold must be positive")
+    if not threshold > 0.0:  # a NaN threshold fails this too
+        raise ConfigurationError(f"clip threshold must be positive, got {threshold!r}")
     norm = global_norm(grads.values())
     if not math.isfinite(norm):
         raise PoisonedStateError("non-finite gradient norm")
@@ -128,14 +129,10 @@ def setup_run(cfg: dict):
     return cfg, problem, blocks, engine, schedule
 
 
-def run(config: dict) -> RunRecord:
-    """Execute one deterministic run; see the module docstring for the loop."""
-    cfg, problem, blocks, engine, schedule = setup_run(config)
-    seed = cfg["run.seed"]
-    total = cfg["run.steps"]
-    clip = cfg["run.clip"]
-    log_every = cfg["run.log_every"]
-    record = RunRecord(config=cfg)
+def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: ScheduleSpec, seed: int,
+           clip: float | None, log_every: int) -> RunRecord:
+    """Step ``engine`` for ``schedule.total_steps`` steps, filling ``record``; see the module docstring."""
+    total = schedule.total_steps
     times: list[int] = []
     for t in range(1, total + 1):
         point = engine.eval_point()
@@ -170,6 +167,14 @@ def run(config: dict) -> RunRecord:
             )
     if times:
         record.mean_step_time_ns = float(statistics.fmean(times))
+    return record
+
+
+def run(config: dict) -> RunRecord:
+    """Execute one deterministic run; see the module docstring for the loop."""
+    cfg, problem, blocks, engine, schedule = setup_run(config)
+    record = _train(RunRecord(config=cfg), problem, blocks, engine, schedule,
+                    cfg["run.seed"], cfg["run.clip"], cfg["run.log_every"])
     if not record.diverged:
         record.final_loss = problem.full_loss({b.name: b.values for b in blocks})
     return record
@@ -195,25 +200,25 @@ def time_optimizer(
 ) -> TimingResult:
     """Mean and stddev of the optimizer-step time over ``repeats`` reseeded runs.
 
-    Only ``engine.step`` is inside the timed section; batch sampling, loss,
-    gradients, and the label-resampled gradient are not.
+    Each repeat is ``run``'s loop from ``problem.init_blocks(repeat)`` at a
+    constant lr, unclipped; its mean is the loop's ``mean_step_time_ns`` (only
+    ``engine.step`` is timed). A diverging repeat raises ``PoisonedStateError``.
     """
     if steps < 1 or repeats < 1:
         raise ConfigurationError("steps and repeats must be >= 1")
     repeat_means = []
     for rep in range(repeats):
-        engine = make_optimizer(optimizer_name, problem.init_blocks(rep), steps, opt_params)
+        blocks = problem.init_blocks(rep)
+        engine = make_optimizer(optimizer_name, blocks, steps, opt_params)
         check_estimator(optimizer_name, problem.name, problem.supports_gnb)
-        rep_seed = stable_hash(seed, optimizer_name, rep)
-        times = []
-        for t in range(1, steps + 1):
-            point = engine.eval_point()
-            _, grads = problem.loss_and_grad(point, (rep_seed, t))
-            resampled = problem.gnb_grad(point, (rep_seed, t)) if engine.wants_estimate() else None
-            start = time.perf_counter_ns()
-            engine.step(grads, 1.0, resampled, problem.batch.batch_size)
-            times.append(time.perf_counter_ns() - start)
-        repeat_means.append(statistics.fmean(times))
+        schedule = ScheduleSpec("constant", engine.lr, steps)
+        record = _train(RunRecord(config={}), problem, blocks, engine, schedule,
+                        stable_hash(seed, optimizer_name, rep), None, steps)
+        if record.diverged:
+            raise PoisonedStateError(
+                f"optimizer {optimizer_name!r} diverged in repeat {rep} at step {record.divergence_step}"
+            )
+        repeat_means.append(record.mean_step_time_ns)
     mean = statistics.fmean(repeat_means)
     std = statistics.stdev(repeat_means) if repeats > 1 else 0.0
     return TimingResult(optimizer_name, mean, std, tuple(repeat_means))

@@ -321,23 +321,19 @@ class Sophia(_PerBlock):
     }
     state_type = sophia.SophiaState
     needs_gnb = True
-    _resampled = _batch_size = None
 
     def wants_estimate(self) -> bool:
         t_next = next(iter(self.states.values())).t + 1
         return sophia.sophia_wants_estimate(t_next, self.estimator_freq)
 
     def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
-        self._resampled, self._batch_size = resampled, batch_size
-        try:
-            return super().step(grads, scale)
-        finally:
-            self._resampled = self._batch_size = None
-
-    def _rule(self, block, grad, state, hyper):
-        resampled = self._resampled[block.name] if self._resampled is not None else None
-        freq, batch = self.estimator_freq, self._batch_size
-        return sophia.sophia_step(block, grad, state, hyper, self.beta1, self.beta2, self.rho, freq, resampled, batch)
+        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+        deltas = [
+            sophia.sophia_step(b, grads[b.name], self.states[b.name], hyper, self.beta1, self.beta2, self.rho,
+                               self.estimator_freq, None if resampled is None else resampled[b.name], batch_size)
+            for b in self.blocks
+        ]
+        return StepInfo(global_norm(deltas), self.lr * scale)
 
 
 class ScheduleFreeAdamW(Optimizer):

@@ -46,8 +46,8 @@ class BatchSpec:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ContractViolationError("batch_size must be >= 1")
-        if self.noise_scale < 0.0:
-            raise ContractViolationError("noise_scale must be >= 0")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+            raise ContractViolationError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
 
 
 class _StepDraws:
@@ -90,7 +90,6 @@ class Problem:
     """
 
     name: str
-    seed: int
     batch: BatchSpec
     init_blocks: Callable[[int], list[ParamBlock]]
     loss_and_grad: Callable[[dict, BatchSeed], tuple[float, dict]]
@@ -125,8 +124,8 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
     """
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
-    if condition < 1.0:
-        raise ContractViolationError("condition must be >= 1")
+    if not (math.isfinite(condition) and condition >= 1.0):
+        raise ContractViolationError(f"condition must be finite and >= 1, got {condition!r}")
     eigvals = np.logspace(0.0, math.log10(condition), dim) if dim > 1 else np.ones(1)
     if dim > 1:
         basis = qr_orthonormal(rng.normal_matrix(dim, dim))
@@ -165,7 +164,6 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
 
     return Problem(
         name="quadratic",
-        seed=seed,
         batch=batch,
         init_blocks=init_blocks,
         loss_and_grad=loss_and_grad,
@@ -204,7 +202,6 @@ def rosenbrock_problem(dim: int) -> Problem:
 
     return Problem(
         name="rosenbrock",
-        seed=0,
         batch=BatchSpec(),
         init_blocks=init_blocks,
         loss_and_grad=loss_and_grad,
@@ -304,7 +301,6 @@ def mlp_classification_problem(
 
     return Problem(
         name="mlp",
-        seed=seed,
         batch=batch,
         init_blocks=init_blocks,
         loss_and_grad=loss_and_grad,

@@ -48,9 +48,9 @@ def _fail(name, detail):
     return CheckResult(name, False, detail)
 
 
-def _draws(key: str, steps: int, *shape: int) -> list[np.ndarray]:
-    r = Rng(2024, key)
-    return [r.normal(math.prod(shape)).reshape(shape) for _ in range(steps)]
+def _draws(key: str, steps: int, *shape: int) -> np.ndarray:
+    """``steps`` arrays of ``shape`` from one stream: row t is the t-th ``shape``-sized draw."""
+    return Rng(2024, key).normal(steps * math.prod(shape)).reshape(steps, *shape)
 
 
 def _scales(steps: int) -> list[float]:

@@ -1,0 +1,23 @@
+import pytest
+
+from optlab.bench import SuiteSpec, run_suite
+from optlab.errors import ConfigurationError
+
+BASE = {"problem.kind": "quadratic", "schedule.family": "constant"}
+
+
+@pytest.mark.parametrize(
+    "optimizers,overrides,message",
+    [
+        (("adamw", "sophia"), {}, "optimizer 'sophia' needs the GNB estimator"),
+        (("signum", "adamw"), {"adamw": {"optimizer.momentum": 0.9}}, "'adamw' takes no hyperparameter 'momentum'"),
+        (("adamw", "sgd"), {}, "unknown optimizer 'sgd'"),
+    ],
+    ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer"],
+)
+def test_built_suite_is_checked_before_any_cell_runs(tmp_path, optimizers, overrides, message):
+    suite = SuiteSpec("x", optimizers, (5,), 1, 1, dict(BASE), overrides)
+    with pytest.raises(ConfigurationError, match=f"^suite 'x': .*{message}"):
+        run_suite(suite, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+

@@ -106,6 +106,21 @@ class TestRun:
         assert f"run.log_every must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("run.clip=nan", "clip threshold must be positive, got nan"),
+            ("problem.noise=nan", "noise_scale must be finite and >= 0, got nan"),
+            ("problem.condition=nan", "condition must be finite and >= 1, got nan"),
+        ],
+        ids=["clip", "noise", "condition"],
+    )
+    def test_nan_setting_exit_2_names_value(self, cfg_file, tmp_path, capsys, setting, message):
+        args = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--set", setting]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_library_run_with_preset_matches_cli(self, tmp_path):
         settings = {
             "problem.kind": "quadratic",

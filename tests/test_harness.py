@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from optlab import harness
 from optlab.errors import ConfigurationError, PoisonedStateError
 from optlab.harness import clip_gradients, run, sweep, time_optimizer
 from optlab.problems import build_problem
@@ -51,6 +52,10 @@ class TestClip:
     def test_bad_threshold(self):
         with pytest.raises(ConfigurationError):
             clip_gradients({"a": np.ones(2)}, 0.0)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ConfigurationError, match="clip threshold must be positive, got nan"):
+            clip_gradients({"a": np.ones(2)}, math.nan)
 
 
 class TestRun:
@@ -184,3 +189,24 @@ class TestTimeOptimizer:
         problem = build_problem("quadratic", 1, dim=4, condition=2.0)
         with pytest.raises(ConfigurationError):
             time_optimizer("sophia", {}, problem, steps=2, repeats=1)
+
+    def test_diverging_repeat_raises(self):
+        problem = build_problem("quadratic", 1, dim=10, condition=5.0)
+        with pytest.raises(PoisonedStateError, match=r"'adamw' diverged in repeat 0 at step \d+"):
+            time_optimizer("adamw", {"lr": 1e4}, problem, steps=5, repeats=2)
+
+
+def test_run_and_time_optimizer_share_the_patchable_loop(monkeypatch):
+    # profilers wrap these module attributes; both drivers must reach them through the module
+    calls = {}
+    for name in ("clip_gradients", "lr_at", "make_optimizer"):
+        def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    run(quad_config(**{"run.steps": 3}))
+    assert calls == {"clip_gradients": 3, "lr_at": 3, "make_optimizer": 1}
+    calls.clear()
+    time_optimizer("adamw", {"lr": 0.01}, build_problem("quadratic", 1, dim=4, condition=2.0), steps=3, repeats=2)
+    assert calls == {"clip_gradients": 6, "lr_at": 6, "make_optimizer": 2}
