@@ -18,19 +18,19 @@ from ..schedules import EmaScheduleSpec, ademamix_alpha_at, ademamix_beta3_at
 
 
 def check_finite_grad(grad: np.ndarray) -> None:
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise PoisonedStateError("non-finite gradient")
 
 
 def check_finite_values(block: ParamBlock) -> None:
-    if not np.all(np.isfinite(block.values)):
+    if not np.isfinite(block.values).all():
         raise PoisonedStateError(f"non-finite parameters in block {block.name!r}")
 
 
 def check_finite_buffers(owner: str, *buffers) -> None:
     """State buffers must never go non-finite silently (e.g. v overflow)."""
     for buf in buffers:
-        if not np.all(np.isfinite(buf)):
+        if not np.isfinite(buf).all():
             raise PoisonedStateError(f"non-finite state buffer in {owner}")
 
 

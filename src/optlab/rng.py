@@ -14,10 +14,17 @@ Because of that, many streams of one seed can also be drawn at once:
 :func:`normal_streams` and :func:`indices_streams` run the same recurrence
 with one numpy ``uint64`` lane per key, and row ``i`` of their result is bit
 for bit what ``Rng(seed, keys[i])`` would have drawn.
+
+One long stream is drawn in lanes too. The state update is linear over
+GF(2), so a table of 256 states (built once per process) jumps a state
+``_JUMP`` steps ahead; a long ``Rng.normal`` starts one lane every ``_JUMP``
+steps, runs the lanes together, and draws the remainder with the scalar
+loop. The values, and the state the call leaves, are the scalar stream's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -116,7 +123,7 @@ class Rng:
             i = 1
         while i < n:  # a bounded block of pairs at a time keeps the temporaries small
             pairs = min((n - i + 1) // 2, _NORMAL_BLOCK)
-            raw = np.fromiter((self.next_u64() for _ in range(2 * pairs)), np.uint64, 2 * pairs)
+            raw = self._raw(2 * pairs)
             values = _box_muller(raw[0::2], raw[1::2])
             m = min(2 * pairs, n - i)
             out[i : i + m] = values[:m]
@@ -128,11 +135,34 @@ class Rng:
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normal(rows * cols).reshape(rows, cols)
 
+    def _raw(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs of ``next_u64``, leaving the state where ``n`` calls would.
+
+        From ``_MIN_JUMP_DRAWS`` on, the first ``n // _JUMP`` blocks of ``_JUMP``
+        outputs are drawn at once, one numpy lane per block, each lane started
+        ``_JUMP`` steps after the one before; the last lane ends where the
+        scalar loop would. The scalar loop draws the rest, and all of a
+        shorter draw.
+        """
+        out = np.empty(n, dtype=np.uint64)
+        lanes = n // _JUMP if n >= _MIN_JUMP_DRAWS else 0
+        if lanes:
+            state = _jump_starts((self._s0, self._s1, self._s2, self._s3), lanes)
+            out[: lanes * _JUMP].reshape(lanes, _JUMP)[...] = _xoshiro_lanes(state, _JUMP)
+            self._s0, self._s1, self._s2, self._s3 = (int(s[-1]) for s in state)
+        done = lanes * _JUMP
+        out[done:] = np.fromiter((self.next_u64() for _ in range(n - done)), np.uint64, n - done)
+        return out
+
 
 #: Most normal pairs ``Rng.normal`` converts at once.
-_NORMAL_BLOCK = 2048
+_NORMAL_BLOCK = 8192
 #: Below this many keys the scalar streams cost less than the lanes' per-draw numpy calls.
 _MIN_LANES = 8
+#: Steps between the starts of one stream's lanes in ``Rng._raw``.
+_JUMP = 256
+#: Below this many raw draws ``Rng._raw`` runs the scalar loop: the lanes' fixed cost is ``_JUMP`` numpy steps.
+_MIN_JUMP_DRAWS = 16 * _JUMP
 #: The shift counts and constants as numpy scalars, so no ufunc call has a Python int to convert.
 _U = {c: np.uint64(c) for c in (1, 11, 17, 19, 23, 27, 30, 31, 41, 45, _GOLDEN, *_SPLITMIX_MUL)}
 _TWO_PI = 2.0 * math.pi
@@ -186,6 +216,34 @@ def _xoshiro_lanes(state: list[np.ndarray], n: int) -> np.ndarray:
         s2 ^= t
         np.bitwise_or(s3 << _U[45], s3 >> _U[19], out=s3)
     return out.T
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """Row ``j`` is the state ``_JUMP`` steps on from the one whose only set bit is bit ``j % 64`` of word ``j // 64``.
+
+    The xoshiro256++ state update is linear over GF(2), so the state ``_JUMP``
+    steps on from any state is the XOR of the rows its set bits select.
+    """
+    state = [np.zeros(256, dtype=np.uint64) for _ in range(4)]
+    for word, lane in enumerate(state):
+        lane[64 * word : 64 * word + 64] = np.left_shift(_U[1], np.arange(64, dtype=np.uint64))
+    for _ in range(_JUMP):  # one step at a time keeps the discarded outputs small
+        _xoshiro_lanes(state, 1)
+    table = np.stack(state, axis=1)
+    table.setflags(write=False)  # every caller shares the cached table
+    return table
+
+
+def _jump_starts(state: tuple[int, int, int, int], lanes: int) -> list[np.ndarray]:
+    """``lanes`` lane states: the first is ``state``, each next one ``_JUMP`` steps on from the one before."""
+    table = _jump_table()
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = state
+    for i in range(1, lanes):
+        bits = np.unpackbits(starts[i - 1].astype("<u8").view(np.uint8), bitorder="little").view(bool)
+        starts[i] = np.bitwise_xor.reduce(table[bits], axis=0)
+    return [starts[:, word].copy() for word in range(4)]
 
 
 def normal_streams(seed: int, keys, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .blocks import CommonHyper, ParamBlock
 from .linalg import frobenius_norm, matmul, qr_orthonormal, svd_singular_values, sym_eigenbasis
 from .optimizers.engine import AdamW, Lion, Muon, Signum, Soap, make_optimizer
 from .problems import build_problem, finite_difference_gradient
-from .rng import Rng, indices_streams, normal_streams
+from .rng import _MIN_JUMP_DRAWS, Rng, _box_muller, indices_streams, normal_streams
 from .schedules import EmaScheduleSpec, ScheduleSpec, ademamix_alpha_at, ademamix_beta3_at, lr_at
 
 ORACLE_STEPS = 200
@@ -302,6 +302,13 @@ def check_rng_streams() -> CheckResult:
         rows = indices_streams(42, keys, bound, 6)
         if not all(np.array_equal(row, Rng(42, key).indices(bound, 6)) for key, row in zip(keys, rows)):
             return _fail("rng/streams", f"indices_streams rows differ from the scalar streams (bound {bound})")
+    n = _MIN_JUMP_DRAWS + 1001  # odd, and long enough that Rng.normal draws it in jump-ahead lanes
+    lanes, scalar = Rng(42, "long"), Rng(42, "long")
+    raw = np.fromiter((scalar.next_u64() for _ in range(n + 1)), np.uint64, n + 1)
+    if lanes.normal(n).tobytes() != _box_muller(raw[0::2], raw[1::2])[:n].tobytes():
+        return _fail("rng/streams", f"Rng.normal({n}) differs from the scalar stream")
+    if lanes.next_u64() != scalar.next_u64():
+        return _fail("rng/streams", f"Rng.normal({n}) left the stream off its scalar position")
     draws = Rng(7, "moments").normal(100_000)
     mean = float(np.mean(draws))
     var = float(np.var(draws))

@@ -415,6 +415,19 @@ def test_bench_checks_every_value_before_running(tmp_path, capsys):
     assert not list(out.rglob("runs"))
 
 
+def test_bench_checks_value_ranges_before_running(tmp_path, capsys):
+    # a zero clip would only fail at signum's first step, after the adamw cell ran
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw, signum\nsuite.budgets = 5\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\nsignum.run.clip = 0\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
+    assert "clip threshold must be positive, got 0.0" in capsys.readouterr().err
+    assert not list(out.rglob("runs"))
+
+
 @pytest.mark.parametrize(
     "key,value",
     [

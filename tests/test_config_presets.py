@@ -90,6 +90,24 @@ class TestResolve:
         with pytest.raises(ConfigurationError, match=f"config key '{key}' needs {needs}, got"):
             resolve({key: value})
 
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"run.clip": 0}, "clip threshold must be positive, got 0.0"),
+            ({"run.clip": -1.5}, "clip threshold must be positive, got -1.5"),
+            ({"problem.noise": -1}, "noise_scale must be finite and >= 0, got -1"),
+            ({"problem.noise": float("inf")}, "noise_scale must be finite and >= 0, got inf"),
+            ({"problem.condition": 0.5}, "condition must be finite and >= 1, got 0.5"),
+        ],
+    )
+    def test_value_out_of_range_rejected(self, settings, message):
+        with pytest.raises(ConfigurationError, match=message):
+            resolve(settings)
+
+    def test_unused_or_unlimited_values_still_resolve(self):
+        assert resolve({"run.clip": float("inf")})["run.clip"] == float("inf")
+        assert resolve({"problem.kind": "mlp", "problem.condition": 0.5})["problem.condition"] == 0.5
+
     def test_none_only_where_the_default_is_none(self):
         assert resolve({"run.clip": None, "schedule.final_lr_factor": None})["run.clip"] is None
         with pytest.raises(ConfigurationError, match="'run.steps' needs a whole number, got None"):

@@ -7,7 +7,20 @@ import numpy as np
 import pytest
 
 import optlab
-from optlab.rng import Rng, _lane_states, _xoshiro_lanes, fnv1a64, indices_streams, normal_streams, stable_hash
+from optlab.rng import (
+    _JUMP,
+    _MIN_JUMP_DRAWS,
+    _NORMAL_BLOCK,
+    Rng,
+    _box_muller,
+    _jump_starts,
+    _lane_states,
+    _xoshiro_lanes,
+    fnv1a64,
+    indices_streams,
+    normal_streams,
+    stable_hash,
+)
 
 
 def test_same_seed_same_stream():
@@ -137,3 +150,51 @@ def test_streams_reject_bad_arguments():
         normal_streams(1, ["a"] * 9, -1)
     with pytest.raises(ValueError):
         indices_streams(1, ["a"] * 9, 0, 3)
+
+
+def _scalar_normal(r, n):
+    """What ``r.normal(n)`` draws from a fresh stream, one ``next_u64`` at a time."""
+    raw = np.fromiter((r.next_u64() for _ in range(2 * ((n + 1) // 2))), np.uint64, 2 * ((n + 1) // 2))
+    return _box_muller(raw[0::2], raw[1::2])[:n]
+
+
+def test_jump_matches_scalar_steps():
+    # the state _JUMP steps on, from the table, is where _JUMP next_u64 calls lead
+    for key in ("jump/a", "jump/b", 7):
+        r = Rng(11, key)
+        state = (r._s0, r._s1, r._s2, r._s3)
+        starts = _jump_starts(state, 3)
+        for lane in range(3):
+            assert [int(s[lane]) for s in starts] == [r._s0, r._s1, r._s2, r._s3]
+            for _ in range(_JUMP):
+                r.next_u64()
+
+
+def test_raw_draws_are_the_scalar_stream():
+    block = _MIN_JUMP_DRAWS + 3 * _JUMP
+    for n in (_MIN_JUMP_DRAWS - 1, _MIN_JUMP_DRAWS, _MIN_JUMP_DRAWS + 1, block - 1, block, block + 1):
+        lanes, scalar = Rng(8, "raw"), Rng(8, "raw")
+        lanes.next_u64(), scalar.next_u64()  # start the lanes off a fresh stream
+        assert lanes._raw(n).tolist() == [scalar.next_u64() for _ in range(n)], n
+        assert (lanes._s0, lanes._s1, lanes._s2, lanes._s3) == (scalar._s0, scalar._s1, scalar._s2, scalar._s3), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, _MIN_JUMP_DRAWS - 1, _MIN_JUMP_DRAWS, _MIN_JUMP_DRAWS + 1,
+     2 * _NORMAL_BLOCK - 1, 2 * _NORMAL_BLOCK, 2 * _NORMAL_BLOCK + 1, 100_001],
+)
+def test_normal_is_the_scalar_stream_at_every_length(n):
+    # 2 * _NORMAL_BLOCK normals are one block of raw draws: a whole number of lanes, no remainder
+    lanes, scalar = Rng(21, "long"), Rng(21, "long")
+    assert lanes.normal(n).tobytes() == _scalar_normal(scalar, n).tobytes()
+    assert [lanes.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
+
+
+def test_normal_spare_carries_across_long_calls():
+    sizes = (_MIN_JUMP_DRAWS + 1, 2 * _NORMAL_BLOCK + 3, 1, _MIN_JUMP_DRAWS)
+    r = Rng(4, "spare")
+    parts = [r.normal(k) for k in sizes]
+    scalar = Rng(4, "spare")
+    assert np.concatenate(parts).tobytes() == _scalar_normal(scalar, sum(sizes)).tobytes()
+    assert r.next_u64() == scalar.next_u64()
