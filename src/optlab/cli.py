@@ -90,8 +90,9 @@ def cmd_verify(args) -> int:
     failed = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
+        seconds = "" if result.seconds is None else f"  {result.seconds:7.3f} s"
         detail = f"  {result.detail}" if result.detail else ""
-        print(f"{status}  {result.name:<{width}}{detail}")
+        print(f"{status}  {result.name:<{width}}{seconds}{detail}")
         if not result.passed:
             failed.append(result.name)
     if failed:

@@ -8,8 +8,8 @@ wrong kind are rejected before anything runs. Per step it: evaluates the loss
 and gradient at the point the optimizer asks for, checks for divergence,
 clips by global norm, applies the scheduled learning rate, steps the
 optimizer (timed in isolation from gradient work), and logs. Divergence is
-permanent: nothing moves after the flagged step. ``time_optimizer`` times
-this same loop.
+permanent: nothing moves after the flagged step, and the record keeps why
+(``RunRecord.failure``). ``time_optimizer`` times this same loop.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ class RunRecord:
     mean_step_time_ns: float = 0.0
     diverged: bool = False
     divergence_step: int | None = None
+    #: Why the run stopped early: ``{"kind", "step", "message"}`` of the error, or None for a clean run.
+    failure: dict | None = None
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -77,6 +79,7 @@ class RunRecord:
             "mean_step_time_ns": self.mean_step_time_ns,
             "diverged": self.diverged,
             "divergence_step": self.divergence_step,
+            "failure": self.failure,
             "steps_logged": len(self.rows),
             "config": dict(self.config),
         }
@@ -131,8 +134,13 @@ def setup_run(cfg: dict):
 
 def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: ScheduleSpec, seed: int,
            clip: float | None, log_every: int) -> RunRecord:
-    """Step ``engine`` for ``schedule.total_steps`` steps, filling ``record``; see the module docstring."""
+    """Step ``engine`` for ``schedule.total_steps`` steps, filling ``record``; see the module docstring.
+
+    The problem is told the run's seed and length first, so its per-step
+    streams are drawn in blocks sized to the run (``Problem.draw_ahead``).
+    """
     total = schedule.total_steps
+    problem.draw_ahead(seed, total)
     times: list[int] = []
     for t in range(1, total + 1):
         point = engine.eval_point()
@@ -146,9 +154,10 @@ def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: Schedu
             start = time.perf_counter_ns()
             info = engine.step(grads, lr_t / schedule.gamma_max, resampled, problem.batch.batch_size)
             elapsed = time.perf_counter_ns() - start
-        except PoisonedStateError:
+        except PoisonedStateError as exc:
             record.diverged = True
             record.divergence_step = t
+            record.failure = {"kind": type(exc).__name__, "step": t, "message": str(exc)}
             break
         times.append(elapsed)
         if t % log_every == 0 or t == total:

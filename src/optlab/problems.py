@@ -54,25 +54,37 @@ class _StepDraws:
     """Row ``step`` of the per-step streams ``f"{purpose}/{step}"``, drawn a block of steps ahead.
 
     ``draw(run_seed, keys)`` returns one row per key, each what the scalar
-    ``Rng(run_seed, key)`` would give, so the block never changes a value. The
-    block doubles (1, 2, 4, ...) while each call asks for the step after the
-    last call's; any other miss draws a block of one, so out-of-order callers
-    (finite differences, checks) draw no more than the scalar stream would.
+    ``Rng(run_seed, key)`` would give, so the block never changes a value; a
+    block holds at most ``_PREFETCH_VALUES`` values. After ``plan(run_seed,
+    last_step)`` a miss at a step of that run draws every step from it to
+    ``last_step`` (up to the cap) and nothing past ``last_step``, so a T-step
+    run makes ceil(T / max_block) draws. Without a plan the block doubles (1,
+    2, 4, ...) while each call asks for the step after the last call's, and
+    any other miss draws a block of one, so out-of-order callers (finite
+    differences, checks) draw no more than the scalar stream would.
     """
 
     def __init__(self, purpose: str, width: int, draw: Callable):
         self.purpose = purpose
         self.draw = draw
         self.max_block = max(1, _PREFETCH_VALUES // max(1, width))
-        self.run_seed = None
-        self.first = self.last = self.block = 0
+        self.run_seed = self.plan_seed = None
+        self.first = self.last = self.block = self.plan_last = 0
         self.rows = np.empty((0, width))
+
+    def plan(self, run_seed: int, last_step: int) -> None:
+        """Let later misses of run ``run_seed`` draw ahead up to ``last_step``; draws nothing now."""
+        self.plan_seed, self.plan_last = run_seed, last_step
 
     def __call__(self, run_seed: int, step: int) -> np.ndarray:
         i = step - self.first
         if run_seed != self.run_seed or not 0 <= i < len(self.rows):
-            ahead = run_seed == self.run_seed and step == self.last + 1
-            self.block = min(2 * self.block, self.max_block) if ahead else 1
+            if run_seed == self.plan_seed and step <= self.plan_last:
+                self.block = min(self.plan_last - step + 1, self.max_block)
+            elif run_seed == self.run_seed and step == self.last + 1:
+                self.block = min(2 * self.block, self.max_block)
+            else:
+                self.block = 1
             self.rows = self.draw(run_seed, [f"{self.purpose}/{s}" for s in range(step, step + self.block)])
             self.run_seed, self.first, i = run_seed, step, 0
         self.last = step
@@ -87,6 +99,8 @@ class Problem:
     gradient array per block; ``full_loss`` is the deterministic objective
     used for summaries and ranking. ``resampled_grad`` (GNB problems only)
     recomputes the gradient with labels drawn from the model's own softmax.
+    ``step_draws`` are the problem's per-step streams, which ``draw_ahead``
+    sizes to a run.
     """
 
     name: str
@@ -97,10 +111,16 @@ class Problem:
     resampled_grad: Callable[[dict, BatchSeed], dict] | None = None
     minimizer: dict | None = None
     optimal_value: float | None = None
+    step_draws: tuple[_StepDraws, ...] = ()
 
     @property
     def supports_gnb(self) -> bool:
         return self.resampled_grad is not None
+
+    def draw_ahead(self, run_seed: int, last_step: int) -> None:
+        """Tell the per-step streams that run ``run_seed`` will ask for steps up to ``last_step``."""
+        for draws in self.step_draws:
+            draws.plan(run_seed, last_step)
 
     def gnb_grad(self, params: dict, batch_seed: BatchSeed) -> dict:
         if not self.supports_gnb:
@@ -170,6 +190,7 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
         full_loss=full_loss,
         minimizer={"x": x_star},
         optimal_value=0.0,
+        step_draws=(noise,),
     )
 
 
@@ -306,6 +327,7 @@ def mlp_classification_problem(
         loss_and_grad=loss_and_grad,
         full_loss=full_loss,
         resampled_grad=resampled_grad,
+        step_draws=(batches,),
     )
 
 

@@ -9,7 +9,8 @@ per check; the acceptance tests reuse the same functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,6 +39,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    #: Wall time of the check, set by ``run_all_checks``.
+    seconds: float | None = None
 
 
 def _ok(name, detail=""):
@@ -611,4 +614,10 @@ ALL_CHECKS = ORACLE_CHECKS + [
 
 
 def run_all_checks() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """Every check in ``ALL_CHECKS`` order, each result with its wall time in ``seconds``."""
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from optlab import verify
 from optlab.cli import main
 from optlab.harness import run
 from optlab.runio import write_run_artifacts
@@ -327,6 +329,17 @@ class TestVerifyAndPresets:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "all" in out and "checks passed" in out
+        check_lines = out.splitlines()[:-1]
+        assert len(check_lines) == len(verify.ALL_CHECKS)
+        assert all(re.match(r"PASS  \S+ +\d+\.\d{3} s(  |$)", line) for line in check_lines)
+
+    def test_check_results_time_each_check_in_order(self, monkeypatch):
+        checks = [lambda: verify.CheckResult("first", True, ""), lambda: verify.CheckResult("second", False, "why")]
+        monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+        results = verify.run_all_checks()
+        assert [(r.name, r.passed, r.detail) for r in results] == [("first", True, ""), ("second", False, "why")]
+        assert all(r.seconds >= 0.0 for r in results)
+        assert verify.CheckResult("bare", True, "").seconds is None
 
 
 class TestOutputRootAndJobs:

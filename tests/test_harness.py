@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from optlab import harness
+from optlab import harness, problems
 from optlab.errors import ConfigurationError, PoisonedStateError
 from optlab.harness import clip_gradients, run, sweep, time_optimizer
-from optlab.problems import build_problem
+from optlab.problems import _PREFETCH_VALUES, build_problem
+from optlab.runio import write_run_artifacts
 from optlab.rng import stable_hash
 
 
@@ -210,3 +212,69 @@ def test_run_and_time_optimizer_share_the_patchable_loop(monkeypatch):
     calls.clear()
     time_optimizer("adamw", {"lr": 0.01}, build_problem("quadratic", 1, dim=4, condition=2.0), steps=3, repeats=2)
     assert calls == {"clip_gradients": 6, "lr_at": 6, "make_optimizer": 2}
+
+
+def _count_stream_draws(monkeypatch, name):
+    """Record the keys of every batched draw of ``problems.<name>``."""
+    asked = []
+    real = getattr(problems, name)
+
+    def counted(seed, keys, *args):
+        asked.append(list(keys))
+        return real(seed, keys, *args)
+
+    monkeypatch.setattr(problems, name, counted)
+    return asked
+
+
+@pytest.mark.parametrize("steps,dim,blocks", [(40, 32, 1), (80, 32, 1), (160, 32, 1), (1000, 64, 4), (700, 40, 2)])
+def test_a_run_draws_its_noise_in_blocks_sized_to_the_run(monkeypatch, steps, dim, blocks):
+    asked = _count_stream_draws(monkeypatch, "normal_streams")
+    run(quad_config(**{"run.steps": steps, "problem.dim": dim, "problem.noise": 2.0, "problem.batch_size": 4}))
+    max_block = _PREFETCH_VALUES // dim
+    assert len(asked) == blocks == math.ceil(steps / max_block)
+    assert [k for keys in asked for k in keys] == [f"noise/{t}" for t in range(1, steps + 1)]
+
+
+def test_an_mlp_run_draws_its_batches_in_one_block(monkeypatch):
+    asked = _count_stream_draws(monkeypatch, "indices_streams")
+    cfg = {"problem.kind": "mlp", "problem.samples": 128, "problem.batch_size": 64, "run.steps": 150, "run.seed": 4}
+    run(cfg)
+    assert asked == [[f"batch/{t}" for t in range(1, 151)]]
+
+
+def test_a_diverged_run_draws_no_step_past_its_plan(monkeypatch):
+    asked = _count_stream_draws(monkeypatch, "normal_streams")
+    record = run(quad_config(**{"optimizer.lr": 1e4, "run.steps": 60, "problem.noise": 1.0}))
+    assert record.diverged
+    assert asked == [[f"noise/{t}" for t in range(1, 61)]]
+
+
+def test_time_optimizer_plans_each_repeat(monkeypatch):
+    asked = _count_stream_draws(monkeypatch, "normal_streams")
+    problem = build_problem("quadratic", 1, dim=8, condition=2.0, noise=1.0)
+    time_optimizer("adamw", {"lr": 0.01}, problem, steps=40, repeats=3, seed=5)
+    assert len(asked) == 3  # each repeat runs its own seed, so an unplanned repeat would ramp in 6 draws
+    assert all(keys == [f"noise/{t}" for t in range(1, 41)] for keys in asked)
+
+
+class TestFailure:
+    def test_clean_run_has_no_failure(self, tmp_path):
+        record = run(quad_config(**{"run.steps": 5}))
+        assert record.failure is None
+        summary = json.loads((write_run_artifacts(record, tmp_path) / "summary.json").read_text())
+        assert summary["failure"] is None
+
+    def test_divergence_reports_the_loss_check_at_its_step(self, tmp_path):
+        record = run(quad_config(**{"optimizer.lr": 1e4, "run.steps": 200}))
+        failure = {"kind": "PoisonedStateError", "step": record.divergence_step, "message": "loss diverged"}
+        assert record.failure == failure
+        summary = json.loads((write_run_artifacts(record, tmp_path) / "summary.json").read_text())
+        assert summary["failure"] == failure and summary["diverged"] is True
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_buffer_reports_the_buffer_message(self):
+        # d0 * d0 * g * g overflows prodigy's second moment in the first step; the loss is still finite
+        record = run(quad_config(**{"optimizer.name": "prodigy", "optimizer.lr": 1.0, "optimizer.d0": 1e200}))
+        assert record.divergence_step == 1
+        assert record.failure == {"kind": "PoisonedStateError", "step": 1, "message": "non-finite state buffer in prodigy"}

@@ -221,6 +221,13 @@ ACCESS_PATTERNS = {
     "backwards": [(11, t) for t in range(120, 0, -1)],
     "repeated": [(11, 1), (11, 2), (11, 3)] + [(11, 5)] * 4 + [(11, 4)],
     "jump_ahead": [(11, t) for t in range(1, 20)] + [(11, 200), (11, 201), (11, 57), (11, 300)],
+    "second_run_seed": [(11, t) for t in range(1, 30)] + [(12, t) for t in range(1, 30)] + [(11, 3)],
+}
+
+# each problem's per-step stream and the scalar draw that row ``t`` of run ``seed`` must equal
+SCALAR_ROWS = {
+    "quadratic": lambda seed, t: Rng(seed, f"noise/{t}").normal(16),
+    "mlp": lambda seed, t: Rng(seed, f"batch/{t}").indices(50, 7),
 }
 
 
@@ -275,3 +282,46 @@ def test_prefetch_block_doubles_on_sequential_steps_and_is_capped_by_values():
     for t in range(1, 10):
         draws(3, t)
     assert asked == [1, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("planned", ["whole", "half"])
+@pytest.mark.parametrize("pattern", ACCESS_PATTERNS)
+@pytest.mark.parametrize("kind", PREFETCH_PROBLEMS)
+def test_planned_draws_are_the_scalar_rows_in_any_access_order(kind, pattern, planned):
+    calls = ACCESS_PATTERNS[pattern]
+    last = max(t for _, t in calls)
+    problem = PREFETCH_PROBLEMS[kind]()
+    problem.draw_ahead(11, last if planned == "whole" else last // 2)  # steps past a plan fall back to the ramp
+    (draws,) = problem.step_draws
+    for seed, t in calls:
+        assert np.array_equal(draws(seed, t), SCALAR_ROWS[kind](seed, t))
+
+
+def test_planned_blocks_cover_the_run_and_stop_at_its_last_step():
+    asked = []
+
+    def draw(seed, keys):
+        asked.append(keys)
+        return np.zeros((len(keys), width))
+
+    width = 1
+    draws = _StepDraws("noise", width, draw)
+    draws.plan(3, 40)
+    assert asked == []  # a plan draws nothing until a step is asked for
+    for t in range(1, 41):
+        draws(3, t)
+    assert asked == [[f"noise/{t}" for t in range(1, 41)]]
+    asked.clear()
+    width = _PREFETCH_VALUES // 3 + 1  # two steps per block
+    draws = _StepDraws("noise", width, draw)
+    draws.plan(3, 5)
+    for t in range(1, 6):
+        draws(3, t)
+    assert [len(keys) for keys in asked] == [2, 2, 1]
+    assert asked[-1] == ["noise/5"]
+
+
+def test_draw_ahead_without_step_streams_does_nothing():
+    problem = rosenbrock_problem(4)
+    assert problem.step_draws == ()
+    problem.draw_ahead(1, 100)
