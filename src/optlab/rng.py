@@ -1,25 +1,17 @@
 """Deterministic random streams: SplitMix64 seeding, xoshiro256++ generation.
 
-Every source of randomness in the library is an :class:`Rng` addressed by a
-``(seed, key)`` pair, e.g. ``Rng(seed, "batch/17")`` for the batch drawn at
-step 17. The raw 64-bit integer stream is a pure integer recurrence and is
-therefore byte-identical across platforms and processes; floating-point
-outputs (uniform, normal) are deterministic given IEEE-754 doubles and the
-platform's libm. Normal draws use the Box-Muller transform, chosen once so
-the stream layout never changes.
+Every source of randomness in the library is an :class:`Rng` addressed by a ``(seed, key)`` pair, e.g.
+``Rng(seed, "batch/17")`` for the batch drawn at step 17. The raw 64-bit integer stream is a pure integer
+recurrence and is therefore byte-identical across platforms and processes; floating-point outputs (uniform,
+normal) are deterministic given IEEE-754 doubles and the platform's libm. Normal draws use the Box-Muller
+transform, chosen once so the stream layout never changes.
 
-Distinct keys yield independent streams without any shared mutable state,
-which is what makes concurrent runs reproducible: each run owns its Rngs.
-Because of that, many streams of one seed can also be drawn at once:
-:func:`normal_streams` and :func:`indices_streams` run the same recurrence
-with one numpy ``uint64`` lane per key, and row ``i`` of their result is bit
-for bit what ``Rng(seed, keys[i])`` would have drawn.
+Distinct keys yield independent streams without any shared mutable state, which is what makes concurrent runs
+reproducible: each run owns its Rngs.
 
-One long stream is drawn in lanes too. The state update is linear over
-GF(2), so a table of 256 states (built once per process) jumps a state
-``_JUMP`` steps ahead; a long ``Rng.normal`` starts one lane every ``_JUMP``
-steps, runs the lanes together, and draws the remainder with the scalar
-loop. The values, and the state the call leaves, are the scalar stream's.
+Long streams, and many streams at once, go through one lane engine, :func:`_xoshiro_streams`. Each stream is
+split into lanes of ``_JUMP`` steps; the state update is linear over GF(2), so all lane starts come from
+log2(lanes) rounds of table jumps, and all lanes then run at once in numpy ``uint64`` arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +26,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + _GOLDEN) & _MASK
-    z = state
+def _mix64(z):
+    """SplitMix64's output function, on an int or on a ``uint64`` array."""
     z = ((z ^ (z >> 30)) * _SPLITMIX_MUL[0]) & _MASK
     z = ((z ^ (z >> 27)) * _SPLITMIX_MUL[1]) & _MASK
-    return state, (z ^ (z >> 31)) & _MASK
+    return z ^ (z >> 31)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -71,13 +62,10 @@ class Rng:
         self.seed = seed & _MASK
         self.key = key
         sm = self.seed ^ fnv1a64(str(key).encode("utf-8"))
-        sm, s0 = _splitmix64(sm)
-        sm, s1 = _splitmix64(sm)
-        sm, s2 = _splitmix64(sm)
-        sm, s3 = _splitmix64(sm)
-        if not (s0 | s1 | s2 | s3):  # all-zero state is a fixed point of xoshiro
-            s0 = _GOLDEN
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        state = [_mix64((sm + k * _GOLDEN) & _MASK) for k in range(1, 5)]  # SplitMix64's first four outputs
+        if not any(state):  # all-zero state is a fixed point of xoshiro
+            state[0] = _GOLDEN
+        self._s0, self._s1, self._s2, self._s3 = state
         self._spare: float | None = None
 
     def next_u64(self) -> int:
@@ -100,8 +88,7 @@ class Rng:
 
     def below(self, bound: int) -> int:
         """Exactly uniform integer in [0, bound), via rejection."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        _check_bound(bound, 64)
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next_u64()
@@ -109,6 +96,7 @@ class Rng:
                 return r % bound
 
     def indices(self, bound: int, size: int) -> np.ndarray:
+        _check_bound(bound, 63, size)  # int64 values
         return np.array([self.below(bound) for _ in range(size)], dtype=np.int64)
 
     def normal(self, n: int) -> np.ndarray:
@@ -118,62 +106,55 @@ class Rng:
         out = np.empty(n, dtype=np.float64)
         i = 0
         if self._spare is not None and n > 0:
-            out[0] = self._spare
-            self._spare = None
-            i = 1
+            out[0], self._spare, i = self._spare, None, 1
         while i < n:  # a bounded block of pairs at a time keeps the temporaries small
             pairs = min((n - i + 1) // 2, _NORMAL_BLOCK)
-            raw = self._raw(2 * pairs)
-            values = _box_muller(raw[0::2], raw[1::2])
-            m = min(2 * pairs, n - i)
-            out[i : i + m] = values[:m]
-            i += m
-            if m < 2 * pairs:
-                self._spare = float(values[-1])
+            values = _box_muller(*self._raw(2 * pairs).reshape(pairs, 2).T)  # u1 from even draws, u2 from odd
+            out[i : i + 2 * pairs] = values[: n - i]
+            i += 2 * pairs
+        if i > n:
+            self._spare = float(values[-1])
         return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normal(rows * cols).reshape(rows, cols)
 
     def _raw(self, n: int) -> np.ndarray:
-        """The next ``n`` outputs of ``next_u64``, leaving the state where ``n`` calls would.
-
-        From ``_MIN_JUMP_DRAWS`` on, the first ``n // _JUMP`` blocks of ``_JUMP``
-        outputs are drawn at once, one numpy lane per block, each lane started
-        ``_JUMP`` steps after the one before; the last lane ends where the
-        scalar loop would. The scalar loop draws the rest, and all of a
-        shorter draw.
-        """
-        out = np.empty(n, dtype=np.uint64)
-        lanes = n // _JUMP if n >= _MIN_JUMP_DRAWS else 0
-        if lanes:
-            state = _jump_starts((self._s0, self._s1, self._s2, self._s3), lanes)
-            out[: lanes * _JUMP].reshape(lanes, _JUMP)[...] = _xoshiro_lanes(state, _JUMP)
-            self._s0, self._s1, self._s2, self._s3 = (int(s[-1]) for s in state)
-        done = lanes * _JUMP
-        out[done:] = np.fromiter((self.next_u64() for _ in range(n - done)), np.uint64, n - done)
-        return out
+        """The next ``n`` outputs of ``next_u64``, and the state they leave; in lanes from ``_MIN_JUMP_DRAWS`` on."""
+        if n < _MIN_JUMP_DRAWS:
+            return np.fromiter((self.next_u64() for _ in range(n)), np.uint64, n)
+        raw, end = _xoshiro_streams((self._s0, self._s1, self._s2, self._s3), n)
+        self._s0, self._s1, self._s2, self._s3 = (int(s[0]) for s in end)
+        return raw[0]
 
 
 #: Most normal pairs ``Rng.normal`` converts at once.
 _NORMAL_BLOCK = 8192
-#: Below this many keys the scalar streams cost less than the lanes' per-draw numpy calls.
-_MIN_LANES = 8
-#: Steps between the starts of one stream's lanes in ``Rng._raw``.
-_JUMP = 256
-#: Below this many raw draws ``Rng._raw`` runs the scalar loop: the lanes' fixed cost is ``_JUMP`` numpy steps.
-_MIN_JUMP_DRAWS = 16 * _JUMP
+#: Steps per lane of the engine: a stream of ``n`` draws runs as ``ceil(n / _JUMP)`` lanes.
+_JUMP = 32
+#: Below this many raw draws ``Rng._raw`` runs the scalar loop, which then costs less than ``_JUMP`` numpy steps.
+_MIN_JUMP_DRAWS = 14 * _JUMP
 #: The shift counts and constants as numpy scalars, so no ufunc call has a Python int to convert.
-_U = {c: np.uint64(c) for c in (1, 11, 17, 19, 23, 27, 30, 31, 41, 45, _GOLDEN, *_SPLITMIX_MUL)}
+_U = {c: np.uint64(c) for c in (1, 11, 15, 17, 19, 23, 41, 45, _GOLDEN)}
 _TWO_PI = 2.0 * math.pi
+#: Nibble ``i`` of a state is the 4 bits of word ``i // 16`` at ``4 * (i % 16)``; its table rows start at ``16 * i``.
+_NIBBLE_SHIFTS, _NIBBLE_ROWS = np.arange(0, 64, 4, dtype=np.uint64)[:, None], 16 * np.arange(64, dtype=np.intp)[:, None]
+
+
+def _check_bound(bound: int, bits: int, size: int = 0) -> None:
+    if bound <= 0:
+        raise ValueError(f"bound must be positive, got {bound}")
+    if bound > 1 << bits:
+        raise ValueError(f"bound must be at most 2**{bits}, got {bound}")
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
 
 
 def _box_muller(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Normal pairs from raw draws ``a`` (for u1) and ``b`` (for u2), interleaved (cos, sin) on the last axis.
 
-    The transcendental functions are ``math``'s (``np.log`` rounds differently
-    on some inputs); the integer-to-double conversions, multiplications and
-    ``sqrt`` are correctly rounded either way, so they run in numpy.
+    The transcendental functions are ``math``'s (``np.log`` rounds differently on some inputs); the integer-to-double
+    conversions, multiplications and ``sqrt`` are correctly rounded either way, so they run in numpy.
     """
     u1 = memoryview((((a >> _U[11]) + _U[1]) * 2.0**-53).ravel())  # u1 in (0, 1] keeps log() finite
     theta = memoryview(((b >> _U[11]) * 2.0**-53 * _TWO_PI).ravel())
@@ -186,14 +167,8 @@ def _box_muller(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _lane_states(seed: int, keys) -> list[np.ndarray]:
     """The xoshiro256++ state of ``Rng(seed, key)`` for every key, one ``uint64`` lane per key."""
-    seed &= _MASK
-    sm = np.array([seed ^ fnv1a64(str(key).encode("utf-8")) for key in keys], dtype=np.uint64)
-    state = []
-    for _ in range(4):
-        sm += _U[_GOLDEN]
-        z = (sm ^ (sm >> _U[30])) * _U[_SPLITMIX_MUL[0]]
-        z = (z ^ (z >> _U[27])) * _U[_SPLITMIX_MUL[1]]
-        state.append(z ^ (z >> _U[31]))
+    sm = np.array([(seed & _MASK) ^ fnv1a64(str(key).encode("utf-8")) for key in keys], dtype=np.uint64)
+    state = [_mix64(sm + np.uint64(k * _GOLDEN & _MASK)) for k in range(1, 5)]
     state[0][(state[0] | state[1] | state[2] | state[3]) == 0] = _U[_GOLDEN]
     return state
 
@@ -202,8 +177,7 @@ def _xoshiro_lanes(state: list[np.ndarray], n: int) -> np.ndarray:
     """The next ``n`` outputs of every lane of ``state`` (advanced in place), one row per lane."""
     s0, s1, s2, s3 = state
     out = np.empty((n, len(s0)), dtype=np.uint64)
-    x = np.empty_like(s0)
-    t = np.empty_like(s0)
+    x, t = np.empty_like(s0), np.empty_like(s0)
     for row in out:
         np.add(s0, s3, out=x)
         np.bitwise_or(x << _U[23], x >> _U[41], out=x)
@@ -219,31 +193,58 @@ def _xoshiro_lanes(state: list[np.ndarray], n: int) -> np.ndarray:
 
 
 @functools.cache
-def _jump_table() -> np.ndarray:
-    """Row ``j`` is the state ``_JUMP`` steps on from the one whose only set bit is bit ``j % 64`` of word ``j // 64``.
+def _jump_table(round_: int) -> np.ndarray:
+    """Row ``16 * i + v`` is where the state holding only value ``v`` in nibble ``i`` is ``_JUMP * 2**round_`` steps on.
 
-    The xoshiro256++ state update is linear over GF(2), so the state ``_JUMP``
-    steps on from any state is the XOR of the rows its set bits select.
+    The update is linear over GF(2), so any state lands on the XOR of the rows its 64 nibbles select. Each table
+    (32 KB, built once per process) is the one before applied to itself; round 0 runs the one-nibble states.
     """
-    state = [np.zeros(256, dtype=np.uint64) for _ in range(4)]
-    for word, lane in enumerate(state):
-        lane[64 * word : 64 * word + 64] = np.left_shift(_U[1], np.arange(64, dtype=np.uint64))
-    for _ in range(_JUMP):  # one step at a time keeps the discarded outputs small
-        _xoshiro_lanes(state, 1)
-    table = np.stack(state, axis=1)
+    if round_:
+        table = _jump(_jump_table(round_ - 1), _jump_table(round_ - 1))
+    else:
+        state = np.kron(np.eye(4, dtype=np.uint64), (np.arange(16, dtype=np.uint64) << _NIBBLE_SHIFTS).ravel())
+        _xoshiro_lanes(list(state), _JUMP)
+        table = np.ascontiguousarray(state.T)
     table.setflags(write=False)  # every caller shares the cached table
     return table
 
 
-def _jump_starts(state: tuple[int, int, int, int], lanes: int) -> list[np.ndarray]:
-    """``lanes`` lane states: the first is ``state``, each next one ``_JUMP`` steps on from the one before."""
-    table = _jump_table()
-    starts = np.empty((lanes, 4), dtype=np.uint64)
-    starts[0] = state
-    for i in range(1, lanes):
-        bits = np.unpackbits(starts[i - 1].astype("<u8").view(np.uint8), bitorder="little").view(bool)
-        starts[i] = np.bitwise_xor.reduce(table[bits], axis=0)
-    return [starts[:, word].copy() for word in range(4)]
+def _jump(states: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Every row of ``states`` (shape ``(N, 4)``, one state per row) moved on by the jump ``table`` holds."""
+    out = np.empty_like(states)
+    for i in range(0, len(states), 128):  # the gathered rows take 2 KB per state
+        nibbles = ((states[i : i + 128].T[:, None] >> _NIBBLE_SHIFTS) & _U[15]).reshape(64, -1).astype(np.intp)
+        np.bitwise_xor.reduce(np.take(table, nibbles + _NIBBLE_ROWS, axis=0), axis=0, out=out[i : i + 128])
+    return out
+
+
+def _jump_starts(state, lanes: int) -> list[np.ndarray]:
+    """``lanes`` states per stream of ``state`` (four words, each an int or an array over K streams), ``_JUMP`` apart.
+
+    Lane ``j`` of stream ``k`` is entry ``j * K + k`` of each word; round ``r`` jumps lanes ``0 .. 2**r - 1``.
+    """
+    starts = np.empty((lanes, np.asarray(state[0]).size, 4), dtype=np.uint64)
+    starts[0] = np.asarray(state, dtype=np.uint64).reshape(4, -1).T
+    for r in range((lanes - 1).bit_length()):
+        new = starts[1 << r : 2 << r]
+        new[...] = _jump(starts[: len(new)].reshape(-1, 4), _jump_table(r)).reshape(new.shape)
+    return [starts[..., word].ravel() for word in range(4)]
+
+
+def _xoshiro_streams(state, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The next ``n`` outputs of each of the K streams of ``state`` (one row each), and the K states after them.
+
+    Each stream runs as ``ceil(n / _JUMP)`` lanes, all in one ``_xoshiro_lanes`` block of two parts: the first is
+    as long as the last lane's share, so the last lanes then hold the end states; the second finishes the others.
+    """
+    streams, segments = np.asarray(state[0]).size, max(1, -(-n // _JUMP))
+    lanes, head = _jump_starts(state, segments), n - (segments - 1) * _JUMP
+    out = np.empty((streams, segments, _JUMP), dtype=np.uint64)
+    out[:, :, :head] = _xoshiro_lanes(lanes, head).reshape(segments, streams, head).transpose(1, 0, 2)
+    if segments > 1:
+        rest = _xoshiro_lanes([s[: len(s) - streams] for s in lanes], _JUMP - head)
+        out[:, :-1, head:] = rest.reshape(segments - 1, streams, _JUMP - head).transpose(1, 0, 2)
+    return out.reshape(streams, segments * _JUMP)[:, :n], [s[len(s) - streams :] for s in lanes]
 
 
 def normal_streams(seed: int, keys, n: int) -> np.ndarray:
@@ -251,10 +252,12 @@ def normal_streams(seed: int, keys, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     keys = list(keys)
-    if len(keys) < _MIN_LANES:
-        return np.array([Rng(seed, key).normal(n) for key in keys]).reshape(len(keys), n)
-    raw = _xoshiro_lanes(_lane_states(seed, keys), 2 * ((n + 1) // 2))
-    return np.ascontiguousarray(_box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n])
+    out = np.empty((len(keys), n))
+    block = max(1, _NORMAL_BLOCK // max(1, (n + 1) // 2))  # keys at a time: as in Rng.normal, few temporaries
+    for i in range(0, len(keys), block):
+        raw, _ = _xoshiro_streams(_lane_states(seed, keys[i : i + block]), 2 * ((n + 1) // 2))
+        out[i : i + block] = _box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n]
+    return out
 
 
 def indices_streams(seed: int, keys, bound: int, size: int) -> np.ndarray:
@@ -263,12 +266,9 @@ def indices_streams(seed: int, keys, bound: int, size: int) -> np.ndarray:
     A lane that draws a value at or above ``below``'s rejection limit would
     have drawn again, so its row is recomputed with the scalar stream.
     """
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    _check_bound(bound, 63, size)
     keys = list(keys)
-    if len(keys) < _MIN_LANES:
-        return np.array([Rng(seed, key).indices(bound, size) for key in keys], dtype=np.int64).reshape(len(keys), size)
-    raw = _xoshiro_lanes(_lane_states(seed, keys), size)
+    raw, _ = _xoshiro_streams(_lane_states(seed, keys), size)
     rows = (raw % np.uint64(bound)).astype(np.int64)
     limit = (1 << 64) - ((1 << 64) % bound)
     if limit <= _MASK:

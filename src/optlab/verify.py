@@ -21,7 +21,7 @@ from .blocks import CommonHyper, ParamBlock
 from .linalg import frobenius_norm, matmul, qr_orthonormal, svd_singular_values, sym_eigenbasis
 from .optimizers.engine import AdamW, Lion, Muon, Signum, Soap, make_optimizer
 from .problems import build_problem, finite_difference_gradient
-from .rng import _MIN_JUMP_DRAWS, Rng, _box_muller, indices_streams, normal_streams
+from .rng import _JUMP, _MIN_JUMP_DRAWS, Rng, _box_muller, indices_streams, normal_streams
 from .schedules import EmaScheduleSpec, ScheduleSpec, ademamix_alpha_at, ademamix_beta3_at, lr_at
 
 ORACLE_STEPS = 200
@@ -54,6 +54,12 @@ def _fail(name, detail):
 def _draws(key: str, steps: int, *shape: int) -> np.ndarray:
     """``steps`` arrays of ``shape`` from one stream: row t is the t-th ``shape``-sized draw."""
     return Rng(2024, key).normal(steps * math.prod(shape)).reshape(steps, *shape)
+
+
+def _scalar_normal(r: Rng, n: int) -> np.ndarray:
+    """What ``r.normal(n)`` draws from a fresh stream, one ``next_u64`` at a time."""
+    raw = np.fromiter((r.next_u64() for _ in range(n + n % 2)), np.uint64, n + n % 2)
+    return _box_muller(raw[0::2], raw[1::2])[:n]
 
 
 def _scales(steps: int) -> list[float]:
@@ -307,11 +313,14 @@ def check_rng_streams() -> CheckResult:
             return _fail("rng/streams", f"indices_streams rows differ from the scalar streams (bound {bound})")
     n = _MIN_JUMP_DRAWS + 1001  # odd, and long enough that Rng.normal draws it in jump-ahead lanes
     lanes, scalar = Rng(42, "long"), Rng(42, "long")
-    raw = np.fromiter((scalar.next_u64() for _ in range(n + 1)), np.uint64, n + 1)
-    if lanes.normal(n).tobytes() != _box_muller(raw[0::2], raw[1::2])[:n].tobytes():
+    if lanes.normal(n).tobytes() != _scalar_normal(scalar, n).tobytes():
         return _fail("rng/streams", f"Rng.normal({n}) differs from the scalar stream")
     if lanes.next_u64() != scalar.next_u64():
         return _fail("rng/streams", f"Rng.normal({n}) left the stream off its scalar position")
+    n = 11 * _JUMP + 3  # odd; each key's stream runs as 12 lanes, the last one short
+    rows = normal_streams(42, keys, n)
+    if not all(row.tobytes() == _scalar_normal(Rng(42, key), n).tobytes() for key, row in zip(keys, rows)):
+        return _fail("rng/streams", f"normal_streams rows of {n} differ from the scalar streams")
     draws = Rng(7, "moments").normal(100_000)
     mean = float(np.mean(draws))
     var = float(np.var(draws))
@@ -353,9 +362,9 @@ def check_schedule_endpoints() -> CheckResult:
 def check_newton_schulz_band() -> CheckResult:
     lo, hi = NS_BAND
     worst_lo, worst_hi = np.inf, -np.inf
-    for i in range(50):
-        g = Rng(7, f"ns-band/{i}").normal_matrix(64, 64)
-        out = opts.newton_schulz_orthogonalize(g, 5)
+    # row i is what Rng(7, f"ns-band/{i}").normal_matrix(64, 64) draws, flattened
+    for g in normal_streams(7, [f"ns-band/{i}" for i in range(50)], 64 * 64):
+        out = opts.newton_schulz_orthogonalize(g.reshape(64, 64), 5)
         sv = svd_singular_values(out)
         worst_lo = min(worst_lo, float(sv.min()))
         worst_hi = max(worst_hi, float(sv.max()))

@@ -16,6 +16,7 @@ from optlab.rng import (
     _jump_starts,
     _lane_states,
     _xoshiro_lanes,
+    _xoshiro_streams,
     fnv1a64,
     indices_streams,
     normal_streams,
@@ -150,6 +151,11 @@ def test_streams_reject_bad_arguments():
         normal_streams(1, ["a"] * 9, -1)
     with pytest.raises(ValueError):
         indices_streams(1, ["a"] * 9, 0, 3)
+    for count in (1, 9):
+        with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
+            indices_streams(1, ["a"] * count, 5, -1)
+    with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
+        Rng(1, "a").indices(5, -1)
 
 
 def _scalar_normal(r, n):
@@ -198,3 +204,87 @@ def test_normal_spare_carries_across_long_calls():
     scalar = Rng(4, "spare")
     assert np.concatenate(parts).tobytes() == _scalar_normal(scalar, sum(sizes)).tobytes()
     assert r.next_u64() == scalar.next_u64()
+
+
+class _BoundedRng(Rng):
+    """An ``Rng`` that fails instead of drawing without end."""
+
+    __slots__ = ("calls",)
+
+    def next_u64(self):
+        self.calls = getattr(self, "calls", 0) + 1
+        assert self.calls <= 1000, "drew 1000 values for one result"
+        return super().next_u64()
+
+
+def test_huge_bounds_are_rejected():
+    # a bound above 2**64 used to leave below's rejection limit at 0, so it drew forever
+    with pytest.raises(ValueError, match="bound must be at most 2\\*\\*64"):
+        _BoundedRng(1, "a").below(2**64 + 1)
+    with pytest.raises(ValueError, match="bound must be at most"):
+        indices_streams(1, ["a"] * 9, 2**64 + 1, 3)
+    # int64 indices hold values below 2**63 only
+    with pytest.raises(ValueError, match="bound must be at most 2\\*\\*63"):
+        indices_streams(1, ["a"] * 9, 2**63 + 1, 3)
+    with pytest.raises(ValueError, match="bound must be at most 2\\*\\*63"):
+        Rng(1, "a").indices(2**63 + 1, 3)
+    r, scalar = Rng(1, "a"), Rng(1, "a")
+    assert r.below(2**64) == scalar.next_u64()
+    assert indices_streams(1, ["a", "b"], 2**63, 3)[1].tolist() == Rng(1, "b").indices(2**63, 3).tolist()
+
+
+def _scalar_raw(r, n):
+    return np.fromiter((r.next_u64() for _ in range(n)), np.uint64, n)
+
+
+_LONG_ROWS = [_MIN_JUMP_DRAWS - 1, _MIN_JUMP_DRAWS, _MIN_JUMP_DRAWS + 1,
+              3 * _JUMP - 1, 3 * _JUMP + 1, 40 * _JUMP - 1, 40 * _JUMP + 1]
+
+
+@pytest.mark.parametrize("n", _LONG_ROWS)
+@pytest.mark.parametrize("count", [9, 40])
+def test_many_keys_with_long_rows_are_the_scalar_streams(n, count):
+    gen = np.random.default_rng(n * 7 + count)
+    seed = int(gen.integers(0, 2**63))
+    keys = _random_keys(gen, count)
+    raw, end = _xoshiro_streams(_lane_states(seed, keys), n)
+    normals = normal_streams(seed, keys, n)
+    indices = indices_streams(seed, keys, 3 * 2**61, n)  # rejects a quarter of the draws
+    for lane, key in enumerate(keys):
+        r = Rng(seed, key)
+        assert raw[lane].tobytes() == _scalar_raw(r, n).tobytes()
+        # the end state continues the key's stream where n scalar draws leave it
+        assert [int(s[lane]) for s in end] == [r._s0, r._s1, r._s2, r._s3]
+        assert normals[lane].tobytes() == _scalar_normal(Rng(seed, key), n).tobytes()
+        assert indices[lane].tolist() == Rng(seed, key).indices(3 * 2**61, n).tolist()
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 5, 64, 65, 1000])
+def test_jump_starts_at_any_lane_count_match_scalar_steps(lanes):
+    rs = [Rng(12, "starts/a"), Rng(12, "starts/b")]
+    state = [np.array([getattr(r, f"_s{w}") for r in rs], dtype=np.uint64) for w in range(4)]
+    single = _jump_starts((rs[1]._s0, rs[1]._s1, rs[1]._s2, rs[1]._s3), lanes)
+    starts = _jump_starts(state, lanes)
+    for j in range(lanes):
+        for k, r in enumerate(rs):
+            assert [int(s[j * 2 + k]) for s in starts] == [r._s0, r._s1, r._s2, r._s3], (j, k)
+        assert [int(s[j]) for s in single] == [rs[1]._s0, rs[1]._s1, rs[1]._s2, rs[1]._s3], j
+        for r in rs:
+            _scalar_raw(r, _JUMP)
+
+
+def test_engine_handles_empty_draws():
+    r = Rng(5, "engine")
+    state = (r._s0, r._s1, r._s2, r._s3)
+    raw, end = _xoshiro_streams(state, 0)
+    assert raw.shape == (1, 0) and [int(s[0]) for s in end] == list(state)
+    assert normal_streams(5, [], 3).shape == (0, 3)
+    assert indices_streams(5, [], 7, 3).shape == (0, 3)
+    assert normal_streams(5, ["a", "b"], 0).shape == (2, 0)
+
+
+def test_ns_band_draws_in_one_call_equal_the_per_key_matrices():
+    # verify.check_newton_schulz_band draws its 50 matrices with this one call
+    rows = normal_streams(7, [f"ns-band/{i}" for i in range(50)], 64 * 64)
+    for i, row in enumerate(rows):
+        assert row.reshape(64, 64).tobytes() == Rng(7, f"ns-band/{i}").normal_matrix(64, 64).tobytes(), i
