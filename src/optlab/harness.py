@@ -19,6 +19,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .blocks import global_norm
 from .config import resolve, value_to_str
@@ -34,8 +35,9 @@ CSV_HEADER = "step,loss,grad_norm,update_norm,param_norm,lr,effective_lr,d_t,ste
 DIVERGENCE_LOSS = 1e6
 
 
-@dataclass(frozen=True)
-class RunRow:
+class RunRow(NamedTuple):
+    """One logged step: the ``record.csv`` columns, in order."""
+
     step: int
     loss: float
     grad_norm: float
@@ -141,19 +143,22 @@ def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: Schedu
     """
     total = schedule.total_steps
     problem.draw_ahead(seed, total)
+    # bound once per run; clip_gradients, lr_at and global_norm stay module lookups, which profilers patch
+    eval_point, loss_and_grad, step, clock = engine.eval_point, problem.loss_and_grad, engine.step, time.perf_counter_ns
+    threshold, batch_size = math.inf if clip is None else float(clip), problem.batch.batch_size
     times: list[int] = []
     for t in range(1, total + 1):
-        point = engine.eval_point()
-        loss, grads = problem.loss_and_grad(point, (seed, t))
+        point = eval_point()
+        loss, grads = loss_and_grad(point, (seed, t))
         try:
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 raise PoisonedStateError("loss diverged")
-            grads, pre_norm = clip_gradients(grads, math.inf if clip is None else float(clip))
+            grads, pre_norm = clip_gradients(grads, threshold)
             lr_t = lr_at(schedule, t)
             resampled = problem.gnb_grad(point, (seed, t)) if engine.wants_estimate() else None
-            start = time.perf_counter_ns()
-            info = engine.step(grads, lr_t / schedule.gamma_max, resampled, problem.batch.batch_size)
-            elapsed = time.perf_counter_ns() - start
+            start = clock()
+            info = step(grads, lr_t / schedule.gamma_max, resampled, batch_size)
+            elapsed = clock() - start
         except PoisonedStateError as exc:
             record.diverged = True
             record.divergence_step = t
@@ -161,18 +166,9 @@ def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: Schedu
             break
         times.append(elapsed)
         if t % log_every == 0 or t == total:
+            param_norm = global_norm(b.values for b in blocks)
             record.rows.append(
-                RunRow(
-                    step=t,
-                    loss=loss,
-                    grad_norm=pre_norm,
-                    update_norm=info.update_norm,
-                    param_norm=global_norm(b.values for b in blocks),
-                    lr=lr_t,
-                    effective_lr=info.effective_lr,
-                    d=info.d,
-                    step_time_ns=elapsed,
-                )
+                RunRow(t, loss, pre_norm, info.update_norm, param_norm, lr_t, info.effective_lr, info.d, elapsed)
             )
     if times:
         record.mean_step_time_ns = float(statistics.fmean(times))

@@ -17,20 +17,25 @@ from ..errors import ContractViolationError, PoisonedStateError
 from ..schedules import EmaScheduleSpec, ademamix_alpha_at, ademamix_beta3_at
 
 
+def all_finite(a) -> bool:
+    """``np.isfinite(a).all()``, exactly, with one ufunc reduction instead of an array method call."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
 def check_finite_grad(grad: np.ndarray) -> None:
-    if not np.isfinite(grad).all():
+    if not all_finite(grad):
         raise PoisonedStateError("non-finite gradient")
 
 
 def check_finite_values(block: ParamBlock) -> None:
-    if not np.isfinite(block.values).all():
+    if not all_finite(block.values):
         raise PoisonedStateError(f"non-finite parameters in block {block.name!r}")
 
 
 def check_finite_buffers(owner: str, *buffers) -> None:
     """State buffers must never go non-finite silently (e.g. v overflow)."""
     for buf in buffers:
-        if not np.isfinite(buf).all():
+        if not all_finite(buf):
             raise PoisonedStateError(f"non-finite state buffer in {owner}")
 
 

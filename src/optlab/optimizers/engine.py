@@ -24,7 +24,7 @@ Engines are constructed through :func:`make_optimizer`.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ _NS = {"ns_iters": muon.NS_ITERS, **dict(zip(("ns_a", "ns_b", "ns_c"), muon.NS_C
 _BETAS_1D = {"beta1_1d": 0.8, "beta2_1d": 0.999}
 
 
-@dataclass(frozen=True)
-class StepInfo:
+class StepInfo(NamedTuple):
     """What one optimizer step reports back for logging."""
 
     update_norm: float

@@ -55,10 +55,11 @@ class _StepDraws:
 
     ``draw(run_seed, keys)`` returns one row per key, each what the scalar
     ``Rng(run_seed, key)`` would give, so the block never changes a value; a
-    block holds at most ``_PREFETCH_VALUES`` values. After ``plan(run_seed,
-    last_step)`` a miss at a step of that run draws every step from it to
-    ``last_step`` (up to the cap) and nothing past ``last_step``, so a T-step
-    run makes ceil(T / max_block) draws. Without a plan the block doubles (1,
+    block holds at most ``_PREFETCH_VALUES`` values, and a step gets a
+    read-only view of its row. After ``plan(run_seed, last_step)`` a miss at
+    a step of that run draws every step from it to ``last_step`` (up to the
+    cap) and nothing past ``last_step``, so a T-step run makes
+    ceil(T / max_block) draws. Without a plan the block doubles (1,
     2, 4, ...) while each call asks for the step after the last call's, and
     any other miss draws a block of one, so out-of-order callers (finite
     differences, checks) draw no more than the scalar stream would.
@@ -86,9 +87,10 @@ class _StepDraws:
             else:
                 self.block = 1
             self.rows = self.draw(run_seed, [f"{self.purpose}/{s}" for s in range(step, step + self.block)])
+            self.rows.setflags(write=False)  # callers get views of its rows
             self.run_seed, self.first, i = run_seed, step, 0
         self.last = step
-        return self.rows[i].copy()
+        return self.rows[i]
 
 
 @dataclass
@@ -173,9 +175,9 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
         grad = a @ x - b
         loss = float(0.5 * dx @ a @ dx)
         if sigma_eff > 0.0:
-            xi = noise(*batch_seed)
-            grad = grad + sigma_eff * xi
-            loss += float(sigma_eff * xi @ dx)
+            scaled = sigma_eff * noise(*batch_seed)
+            grad = grad + scaled
+            loss += float(scaled @ dx)
         return loss, {"x": grad}
 
     def full_loss(params: dict) -> float:

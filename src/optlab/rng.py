@@ -24,6 +24,7 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_FNV_OFFSET, _FNV_PRIME = 0xCBF29CE484222325, 0x100000001B3
 
 
 def _mix64(z):
@@ -35,9 +36,9 @@ def _mix64(z):
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash; used to turn stream keys and cell labels into integers."""
-    h = 0xCBF29CE484222325
+    h = _FNV_OFFSET
     for b in data:
-        h = ((h ^ b) * 0x100000001B3) & _MASK
+        h = ((h ^ b) * _FNV_PRIME) & _MASK
     return h
 
 
@@ -135,7 +136,7 @@ _JUMP = 32
 #: Below this many raw draws ``Rng._raw`` runs the scalar loop, which then costs less than ``_JUMP`` numpy steps.
 _MIN_JUMP_DRAWS = 14 * _JUMP
 #: The shift counts and constants as numpy scalars, so no ufunc call has a Python int to convert.
-_U = {c: np.uint64(c) for c in (1, 11, 15, 17, 19, 23, 41, 45, _GOLDEN)}
+_U = {c: np.uint64(c) for c in (1, 11, 15, 17, 19, 23, 41, 45, _GOLDEN, _FNV_PRIME)}
 _TWO_PI = 2.0 * math.pi
 #: Nibble ``i`` of a state is the 4 bits of word ``i // 16`` at ``4 * (i % 16)``; its table rows start at ``16 * i``.
 _NIBBLE_SHIFTS, _NIBBLE_ROWS = np.arange(0, 64, 4, dtype=np.uint64)[:, None], 16 * np.arange(64, dtype=np.intp)[:, None]
@@ -166,8 +167,18 @@ def _box_muller(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lane_states(seed: int, keys) -> list[np.ndarray]:
-    """The xoshiro256++ state of ``Rng(seed, key)`` for every key, one ``uint64`` lane per key."""
-    sm = np.array([(seed & _MASK) ^ fnv1a64(str(key).encode("utf-8")) for key in keys], dtype=np.uint64)
+    """The xoshiro256++ state of ``Rng(seed, key)`` for every key, one ``uint64`` lane per key.
+
+    ``fnv1a64`` runs over all keys at once, a byte column at a time; a key's hash stops moving past its length.
+    """
+    data = [str(key).encode("utf-8") for key in keys]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    width = int(lengths.max(initial=0))
+    columns = np.frombuffer(b"".join(d.ljust(width, b"\0") for d in data), np.uint8).reshape(len(data), width).T
+    sm = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    for j, column in enumerate(columns.astype(np.uint64)):
+        np.copyto(sm, (sm ^ column) * _U[_FNV_PRIME], where=j < lengths)
+    sm ^= np.uint64(seed & _MASK)
     state = [_mix64(sm + np.uint64(k * _GOLDEN & _MASK)) for k in range(1, 5)]
     state[0][(state[0] | state[1] | state[2] | state[3]) == 0] = _U[_GOLDEN]
     return state
@@ -248,10 +259,15 @@ def _xoshiro_streams(state, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def normal_streams(seed: int, keys, n: int) -> np.ndarray:
-    """Row ``i`` is ``Rng(seed, keys[i]).normal(n)``, bit for bit; shape ``(len(keys), n)``."""
+    """Row ``i`` is ``Rng(seed, keys[i]).normal(n)``, bit for bit; shape ``(len(keys), n)``.
+
+    Like ``Rng._raw``, a call of fewer than ``_MIN_JUMP_DRAWS`` raw draws in all runs the scalar streams.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     keys = list(keys)
+    if len(keys) * 2 * ((n + 1) // 2) < _MIN_JUMP_DRAWS:
+        return np.array([Rng(seed, key).normal(n) for key in keys], dtype=np.float64).reshape(len(keys), n)
     out = np.empty((len(keys), n))
     block = max(1, _NORMAL_BLOCK // max(1, (n + 1) // 2))  # keys at a time: as in Rng.normal, few temporaries
     for i in range(0, len(keys), block):
@@ -264,10 +280,14 @@ def indices_streams(seed: int, keys, bound: int, size: int) -> np.ndarray:
     """Row ``i`` is ``Rng(seed, keys[i]).indices(bound, size)``, bit for bit; shape ``(len(keys), size)``.
 
     A lane that draws a value at or above ``below``'s rejection limit would
-    have drawn again, so its row is recomputed with the scalar stream.
+    have drawn again, so its row is recomputed with the scalar stream. As in
+    ``normal_streams``, a call of fewer than ``_MIN_JUMP_DRAWS`` draws runs
+    every row on the scalar stream.
     """
     _check_bound(bound, 63, size)
     keys = list(keys)
+    if len(keys) * size < _MIN_JUMP_DRAWS:
+        return np.array([Rng(seed, key).indices(bound, size) for key in keys], dtype=np.int64).reshape(len(keys), size)
     raw, _ = _xoshiro_streams(_lane_states(seed, keys), size)
     rows = (raw % np.uint64(bound)).astype(np.int64)
     limit = (1 << 64) - ((1 << 64) % bound)

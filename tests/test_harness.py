@@ -278,3 +278,55 @@ class TestFailure:
         record = run(quad_config(**{"optimizer.name": "prodigy", "optimizer.lr": 1.0, "optimizer.d0": 1e200}))
         assert record.divergence_step == 1
         assert record.failure == {"kind": "PoisonedStateError", "step": 1, "message": "non-finite state buffer in prodigy"}
+
+
+def test_run_rows_and_step_infos_are_immutable_records():
+    from optlab.optimizers.engine import StepInfo
+
+    fields = ("step", "loss", "grad_norm", "update_norm", "param_norm", "lr", "effective_lr", "d", "step_time_ns")
+    values = (3, 0.5, 1.25, 0.1, 2.0, 0.001, 1 / 3, None, 1234)
+    row = harness.RunRow(*values)
+    assert row == harness.RunRow(**dict(zip(fields, values)))
+    assert row != harness.RunRow(*values[:-1], 1235)
+    assert harness.RunRow._fields == fields and tuple(getattr(row, f) for f in fields) == values
+    info = StepInfo(0.25, 0.01)
+    assert info == StepInfo(update_norm=0.25, effective_lr=0.01, d=None) and info.d is None
+    assert StepInfo(0.25, 0.01, 2.0) != info and StepInfo._fields == ("update_norm", "effective_lr", "d")
+    for record, name in ((row, "loss"), (info, "update_norm")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+
+def test_run_row_csv_bytes():
+    assert harness.RunRow(3, 0.5, 1.25, 0.1, 2.0, 0.001, 1 / 3, None, 1234).csv() == (
+        "3,0.5,1.25,0.1,2.0,0.001,0.3333333333333333,,1234"
+    )
+    assert harness.RunRow(7, 1e-20, 3e8, 0.0, 2.5, 0.05, 0.025, 1.5e-6, 99).csv() == (
+        "7,1e-20,300000000.0,0.0,2.5,0.05,0.025,1.5e-06,99"
+    )
+
+
+def test_profiled_names_are_reached_on_every_step(monkeypatch):
+    # perfbench wraps these module attributes; the step loop and the rules must look them up on every call
+    from optlab.optimizers import base, engine
+
+    calls = {}
+    targets = [(harness, "global_norm"), (engine, "global_norm")]
+    targets += [(base, name) for name in ("check_finite_grad", "check_finite_values", "check_finite_buffers")]
+    for module, name in targets:
+        key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+
+        def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    run(quad_config(**{"run.steps": 3}))  # one block; clip and param norm on every logged step
+    per_step = {"engine.global_norm": 1, "base.check_finite_grad": 1, "base.check_finite_values": 1,
+                "base.check_finite_buffers": 1}
+    assert calls == {"harness.global_norm": 6, **{k: 3 * v for k, v in per_step.items()}}
+    calls.clear()
+    time_optimizer("adamw", {"lr": 0.01}, build_problem("quadratic", 1, dim=4, condition=2.0), steps=3, repeats=2)
+    assert calls == {"harness.global_norm": 2 * (3 + 1), **{k: 6 * v for k, v in per_step.items()}}

@@ -1,6 +1,7 @@
 """Cross-cutting optimizer invariants: oracle equivalence, routing, state safety."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -133,3 +134,32 @@ def test_make_optimizer_rejects_unknowns(name):
     key = next(k for k in OPTIMIZER_KEYS if k not in OPTIMIZERS[name].defaults)
     with pytest.raises(ConfigurationError, match=f"{name!r} takes no hyperparameter {key!r}; it accepts: lr, "):
         make_optimizer(name, blocks, 10, {key: 0.5})
+
+
+_STRIDED = np.arange(12.0)
+_STRIDED[4] = np.nan
+FINITE_CASES = {
+    "finite": np.array([1.0, -2.0, 0.0]),
+    "nan": np.array([1.0, np.nan]),
+    "+inf": np.array([np.inf, 1.0]),
+    "-inf": np.array([1.0, -np.inf]),
+    "mixed inf": np.array([np.inf, -np.inf]),
+    "huge finite": np.array([1e308, 1e308]),
+    "empty": np.array([]),
+    "0-d finite": np.array(2.5),
+    "0-d nan": np.array(np.nan),
+    "2-D finite": np.arange(12.0).reshape(3, 4),
+    "2-D inf": np.where(np.arange(12).reshape(3, 4) == 7, np.inf, 1.0),
+    "strided finite": _STRIDED[1::4],
+    "strided nan": _STRIDED[::4],
+}
+
+
+@pytest.mark.parametrize("case", FINITE_CASES)
+def test_all_finite_agrees_with_isfinite_all_and_warns_nothing(case):
+    from optlab.optimizers.base import all_finite
+
+    a = FINITE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(a) is bool(np.isfinite(a).all())

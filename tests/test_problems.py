@@ -325,3 +325,16 @@ def test_draw_ahead_without_step_streams_does_nothing():
     problem = rosenbrock_problem(4)
     assert problem.step_draws == ()
     problem.draw_ahead(1, 100)
+
+
+@pytest.mark.parametrize("planned", [True, False])
+def test_noise_rows_are_read_only_views_of_the_scalar_stream(planned):
+    problem = build_problem("quadratic", 5, dim=12, noise=1.0)
+    if planned:
+        problem.draw_ahead(21, 30)
+    (noise,) = problem.step_draws
+    for t in (1, 2, 3, 9, 30, 4):
+        row = noise(21, t)
+        assert row.tobytes() == Rng(21, f"noise/{t}").normal(12).tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 0.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import optlab
+from optlab import rng as rng_module
 from optlab.rng import (
     _JUMP,
     _MIN_JUMP_DRAWS,
@@ -288,3 +289,52 @@ def test_ns_band_draws_in_one_call_equal_the_per_key_matrices():
     rows = normal_streams(7, [f"ns-band/{i}" for i in range(50)], 64 * 64)
     for i, row in enumerate(rows):
         assert row.reshape(64, 64).tobytes() == Rng(7, f"ns-band/{i}").normal_matrix(64, 64).tobytes(), i
+
+
+def test_lane_states_hash_mixed_keys_as_the_scalar_seeding():
+    keys = ["", 0, 17, -5, "a", "k" * 40, "bruit/é€😀", "noise/9"]
+    state = _lane_states(2**63 + 11, keys)
+    for lane, key in enumerate(keys):
+        r = Rng(2**63 + 11, key)
+        assert [int(s[lane]) for s in state] == [r._s0, r._s1, r._s2, r._s3], key
+    assert [s.shape for s in _lane_states(1, [])] == [(0,)] * 4
+
+
+def _count_lane_calls(monkeypatch):
+    calls = []
+    real = rng_module._xoshiro_streams
+
+    def counted(state, n):
+        calls.append(n)
+        return real(state, n)
+
+    monkeypatch.setattr(rng_module, "_xoshiro_streams", counted)
+    return calls
+
+
+_T = _MIN_JUMP_DRAWS
+
+
+# (keys, values per key): raw draws one below, at and one above the threshold, with one key and with several
+@pytest.mark.parametrize("count,size", [(1, _T - 1), (1, _T), (1, _T + 1), (3, (_T - 1) // 3), (7, _T // 7), (9, 50)])
+@pytest.mark.parametrize("bound", [1000, 3 * 2**61])
+def test_indices_streams_take_the_lanes_from_the_threshold_on(monkeypatch, count, size, bound):
+    calls = _count_lane_calls(monkeypatch)
+    keys = [f"batch/{t}" for t in range(count)]
+    rows = indices_streams(77, keys, bound, size)
+    assert bool(calls) == (count * size >= _MIN_JUMP_DRAWS)
+    assert rows.shape == (count, size) and rows.dtype == np.int64
+    for key, row in zip(keys, rows):
+        assert row.tolist() == Rng(77, key).indices(bound, size).tolist()
+
+
+# a normal row of n values takes 2 * ceil(n / 2) raw draws
+@pytest.mark.parametrize("count,n", [(1, _T - 2), (1, _T - 1), (1, _T), (1, _T + 1), (4, 110), (4, 111), (4, 113)])
+def test_normal_streams_take_the_lanes_from_the_threshold_on(monkeypatch, count, n):
+    calls = _count_lane_calls(monkeypatch)
+    keys = [f"noise/{t}" for t in range(count)]
+    rows = normal_streams(78, keys, n)
+    assert bool(calls) == (count * 2 * ((n + 1) // 2) >= _MIN_JUMP_DRAWS)
+    assert rows.shape == (count, n) and rows.dtype == np.float64
+    for key, row in zip(keys, rows):
+        assert row.tobytes() == _scalar_normal(Rng(78, key), n).tobytes()
