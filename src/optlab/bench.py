@@ -32,8 +32,7 @@ from pathlib import Path
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError
 from .harness import check_estimator, optimizer_params, run
-from .optimizers import OPTIMIZER_NAMES, OPTIMIZERS
-from .optimizers.engine import wrong_kind
+from .optimizers.engine import optimizer_class, wrong_kind
 from .problems import KINDS
 from .rng import stable_hash
 from .runio import write_run_artifacts
@@ -79,11 +78,14 @@ class ReportTable:
     def rank_of(self, optimizer: str, budget: int) -> int:
         return self.rows[(optimizer, budget)].rank
 
+    def ranked(self, budget: int) -> list[ReportRow]:
+        """The rows of ``budget``, best rank first."""
+        return sorted((self.rows[(o, budget)] for o in self.optimizers), key=lambda r: r.rank)
+
     def csv_text(self) -> str:
         lines = ["optimizer,budget,rank,mean_final_loss,diverged,seeds"]
         for budget in self.budgets:
-            ordered = sorted((self.rows[(o, budget)] for o in self.optimizers), key=lambda r: r.rank)
-            for row in ordered:
+            for row in self.ranked(budget):
                 mean = "" if row.mean_final_loss is None else value_to_str(row.mean_final_loss)
                 lines.append(
                     f"{row.optimizer},{row.budget},{row.rank},{mean},"
@@ -115,8 +117,7 @@ class ReportTable:
         lines = []
         for budget in self.budgets:
             lines.append(f"budget T={budget}")
-            ordered = sorted((self.rows[(o, budget)] for o in self.optimizers), key=lambda r: r.rank)
-            for row in ordered:
+            for row in self.ranked(budget):
                 loss = "diverged" if row.mean_final_loss is None else f"{row.mean_final_loss:.6g}"
                 flag = "  [diverged seeds]" if row.diverged and row.mean_final_loss is not None else ""
                 lines.append(f"  {row.rank:>2}. {row.optimizer:<{width}} {loss}{flag}")
@@ -166,25 +167,21 @@ def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) 
         "run.seed": stable_hash(suite.base_seed, optimizer, budget, replicate),
     }
     try:
-        if optimizer not in OPTIMIZERS:
-            raise ConfigurationError(f"unknown optimizer {optimizer!r}; valid names: {', '.join(OPTIMIZER_NAMES)}")
+        rule = optimizer_class(optimizer)
         cfg = resolve(suite.base_config, suite.overrides.get(optimizer), cell)
-        OPTIMIZERS[optimizer].check_params(optimizer_params(cfg))
+        rule.check_params(optimizer_params(cfg))
         check_estimator(optimizer, cfg["problem.kind"], KINDS[cfg["problem.kind"]])
     except ConfigurationError as exc:
         raise ConfigurationError(f"suite {suite.name!r}: {exc}") from None
     return cfg
 
 
-def _run_cell(args: tuple[dict, str]) -> dict:
+def _run_cell(args: tuple[dict, str]) -> tuple[float | None, bool]:
+    """Run one cell, write its artifacts, and return its ``(final_loss, diverged)``."""
     cfg, run_dir = args
     record = run(cfg)
     write_run_artifacts(record, run_dir)
-    return {
-        "final_loss": record.final_loss,
-        "diverged": record.diverged,
-        "divergence_step": record.divergence_step,
-    }
+    return record.final_loss, record.diverged
 
 
 def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTable:
@@ -212,22 +209,17 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
         outcomes = [_run_cell(args) for _, args in cells]
     by_cell = {key: outcome for (key, _), outcome in zip(cells, outcomes)}
     table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, problem)
-    for optimizer in suite.optimizers:
-        for budget in suite.budgets:
-            outcomes = [by_cell[(optimizer, budget, rep)] for rep in range(suite.seeds)]
-            losses = [o["final_loss"] for o in outcomes]
+    for budget in suite.budgets:
+        rows = []
+        for optimizer in suite.optimizers:
+            losses, diverged = zip(*(by_cell[(optimizer, budget, rep)] for rep in range(suite.seeds)))
             clean = [loss for loss in losses if loss is not None]
             mean = sum(clean) / len(clean) if clean else None
-            diverged = any(o["diverged"] for o in outcomes)
-            table.rows[(optimizer, budget)] = ReportRow(optimizer, budget, losses, mean, diverged)
-    for budget in suite.budgets:
-        def sort_key(opt: str):
-            row = table.rows[(opt, budget)]
-            mean = math.inf if row.mean_final_loss is None else row.mean_final_loss
-            return (1 if row.diverged else 0, mean, opt)
-
-        for rank, opt in enumerate(sorted(suite.optimizers, key=sort_key), start=1):
-            table.rows[(opt, budget)].rank = rank
+            rows.append(ReportRow(optimizer, budget, list(losses), mean, any(diverged)))
+        rows.sort(key=lambda r: (r.diverged, math.inf if r.mean_final_loss is None else r.mean_final_loss, r.optimizer))
+        for rank, row in enumerate(rows, start=1):
+            row.rank = rank
+            table.rows[(row.optimizer, budget)] = row
     return table
 
 

@@ -55,14 +55,13 @@ class _StepDraws:
 
     ``draw(run_seed, keys)`` returns one row per key, each what the scalar
     ``Rng(run_seed, key)`` would give, so the block never changes a value; a
-    block holds at most ``_PREFETCH_VALUES`` values, and a step gets a
-    read-only view of its row. After ``plan(run_seed, last_step)`` a miss at
-    a step of that run draws every step from it to ``last_step`` (up to the
-    cap) and nothing past ``last_step``, so a T-step run makes
-    ceil(T / max_block) draws. Without a plan the block doubles (1,
-    2, 4, ...) while each call asks for the step after the last call's, and
-    any other miss draws a block of one, so out-of-order callers (finite
-    differences, checks) draw no more than the scalar stream would.
+    step gets a read-only view of its row. A miss has one of two policies.
+    After ``plan(run_seed, last_step)`` a miss at a step of that run up to
+    ``last_step`` draws every step from it to ``last_step``, at most
+    ``_PREFETCH_VALUES`` values per block, so a T-step run makes
+    ceil(T / max_block) draws and none past its plan. Any other miss draws
+    the asked step alone, so unplanned callers (finite differences, checks)
+    draw no more than the scalar stream would.
     """
 
     def __init__(self, purpose: str, width: int, draw: Callable):
@@ -70,7 +69,7 @@ class _StepDraws:
         self.draw = draw
         self.max_block = max(1, _PREFETCH_VALUES // max(1, width))
         self.run_seed = self.plan_seed = None
-        self.first = self.last = self.block = self.plan_last = 0
+        self.first = self.plan_last = 0
         self.rows = np.empty((0, width))
 
     def plan(self, run_seed: int, last_step: int) -> None:
@@ -80,16 +79,12 @@ class _StepDraws:
     def __call__(self, run_seed: int, step: int) -> np.ndarray:
         i = step - self.first
         if run_seed != self.run_seed or not 0 <= i < len(self.rows):
+            block = 1
             if run_seed == self.plan_seed and step <= self.plan_last:
-                self.block = min(self.plan_last - step + 1, self.max_block)
-            elif run_seed == self.run_seed and step == self.last + 1:
-                self.block = min(2 * self.block, self.max_block)
-            else:
-                self.block = 1
-            self.rows = self.draw(run_seed, [f"{self.purpose}/{s}" for s in range(step, step + self.block)])
+                block = min(self.plan_last - step + 1, self.max_block)
+            self.rows = self.draw(run_seed, [f"{self.purpose}/{s}" for s in range(step, step + block)])
             self.rows.setflags(write=False)  # callers get views of its rows
             self.run_seed, self.first, i = run_seed, step, 0
-        self.last = step
         return self.rows[i]
 
 

@@ -12,6 +12,8 @@ reproducible: each run owns its Rngs.
 Long streams, and many streams at once, go through one lane engine, :func:`_xoshiro_streams`. Each stream is
 split into lanes of ``_JUMP`` steps; the state update is linear over GF(2), so all lane starts come from
 log2(lanes) rounds of table jumps, and all lanes then run at once in numpy ``uint64`` arithmetic, bit for bit.
+A single stream (``Rng._raw``) and batched rows of many keys (``_raw_streams``) take the engine from
+``_MIN_JUMP_DRAWS`` raw draws in all on; shorter draws run the scalar loop, which costs less there.
 """
 
 from __future__ import annotations
@@ -258,20 +260,25 @@ def _xoshiro_streams(state, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return out.reshape(streams, segments * _JUMP)[:, :n], [s[len(s) - streams :] for s in lanes]
 
 
+def _raw_streams(seed: int, keys, n: int) -> np.ndarray:
+    """Row ``i`` is ``Rng(seed, keys[i])._raw(n)``: scalar rows below ``_MIN_JUMP_DRAWS`` draws in all, else lanes."""
+    if len(keys) * n < _MIN_JUMP_DRAWS:
+        return np.array([Rng(seed, key)._raw(n) for key in keys], dtype=np.uint64).reshape(len(keys), n)
+    return _xoshiro_streams(_lane_states(seed, keys), n)[0]
+
+
 def normal_streams(seed: int, keys, n: int) -> np.ndarray:
     """Row ``i`` is ``Rng(seed, keys[i]).normal(n)``, bit for bit; shape ``(len(keys), n)``.
 
-    Like ``Rng._raw``, a call of fewer than ``_MIN_JUMP_DRAWS`` raw draws in all runs the scalar streams.
+    The raw draws come from ``_raw_streams``, a bounded block of keys at a time.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    keys = list(keys)
-    if len(keys) * 2 * ((n + 1) // 2) < _MIN_JUMP_DRAWS:
-        return np.array([Rng(seed, key).normal(n) for key in keys], dtype=np.float64).reshape(len(keys), n)
+    keys, pairs = list(keys), (n + 1) // 2
     out = np.empty((len(keys), n))
-    block = max(1, _NORMAL_BLOCK // max(1, (n + 1) // 2))  # keys at a time: as in Rng.normal, few temporaries
+    block = max(1, _NORMAL_BLOCK // max(1, pairs))  # keys at a time: as in Rng.normal, few temporaries
     for i in range(0, len(keys), block):
-        raw, _ = _xoshiro_streams(_lane_states(seed, keys[i : i + block]), 2 * ((n + 1) // 2))
+        raw = _raw_streams(seed, keys[i : i + block], 2 * pairs)
         out[i : i + block] = _box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n]
     return out
 
@@ -279,16 +286,12 @@ def normal_streams(seed: int, keys, n: int) -> np.ndarray:
 def indices_streams(seed: int, keys, bound: int, size: int) -> np.ndarray:
     """Row ``i`` is ``Rng(seed, keys[i]).indices(bound, size)``, bit for bit; shape ``(len(keys), size)``.
 
-    A lane that draws a value at or above ``below``'s rejection limit would
-    have drawn again, so its row is recomputed with the scalar stream. As in
-    ``normal_streams``, a call of fewer than ``_MIN_JUMP_DRAWS`` draws runs
-    every row on the scalar stream.
+    The raw draws come from ``_raw_streams``; a row holding a draw at or above ``below``'s rejection limit would
+    have drawn again, so it is recomputed with the scalar stream.
     """
     _check_bound(bound, 63, size)
     keys = list(keys)
-    if len(keys) * size < _MIN_JUMP_DRAWS:
-        return np.array([Rng(seed, key).indices(bound, size) for key in keys], dtype=np.int64).reshape(len(keys), size)
-    raw, _ = _xoshiro_streams(_lane_states(seed, keys), size)
+    raw = _raw_streams(seed, keys, size)
     rows = (raw % np.uint64(bound)).astype(np.int64)
     limit = (1 << 64) - ((1 << 64) % bound)
     if limit <= _MASK:

@@ -308,9 +308,10 @@ def check_rng_streams() -> CheckResult:
     if not all(np.array_equal(row, Rng(42, key).normal(7)) for key, row in zip(keys, normal_streams(42, keys, 7))):
         return _fail("rng/streams", "normal_streams rows differ from the scalar streams")
     for bound in (1000, 3 * 2**61):  # the second rejects a quarter of the raw draws
-        rows = indices_streams(42, keys, bound, 6)
-        if not all(np.array_equal(row, Rng(42, key).indices(bound, 6)) for key, row in zip(keys, rows)):
-            return _fail("rng/streams", f"indices_streams rows differ from the scalar streams (bound {bound})")
+        for size in (6, 50):  # 9 x 50 draws take the lanes, 9 x 6 the scalar rows
+            rows = indices_streams(42, keys, bound, size)
+            if not all(np.array_equal(row, Rng(42, key).indices(bound, size)) for key, row in zip(keys, rows)):
+                return _fail("rng/streams", f"indices_streams rows of {size} differ from the scalar (bound {bound})")
     n = _MIN_JUMP_DRAWS + 1001  # odd, and long enough that Rng.normal draws it in jump-ahead lanes
     lanes, scalar = Rng(42, "long"), Rng(42, "long")
     if lanes.normal(n).tobytes() != _scalar_normal(scalar, n).tobytes():

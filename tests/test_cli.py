@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -287,6 +288,40 @@ class TestBench:
         assert rows["signum"]["diverged"] is True
         assert rows["signum"]["rank"] == 2
         assert rows["adamw"]["rank"] == 1
+
+    def test_report_rows_agree_with_their_cells(self, tmp_path):
+        suite = tmp_path / "suite.cfg"
+        suite.write_text(
+            "suite.optimizers = signum, lion, adamw\n"
+            "suite.budgets = 20, 40\n"
+            "suite.seeds = 2\n"
+            "problem.kind = quadratic\n"
+            "problem.noise = 1.0\n"
+            "schedule.family = constant\n"
+            "adamw.optimizer.lr = 0.03\n"
+            "lion.optimizer.lr = 0.003\n"
+            "signum.optimizer.lr = 1e5\n"  # diverges in every cell
+        )
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(suite), "--out", str(out)]) == 0
+        bench_dir = next(out.glob("bench-*"))
+        doc = json.loads((bench_dir / "report.json").read_text())
+        assert len(doc["rows"]) == 6
+        for row in doc["rows"]:
+            runs = [bench_dir / "runs" / f"{row['optimizer']}-b{row['budget']}-r{rep}" for rep in range(2)]
+            cells = [json.loads((run_dir / "summary.json").read_text()) for run_dir in runs]
+            assert row["final_losses"] == [cell["final_loss"] for cell in cells]
+            assert row["diverged"] == any(cell["diverged"] for cell in cells)
+            clean = [loss for loss in row["final_losses"] if loss is not None]
+            assert row["mean_final_loss"] == (sum(clean) / len(clean) if clean else None)
+        csv_rows = [line.split(",") for line in (bench_dir / "report.csv").read_text().splitlines()[1:]]
+        for budget in (20, 40):
+            rows = [r for r in doc["rows"] if r["budget"] == budget]
+            rows.sort(key=lambda r: (r["diverged"], math.inf if r["mean_final_loss"] is None else r["mean_final_loss"],
+                                     r["optimizer"]))
+            assert [r["rank"] for r in rows] == [1, 2, 3]
+            assert rows[-1]["optimizer"] == "signum" and rows[-1]["diverged"]
+            assert [r[0] for r in csv_rows if r[1] == str(budget)] == [r["optimizer"] for r in rows]
 
     def test_single_cell_rank_one(self, tmp_path):
         suite = tmp_path / "suite.cfg"

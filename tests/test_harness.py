@@ -254,7 +254,7 @@ def test_time_optimizer_plans_each_repeat(monkeypatch):
     asked = _count_stream_draws(monkeypatch, "normal_streams")
     problem = build_problem("quadratic", 1, dim=8, condition=2.0, noise=1.0)
     time_optimizer("adamw", {"lr": 0.01}, problem, steps=40, repeats=3, seed=5)
-    assert len(asked) == 3  # each repeat runs its own seed, so an unplanned repeat would ramp in 6 draws
+    assert len(asked) == 3  # each repeat runs its own seed; an unplanned repeat would draw 40 single steps
     assert all(keys == [f"noise/{t}" for t in range(1, 41)] for keys in asked)
 
 

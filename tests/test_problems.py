@@ -261,27 +261,24 @@ def test_prefetched_noise_is_the_scalar_stream():
         assert np.array_equal(grads["x"], (1.0 / math.sqrt(2.0)) * xi)  # a x* - b is exactly 0
 
 
-def test_prefetch_block_doubles_on_sequential_steps_and_is_capped_by_values():
+def test_every_unplanned_miss_draws_one_step():
     asked = []
 
     def draw(seed, keys):
-        asked.append(len(keys))
-        return np.zeros((len(keys), width))
+        asked.append(keys)
+        return np.zeros((len(keys), 1))
 
-    width = 1
-    draws = _StepDraws("noise", width, draw)
-    for t in range(1, 32):
+    draws = _StepDraws("noise", 1, draw)
+    for t in range(1, 32):  # consecutive steps
         draws(3, t)
-    assert asked == [1, 2, 4, 8, 16]
-    draws(3, 100)  # a jump starts over at one step
-    draws(4, 101)  # so does another run seed
-    assert asked[-2:] == [1, 1]
+    for seed, t in ((3, 100), (3, 7), (4, 101), (4, 101), (3, 101)):  # jumps, a repeat and another run seed
+        draws(seed, t)
+    assert asked == [[f"noise/{t}"] for t in [*range(1, 32), 100, 7, 101, 101]]
+    draws.plan(3, 40)
     asked.clear()
-    width = _PREFETCH_VALUES // 3 + 1
-    draws = _StepDraws("noise", width, draw)
-    for t in range(1, 10):
+    for t in range(41, 45):  # steps past the plan are unplanned too
         draws(3, t)
-    assert asked == [1, 2, 2, 2, 2]
+    assert asked == [[f"noise/{t}"] for t in range(41, 45)]
 
 
 @pytest.mark.parametrize("planned", ["whole", "half"])
@@ -291,7 +288,7 @@ def test_planned_draws_are_the_scalar_rows_in_any_access_order(kind, pattern, pl
     calls = ACCESS_PATTERNS[pattern]
     last = max(t for _, t in calls)
     problem = PREFETCH_PROBLEMS[kind]()
-    problem.draw_ahead(11, last if planned == "whole" else last // 2)  # steps past a plan fall back to the ramp
+    problem.draw_ahead(11, last if planned == "whole" else last // 2)  # steps past a plan are drawn one at a time
     (draws,) = problem.step_draws
     for seed, t in calls:
         assert np.array_equal(draws(seed, t), SCALAR_ROWS[kind](seed, t))

@@ -8,6 +8,7 @@ import pytest
 
 import optlab
 from optlab import rng as rng_module
+from optlab import verify
 from optlab.rng import (
     _JUMP,
     _MIN_JUMP_DRAWS,
@@ -313,6 +314,31 @@ def _count_lane_calls(monkeypatch):
 
 
 _T = _MIN_JUMP_DRAWS
+
+
+def test_the_rng_check_takes_the_lanes_of_both_stream_functions(monkeypatch):
+    inside, reached = [], set()
+    real_streams = rng_module._xoshiro_streams
+
+    def counted(state, n):
+        reached.update(inside)
+        return real_streams(state, n)
+
+    def entered(name, real):
+        def wrapped(*args):
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(rng_module, "_xoshiro_streams", counted)
+    for name in ("normal_streams", "indices_streams"):
+        monkeypatch.setattr(verify, name, entered(name, getattr(verify, name)))
+    assert verify.check_rng_streams().passed
+    assert reached == {"normal_streams", "indices_streams"}
 
 
 # (keys, values per key): raw draws one below, at and one above the threshold, with one key and with several
