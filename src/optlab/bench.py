@@ -11,11 +11,11 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
->= 1. ``run_suite`` resolves every cell's run config, and checks its rule's
-name, hyperparameters and GNB pairing, before any cell runs, so a ``SuiteSpec``
-built in code is checked as a parsed file is. Every rule must resolve to the
-same ``problem.kind``: ranks compare final losses across rules, and losses of
-different problems are not comparable.
+>= 1. ``run_suite`` resolves every cell's run config, checks its rule's name,
+hyperparameters and GNB pairing, and builds its learning-rate schedule, before
+any cell runs, so a ``SuiteSpec`` built in code is checked as a parsed file
+is. Every rule must resolve to the same ``problem.kind``: ranks compare final
+losses across rules, and losses of different problems are not comparable.
 
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
-from .errors import ConfigurationError
-from .harness import check_estimator, optimizer_params, run
+from .errors import ConfigurationError, ContractViolationError
+from .harness import check_estimator, optimizer_params, run, run_schedule
 from .optimizers.engine import optimizer_class, wrong_kind
 from .problems import KINDS
 from .rng import stable_hash
@@ -160,7 +160,7 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
 
 
 def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) -> dict:
-    """One cell's resolved run config, with its rule's name, hyperparameters and GNB pairing checked."""
+    """One cell's resolved run config, with its rule's name, hyperparameters, GNB pairing and schedule checked."""
     cell = {
         "optimizer.name": optimizer,
         "run.steps": budget,
@@ -169,9 +169,11 @@ def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) 
     try:
         rule = optimizer_class(optimizer)
         cfg = resolve(suite.base_config, suite.overrides.get(optimizer), cell)
-        rule.check_params(optimizer_params(cfg))
+        params = optimizer_params(cfg)
+        rule.check_params(params)
         check_estimator(optimizer, cfg["problem.kind"], KINDS[cfg["problem.kind"]])
-    except ConfigurationError as exc:
+        run_schedule(cfg, params.get("lr", rule.defaults["lr"]))  # as setup_run builds it, at the engine's lr
+    except (ConfigurationError, ContractViolationError) as exc:
         raise ConfigurationError(f"suite {suite.name!r}: {exc}") from None
     return cfg
 

@@ -118,6 +118,11 @@ def check_estimator(optimizer: str, problem: str, supports_gnb: bool) -> None:
         )
 
 
+def run_schedule(cfg: dict, gamma_max: float) -> ScheduleSpec:
+    """The learning-rate schedule of resolved config ``cfg``, peaking at ``gamma_max`` (the rule's lr)."""
+    return ScheduleSpec(gamma_max=gamma_max, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
+
+
 def setup_run(cfg: dict):
     """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from its sections."""
     cfg = resolve(cfg)
@@ -130,8 +135,7 @@ def setup_run(cfg: dict):
     blocks = problem.init_blocks(0)
     engine = make_optimizer(opt_name, blocks, cfg["run.steps"], opt_params)
     check_estimator(opt_name, problem.name, problem.supports_gnb)
-    schedule = ScheduleSpec(gamma_max=engine.lr, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
-    return cfg, problem, blocks, engine, schedule
+    return cfg, problem, blocks, engine, run_schedule(cfg, engine.lr)
 
 
 def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: ScheduleSpec, seed: int,

@@ -3,7 +3,10 @@
 Every ``*_step`` function mutates ``block.values`` and its state in place and
 returns the increment that was added to the parameters (for update-norm
 logging). Weight decay is decoupled everywhere: the shrinkage term ``lam * x``
-rides inside the update, never inside the gradient.
+rides inside the update, never inside the gradient. :func:`decoupled_update`
+is the one place that applies it: every rule that decays ends its step there.
+Only ``muon_step`` (no decay on the matrix path) and ``sfadamw_step`` (the
+parameters are an averaged iterate) commit on their own.
 """
 
 from __future__ import annotations
@@ -37,6 +40,21 @@ def check_finite_buffers(owner: str, *buffers) -> None:
     for buf in buffers:
         if not all_finite(buf):
             raise PoisonedStateError(f"non-finite state buffer in {owner}")
+
+
+def decoupled_update(block: ParamBlock, direction, gamma: float, lam: float, owner: str, *buffers) -> np.ndarray:
+    """Commit ``x <- x - gamma * (direction + lam * x)`` and return the increment.
+
+    Then ``owner``'s state ``buffers`` and the new parameters must be finite.
+    ``gamma`` and ``lam`` are plain floats, not a :class:`CommonHyper`:
+    prodigy passes its adapted ``gamma_t * d``, whose non-finite value must
+    surface as :class:`PoisonedStateError`, not as a contract violation.
+    """
+    delta = -gamma * (direction + lam * block.values)
+    block.values += delta
+    check_finite_buffers(owner, *buffers)
+    check_finite_values(block)
+    return delta
 
 
 def check_beta(name: str, value: float, *, allow_zero: bool = False) -> None:
@@ -103,11 +121,8 @@ def adamw_step(
     state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
     mhat = state.m / (1.0 - beta1**t)
     vhat = state.v / (1.0 - beta2**t)
-    delta = -hyper.gamma * (mhat / (np.sqrt(vhat) + hyper.eps) + hyper.lam * block.values)
-    block.values += delta
-    check_finite_buffers("adamw", state.m, state.v)
-    check_finite_values(block)
-    return delta
+    direction = mhat / (np.sqrt(vhat) + hyper.eps)
+    return decoupled_update(block, direction, hyper.gamma, hyper.lam, "adamw", state.m, state.v)
 
 
 def adopt_init(state: AdoptState, grad: np.ndarray) -> None:
@@ -135,12 +150,8 @@ def adopt_step(
     c = state.t**0.25
     ratio = grad / np.maximum(np.sqrt(state.v), hyper.eps)
     state.m = beta1 * state.m + (1.0 - beta1) * np.clip(ratio, -c, c)
-    delta = -hyper.gamma * (state.m + hyper.lam * block.values)
-    block.values += delta
     state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    check_finite_buffers("adopt", state.m, state.v)
-    check_finite_values(block)
-    return delta
+    return decoupled_update(block, state.m, hyper.gamma, hyper.lam, "adopt", state.m, state.v)
 
 
 def ademamix_step(
@@ -170,8 +181,5 @@ def ademamix_step(
     mhat = state.m / (1.0 - beta1**t)
     vhat = state.v / (1.0 - beta2**t)
     num = mhat + alpha_t * state.m_slow
-    delta = -hyper.gamma * (num / (np.sqrt(vhat) + hyper.eps) + hyper.lam * block.values)
-    block.values += delta
-    check_finite_buffers("ademamix", state.m, state.m_slow, state.v)
-    check_finite_values(block)
-    return delta
+    direction = num / (np.sqrt(vhat) + hyper.eps)
+    return decoupled_update(block, direction, hyper.gamma, hyper.lam, "ademamix", state.m, state.m_slow, state.v)

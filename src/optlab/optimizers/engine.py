@@ -12,11 +12,12 @@ default value). That table is the only list of what the rule accepts:
 kind, then stores every value as an attribute. ``config.OPTIMIZER_KEYS`` is
 the union of the tables.
 
-Block-by-block rules (:class:`_PerBlock`) build each block's
-:class:`CommonHyper` and hand it to the rule's ``_rule``. Hybrid rules (Muon,
+Block-by-block rules (:class:`_PerBlock`) build one :class:`CommonHyper` a
+step and hand it to the rule's ``_rule`` for every block. Hybrid rules (Muon,
 DMuon, SOAP and the MARS family) share one router, :class:`_Hybrid`:
 ``matrix`` blocks take the rule's matrix path and every other block runs
-AdamW with the rule's 1-D values.
+AdamW with the rule's 1-D values, each group with its own step's
+:class:`CommonHyper`.
 
 Engines are constructed through :func:`make_optimizer`.
 """
@@ -121,7 +122,7 @@ class _PerBlock(Optimizer):
     """Engines whose rule applies block by block.
 
     Each block's state comes from ``_new_state``; a step hands ``_rule`` the
-    block's state and a :class:`CommonHyper` at ``lr * scale``.
+    block's state and the step's one :class:`CommonHyper` at ``lr * scale``.
     """
 
     state_type = None
@@ -138,12 +139,9 @@ class _PerBlock(Optimizer):
     def _rule(self, block: ParamBlock, grad: np.ndarray, state, hyper: CommonHyper) -> np.ndarray:
         raise NotImplementedError
 
-    def _step_block(self, block: ParamBlock, grad: np.ndarray, scale: float) -> np.ndarray:
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        return self._rule(block, grad, self.states[block.name], hyper)
-
     def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
-        deltas = [self._step_block(b, grads[b.name], scale) for b in self.blocks]
+        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+        deltas = [self._rule(b, grads[b.name], self.states[b.name], hyper) for b in self.blocks]
         return StepInfo(global_norm(deltas), self.lr * scale)
 
 
@@ -250,13 +248,19 @@ class _Hybrid(_PerBlock):
     def _new_state(self, block):
         return self.state_type.for_block(block)
 
-    def _step_block(self, block, grad, scale):
-        adam = self.adam_states.get(block.name)
-        if adam is None:
-            hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-            return self._rule(block, grad, self.states[block.name], hyper)
-        hyper = CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
-        return base.adamw_step(block, grad, adam, hyper, *self.betas_1d)
+    def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
+        # a group's CommonHyper is built as its first block steps, so a bad value raises before that block moves
+        hyper = hyper_1d = None
+        deltas = []
+        for b in self.blocks:
+            adam = self.adam_states.get(b.name)
+            if adam is None:
+                hyper = hyper or CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+                deltas.append(self._rule(b, grads[b.name], self.states[b.name], hyper))
+            else:
+                hyper_1d = hyper_1d or CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
+                deltas.append(base.adamw_step(b, grads[b.name], adam, hyper_1d, *self.betas_1d))
+        return StepInfo(global_norm(deltas), self.lr * scale)
 
 
 class Muon(_Hybrid):

@@ -18,7 +18,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
 from ..linalg import frobenius_norm
-from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
+from .base import check_beta, check_finite_grad, decoupled_update
 from .muon import NS_COEFFS, NS_ITERS, newton_schulz_orthogonalize
 
 VARIANTS = ("adamw", "lion", "shampoo")
@@ -76,9 +76,5 @@ def mars_step(
             direction = np.zeros(block.shape)
         else:
             direction = newton_schulz_orthogonalize(state.m, ns_iters, ns_coeffs)
-    delta = -hyper.gamma * (direction + hyper.lam * block.values)
-    block.values += delta
     state.g_prev = grad.copy()
-    check_finite_buffers("mars", state.m, state.v)
-    check_finite_values(block)
-    return delta
+    return decoupled_update(block, direction, hyper.gamma, hyper.lam, "mars", state.m, state.v)

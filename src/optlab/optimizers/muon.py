@@ -17,7 +17,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
 from ..linalg import as_matrix, frobenius_norm
-from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
+from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values, decoupled_update
 
 #: Quintic iteration coefficients tuned for fast convergence of the top
 #: singular values; the fixed band they converge to is what the regression
@@ -82,7 +82,8 @@ def muon_step(
     """Orthogonalized Nesterov momentum on a matrix block: x <- x - gamma * NS(d).
 
     No weight decay is applied, so the parameters are independent of
-    ``hyper.lam``.
+    ``hyper.lam``; with nothing to decay, the step commits on its own rather
+    than through ``decoupled_update``.
     """
     check_finite_grad(grad)
     check_beta("beta", beta, allow_zero=True)
@@ -118,8 +119,4 @@ def dmuon_step(
         ortho = np.zeros(block.shape)
     else:
         ortho = newton_schulz_orthogonalize(d, ns_iters, ns_coeffs)
-    delta = -hyper.gamma * (scale * ortho + hyper.lam * block.values)
-    block.values += delta
-    check_finite_buffers("dmuon", state.m)
-    check_finite_values(block)
-    return delta
+    return decoupled_update(block, scale * ortho, hyper.gamma, hyper.lam, "dmuon", state.m)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
-from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
+from .base import check_beta, check_finite_grad, decoupled_update
 
 D_INIT = 1e-6
 
@@ -81,11 +81,9 @@ def prodigy_step(
     d_next = max(d, state.r / s_norm1) if s_norm1 > 0.0 else d
     deltas: dict[str, np.ndarray] = {}
     for block in blocks:
-        num = state.m[block.name] / (np.sqrt(state.v[block.name]) + d * hyper.eps)
-        delta = -gamma_t * d * (num + hyper.lam * block.values)
-        block.values += delta
-        deltas[block.name] = delta
-        check_finite_buffers("prodigy", state.m[block.name], state.v[block.name], state.s[block.name])
-        check_finite_values(block)
+        m, v, s = state.m[block.name], state.v[block.name], state.s[block.name]
+        direction = m / (np.sqrt(v) + d * hyper.eps)
+        # -(gamma_t * d) rounds exactly as (-gamma_t) * d: IEEE rounding is sign-symmetric
+        deltas[block.name] = decoupled_update(block, direction, gamma_t * d, hyper.lam, "prodigy", m, v, s)
     state.d = d_next
     return deltas, gamma_t * d

@@ -8,7 +8,9 @@ c_t = gamma_t^2 / sum(gamma_i^2) make x a convex combination of all past z
 iterates, with c_1 = 1 so x_1 = z_1 exactly.
 
 This rule operates on the whole block group at once because gamma_t and c_t
-are scalars shared across blocks.
+are scalars shared across blocks. Its decoupled decay acts on the fast
+sequence z, and the parameters move to an average of x and z, so it commits
+on its own rather than through ``base.decoupled_update``.
 """
 
 from __future__ import annotations

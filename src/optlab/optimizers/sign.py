@@ -13,7 +13,7 @@ import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
-from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
+from .base import check_beta, check_finite_grad, decoupled_update
 
 
 @dataclass
@@ -41,13 +41,9 @@ def lion_step(
     check_beta("beta1", beta1)
     check_beta("beta2", beta2)
     direction = np.sign(beta1 * state.m + (1.0 - beta1) * grad)
-    delta = -hyper.gamma * (direction + hyper.lam * block.values)
-    block.values += delta
     state.m = beta2 * state.m + (1.0 - beta2) * grad
     state.t += 1
-    check_finite_buffers("lion", state.m)
-    check_finite_values(block)
-    return delta
+    return decoupled_update(block, direction, hyper.gamma, hyper.lam, "lion", state.m)
 
 
 def signum_step(
@@ -77,10 +73,6 @@ def signum_step(
     g = grad + hyper.lam * block.values if coupled_wd else grad
     state.m = beta * state.m + (1.0 - dampening) * g
     direction = np.sign(g + beta * state.m) if nesterov else np.sign(state.m)
-    shrink = 0.0 if coupled_wd else hyper.lam
-    delta = -hyper.gamma * (direction + shrink * block.values)
-    block.values += delta
     state.t += 1
-    check_finite_buffers("signum", state.m)
-    check_finite_values(block)
-    return delta
+    # coupled decay already sits inside the sign; the update then shrinks nothing
+    return decoupled_update(block, direction, hyper.gamma, 0.0 if coupled_wd else hyper.lam, "signum", state.m)

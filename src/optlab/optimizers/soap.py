@@ -27,7 +27,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError, DegenerateInputError, NumericalFailureError
 from ..linalg import qr_orthonormal, sym_eigenbasis
-from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
+from .base import check_beta, check_finite_grad, decoupled_update
 
 
 @dataclass
@@ -104,8 +104,6 @@ def soap_step(
         num = m_rot
         den = np.sqrt(state.v) + hyper.eps
     update = state.q_l @ (num / den) @ state.q_r.T
-    delta = -hyper.gamma * (update + hyper.lam * block.values)
-    block.values += delta
     state.l_stat = beta2 * state.l_stat + (1.0 - beta2) * (grad @ grad.T)
     state.r_stat = beta2 * state.r_stat + (1.0 - beta2) * (grad.T @ grad)
     freq = state.precond_freq
@@ -123,6 +121,4 @@ def soap_step(
             raise NumericalFailureError(f"preconditioner refresh failed at step {t}: {exc}") from exc
         else:
             state.q_l, state.q_r = new_q_l, new_q_r
-    check_finite_buffers("soap", state.m, state.v, state.l_stat, state.r_stat)
-    check_finite_values(block)
-    return delta
+    return decoupled_update(block, update, hyper.gamma, hyper.lam, "soap", state.m, state.v, state.l_stat, state.r_stat)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
-from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
+from .base import check_beta, check_finite_grad, decoupled_update
 
 
 @dataclass
@@ -67,8 +67,4 @@ def sophia_step(
         h_hat = batch_size * resampled_grad * resampled_grad
         state.h = beta2 * state.h + (1.0 - beta2) * h_hat
     ratio = np.minimum(np.abs(state.m) / (rho * state.h + hyper.eps), 1.0)
-    delta = -hyper.gamma * (np.sign(state.m) * ratio + hyper.lam * block.values)
-    block.values += delta
-    check_finite_buffers("sophia", state.m, state.h)
-    check_finite_values(block)
-    return delta
+    return decoupled_update(block, np.sign(state.m) * ratio, hyper.gamma, hyper.lam, "sophia", state.m, state.h)

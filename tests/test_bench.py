@@ -12,8 +12,10 @@ BASE = {"problem.kind": "quadratic", "schedule.family": "constant"}
         (("adamw", "sophia"), {}, "optimizer 'sophia' needs the GNB estimator"),
         (("signum", "adamw"), {"adamw": {"optimizer.momentum": 0.9}}, "'adamw' takes no hyperparameter 'momentum'"),
         (("adamw", "sgd"), {}, "unknown optimizer 'sgd'"),
+        (("adamw", "signum"), {"signum": {"schedule.warmup_steps": 5}}, "need 0 <= warmup_steps < total_steps"),
+        (("adamw", "signum"), {"signum": {"optimizer.lr": -0.001}}, "gamma_max must be positive"),
     ],
-    ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer"],
+    ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer", "warmup-covers-budget", "negative-lr"],
 )
 def test_built_suite_is_checked_before_any_cell_runs(tmp_path, optimizers, overrides, message):
     suite = SuiteSpec("x", optimizers, (5,), 1, 1, dict(BASE), overrides)

@@ -8,7 +8,8 @@ import pytest
 import optlab.optimizers as opts
 from optlab.blocks import CommonHyper, ParamBlock
 from optlab.errors import ContractViolationError, PoisonedStateError
-from optlab.optimizers.engine import Mars, Muon, Soap
+from optlab.optimizers import base, mars, muon, prodigy, sign, soap, sophia
+from optlab.optimizers.engine import OPTIMIZER_NAMES, Mars, Muon, Soap, make_optimizer
 from optlab.schedules import EmaScheduleSpec
 
 H = CommonHyper(0.1, 0.0)
@@ -321,3 +322,44 @@ class TestMars:
         block = ParamBlock("w", np.zeros((2, 2)), role="matrix")
         with pytest.raises(ContractViolationError):
             opts.mars_step(block, np.ones((2, 2)), opts.MarsState.for_block(block), H, "sgd")
+
+
+class TestDecoupledUpdate:
+    def test_commits_and_returns_the_decayed_step(self):
+        x = np.array([1.5, -2.0, 0.25])
+        direction = np.array([0.3, -0.7, 1.1])
+        block = ParamBlock("x", x.copy())
+        delta = base.decoupled_update(block, direction, 0.1, 0.01, "rule")
+        expected = -0.1 * (direction + 0.01 * x)
+        assert np.array_equal(delta, expected)
+        assert np.array_equal(block.values, x + expected)
+
+    def test_non_finite_buffer_or_result_poisons(self):
+        with pytest.raises(PoisonedStateError, match="non-finite state buffer in rule"):
+            base.decoupled_update(scalar_block(1.0), np.ones(1), 0.1, 0.0, "rule", np.ones(1), np.array([np.inf]))
+        with pytest.raises(PoisonedStateError, match="non-finite parameters in block 'x'"):
+            base.decoupled_update(scalar_block(1.0), np.array([np.nan]), 0.1, 0.0, "rule", np.ones(1))
+
+    @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+    def test_engines_commit_each_block_once_per_step(self, monkeypatch, name):
+        calls = []
+
+        def counted(block, *args, _fn=base.decoupled_update):
+            calls.append(block.name)
+            return _fn(block, *args)
+
+        for module in (base, mars, muon, prodigy, sign, soap, sophia):
+            monkeypatch.setattr(module, "decoupled_update", counted)
+        rng = np.random.default_rng(3)
+        blocks = [ParamBlock("w", rng.standard_normal((3, 4)), "matrix"), ParamBlock("b", rng.standard_normal(3))]
+        engine = make_optimizer(name, blocks, 3, {"weight_decay": 0.1})
+        # muon's matrix path has no decay and sf-adamw moves to an averaged iterate: neither commits here
+        never = {"muon": {"w"}, "sf-adamw": {"w", "b"}}.get(name, set())
+        # the first step of adopt, and of soap's matrix path, only seeds state and moves nothing
+        seeding = {"adopt": {"w", "b"}, "soap": {"w"}}.get(name, set())
+        for t in range(1, 4):
+            grads = {b.name: rng.standard_normal(b.shape) for b in blocks}
+            calls.clear()
+            engine.step(grads, 1.0, grads if engine.wants_estimate() else None, 8)
+            skip = never | (seeding if t == 1 else set())
+            assert calls == [b.name for b in blocks if b.name not in skip], f"step {t}"
