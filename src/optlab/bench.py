@@ -12,10 +12,13 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
 >= 1. ``run_suite`` resolves every cell's run config, checks its rule's name,
-hyperparameters and GNB pairing, and builds its learning-rate schedule, before
-any cell runs, so a ``SuiteSpec`` built in code is checked as a parsed file
-is. Every rule must resolve to the same ``problem.kind``: ranks compare final
-losses across rules, and losses of different problems are not comparable.
+the names and kinds of its hyperparameters and its GNB pairing, and builds its
+learning-rate schedule, before any cell runs, so a ``SuiteSpec`` built in code
+is checked as a parsed file is. Value ranges that only the rule or the problem
+checks (a ``beta1`` of 1.5, a ``problem.dim`` of 0) are not checked there: such
+a cell fails when it runs. Every rule must resolve to the same
+``problem.kind``: ranks compare final losses across rules, and losses of
+different problems are not comparable.
 
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
@@ -160,7 +163,7 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
 
 
 def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) -> dict:
-    """One cell's resolved run config, with its rule's name, hyperparameters, GNB pairing and schedule checked."""
+    """One cell's resolved run config, after checking its rule, hyperparameter names and kinds, GNB pairing, schedule."""
     cell = {
         "optimizer.name": optimizer,
         "run.steps": budget,

@@ -44,9 +44,6 @@ class ParamBlock:
     def matrix_routed(self) -> bool:
         return self.role == "matrix"
 
-    def copy(self) -> "ParamBlock":
-        return ParamBlock(self.name, self.values.copy(), self.role)
-
 
 @dataclass(frozen=True)
 class CommonHyper:

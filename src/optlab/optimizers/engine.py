@@ -12,12 +12,13 @@ default value). That table is the only list of what the rule accepts:
 kind, then stores every value as an attribute. ``config.OPTIMIZER_KEYS`` is
 the union of the tables.
 
-Block-by-block rules (:class:`_PerBlock`) build one :class:`CommonHyper` a
-step and hand it to the rule's ``_rule`` for every block. Hybrid rules (Muon,
-DMuon, SOAP and the MARS family) share one router, :class:`_Hybrid`:
-``matrix`` blocks take the rule's matrix path and every other block runs
-AdamW with the rule's 1-D values, each group with its own step's
-:class:`CommonHyper`.
+The twelve block-by-block rules share one router, :class:`_PerBlock`. It
+sends each block down the rule's path (``_rule``) or to the AdamW 1-D group,
+once, at construction, and steps both groups in block order, each with its
+own step's :class:`CommonHyper`. Plain rules have no 1-D group, so every
+block takes the rule's path; the hybrid rules (:class:`_Hybrid`: Muon, DMuon,
+SOAP and the MARS family) send ``matrix`` blocks down it and run every other
+block as AdamW with the rule's 1-D values.
 
 Engines are constructed through :func:`make_optimizer`.
 """
@@ -119,29 +120,59 @@ class Optimizer:
 
 
 class _PerBlock(Optimizer):
-    """Engines whose rule applies block by block.
+    """The one router of the block-by-block engines.
 
-    Each block's state comes from ``_new_state``; a step hands ``_rule`` the
-    block's state and the step's one :class:`CommonHyper` at ``lr * scale``.
+    Routing is decided once, here: a block takes the rule's path when
+    ``_takes_rule_path`` says so; its state, built by ``_new_state``, goes in
+    ``states``, and a step hands ``_rule`` the block's state and the step's
+    :class:`CommonHyper` at ``lr * scale``, plus the block's resampled
+    gradient and the batch size for rules that set ``needs_gnb``. Every other
+    block is the 1-D group: its state goes in ``adam_states`` and
+    ``base.adamw_step`` steps it at ``lr_1d * scale`` with ``weight_decay_1d``
+    and ``betas_1d``, read from the attributes that ``keys_1d`` names. An
+    engine without ``keys_1d`` has no 1-D group.
     """
 
     state_type = None
     #: the sign rules take no epsilon and step with CommonHyper's default
     eps = 1e-8
+    #: attributes giving the 1-D group its lr, weight decay, beta1 and beta2
+    keys_1d: tuple[str, str, str, str] | None = None
 
     def __init__(self, blocks, **params):
         super().__init__(blocks, **params)
-        self.states = {b.name: self._new_state(b) for b in self.blocks}
+        if self.keys_1d is not None:
+            lr_1d, wd_1d, beta1_1d, beta2_1d = (getattr(self, key) for key in self.keys_1d)
+            self.lr_1d, self.weight_decay_1d, self.betas_1d = lr_1d, wd_1d, (beta1_1d, beta2_1d)
+        self.states, self.adam_states = {}, {}
+        for b in self.blocks:
+            if self._takes_rule_path(b):
+                self.states[b.name] = self._new_state(b)
+            else:
+                self.adam_states[b.name] = base.AdamLikeState.zeros(b.shape)
+
+    def _takes_rule_path(self, block: ParamBlock) -> bool:
+        return self.keys_1d is None or block.matrix_routed()
 
     def _new_state(self, block: ParamBlock):
         return self.state_type.zeros(block.shape)
 
-    def _rule(self, block: ParamBlock, grad: np.ndarray, state, hyper: CommonHyper) -> np.ndarray:
+    def _rule(self, block: ParamBlock, grad: np.ndarray, state, hyper: CommonHyper, *gnb) -> np.ndarray:
         raise NotImplementedError
 
     def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        deltas = [self._rule(b, grads[b.name], self.states[b.name], hyper) for b in self.blocks]
+        # a group's CommonHyper is built as its first block steps, so a bad value raises before that block moves
+        hyper = hyper_1d = None
+        deltas = []
+        for b in self.blocks:
+            adam = self.adam_states.get(b.name)
+            if adam is None:
+                hyper = hyper or CommonHyper(self.lr * scale, self.weight_decay, self.eps)
+                gnb = (None if resampled is None else resampled[b.name], batch_size) if self.needs_gnb else ()
+                deltas.append(self._rule(b, grads[b.name], self.states[b.name], hyper, *gnb))
+            else:
+                hyper_1d = hyper_1d or CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
+                deltas.append(base.adamw_step(b, grads[b.name], adam, hyper_1d, *self.betas_1d))
         return StepInfo(global_norm(deltas), self.lr * scale)
 
 
@@ -217,50 +248,12 @@ class Signum(_PerBlock):
 
 
 class _Hybrid(_PerBlock):
-    """Engines that send matrix blocks through the rule and the rest to AdamW.
+    """Engines that send matrix blocks through the rule and the rest to AdamW."""
 
-    Routing is decided once, here: a block takes the matrix path when
-    ``_takes_matrix_path`` says so (its role is ``matrix``); its state, built
-    by ``_new_state``, goes in ``states``. Every other block is the 1-D group:
-    its state goes in ``adam_states`` and ``base.adamw_step`` steps it at
-    ``lr_1d * scale`` with ``weight_decay_1d`` and ``betas_1d``, read from the
-    attributes that ``keys_1d`` names.
-    """
-
-    #: attributes giving the 1-D group its lr, weight decay, beta1 and beta2
     keys_1d = ("lr_1d", "weight_decay", "beta1_1d", "beta2_1d")
-
-    def __init__(self, blocks, **params):
-        # the routing below replaces _PerBlock's one state per block
-        Optimizer.__init__(self, blocks, **params)
-        lr_1d, wd_1d, beta1_1d, beta2_1d = (getattr(self, key) for key in self.keys_1d)
-        self.lr_1d, self.weight_decay_1d, self.betas_1d = lr_1d, wd_1d, (beta1_1d, beta2_1d)
-        self.states, self.adam_states = {}, {}
-        for b in self.blocks:
-            if self._takes_matrix_path(b):
-                self.states[b.name] = self._new_state(b)
-            else:
-                self.adam_states[b.name] = base.AdamLikeState.zeros(b.shape)
-
-    def _takes_matrix_path(self, block: ParamBlock) -> bool:
-        return block.matrix_routed()
 
     def _new_state(self, block):
         return self.state_type.for_block(block)
-
-    def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
-        # a group's CommonHyper is built as its first block steps, so a bad value raises before that block moves
-        hyper = hyper_1d = None
-        deltas = []
-        for b in self.blocks:
-            adam = self.adam_states.get(b.name)
-            if adam is None:
-                hyper = hyper or CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-                deltas.append(self._rule(b, grads[b.name], self.states[b.name], hyper))
-            else:
-                hyper_1d = hyper_1d or CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
-                deltas.append(base.adamw_step(b, grads[b.name], adam, hyper_1d, *self.betas_1d))
-        return StepInfo(global_norm(deltas), self.lr * scale)
 
 
 class Muon(_Hybrid):
@@ -306,7 +299,7 @@ class Soap(_Hybrid):
     nullable = ("precond_freq",)
     keys_1d = ("lr", "weight_decay", "beta1", "beta2")
 
-    def _takes_matrix_path(self, block):
+    def _takes_rule_path(self, block):
         return block.matrix_routed() and max(block.shape) <= self.precond_max_dim
 
     def _new_state(self, block):
@@ -329,14 +322,10 @@ class Sophia(_PerBlock):
         t_next = next(iter(self.states.values())).t + 1
         return sophia.sophia_wants_estimate(t_next, self.estimator_freq)
 
-    def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
-        hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        deltas = [
-            sophia.sophia_step(b, grads[b.name], self.states[b.name], hyper, self.beta1, self.beta2, self.rho,
-                               self.estimator_freq, None if resampled is None else resampled[b.name], batch_size)
-            for b in self.blocks
-        ]
-        return StepInfo(global_norm(deltas), self.lr * scale)
+    def _rule(self, block, grad, state, hyper, resampled_grad, batch_size):
+        return sophia.sophia_step(
+            block, grad, state, hyper, self.beta1, self.beta2, self.rho, self.estimator_freq, resampled_grad, batch_size
+        )
 
 
 class ScheduleFreeAdamW(Optimizer):

@@ -9,7 +9,7 @@ import optlab.optimizers as opts
 from optlab.blocks import CommonHyper, ParamBlock
 from optlab.errors import ContractViolationError, PoisonedStateError
 from optlab.optimizers import base, mars, muon, prodigy, sign, soap, sophia
-from optlab.optimizers.engine import OPTIMIZER_NAMES, Mars, Muon, Soap, make_optimizer
+from optlab.optimizers.engine import OPTIMIZER_NAMES, OPTIMIZERS, Mars, Muon, Soap, make_optimizer
 from optlab.schedules import EmaScheduleSpec
 
 H = CommonHyper(0.1, 0.0)
@@ -322,6 +322,57 @@ class TestMars:
         block = ParamBlock("w", np.zeros((2, 2)), role="matrix")
         with pytest.raises(ContractViolationError):
             opts.mars_step(block, np.ones((2, 2)), opts.MarsState.for_block(block), H, "sgd")
+
+
+def assert_bit_identical(a, b, path="engine"):
+    """Recursively compare two engines' attributes: arrays by their bytes, everything else by ``==``."""
+    if isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), path
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_bit_identical(a[key], b[key], f"{path}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_bit_identical(x, y, f"{path}[{i}]")
+    elif hasattr(a, "__dict__"):
+        assert_bit_identical(vars(a), vars(b), path)
+    else:
+        assert a == b, path
+
+
+class TestRouter:
+    @pytest.mark.parametrize("name", ["adamw", "adopt", "ademamix", "lion", "signum", "sophia"])
+    def test_engines_without_a_1d_group_step_every_block_by_the_rule(self, name):
+        blocks = [
+            ParamBlock("w", np.zeros((3, 4)), "matrix"),
+            ParamBlock("e", np.zeros((5, 2)), "embedding"),
+            ParamBlock("b", np.zeros(3), "vector"),
+        ]
+        engine = make_optimizer(name, blocks, 10)
+        assert list(engine.states) == ["w", "e", "b"]
+        assert engine.adam_states == {}
+
+    @pytest.mark.parametrize("name", [n for n in OPTIMIZER_NAMES if not OPTIMIZERS[n].needs_gnb])
+    def test_gnb_arguments_are_ignored_by_rules_that_do_not_need_them(self, name):
+        def engine():
+            rng = np.random.default_rng(5)
+            blocks = [ParamBlock("w", rng.standard_normal((3, 4)), "matrix"), ParamBlock("b", rng.standard_normal(3))]
+            return make_optimizer(name, blocks, 4, {"weight_decay": 0.1})
+
+        plain, given = engine(), engine()
+        rng = np.random.default_rng(6)
+        for t in range(1, 5):
+            grads = {b.name: rng.standard_normal(b.shape) for b in plain.blocks}
+            resampled = {b.name: rng.standard_normal(b.shape) for b in plain.blocks}
+            before = [b.values.copy() for b in plain.blocks]
+            info_plain = plain.step(grads, 0.5)
+            info_given = given.step(grads, 0.5, resampled, 8)
+            assert_bit_identical(info_plain, info_given, f"StepInfo at step {t}")
+            for x0, b_plain, b_given in zip(before, plain.blocks, given.blocks):
+                assert_bit_identical(b_plain.values - x0, b_given.values - x0, f"increment of {b_plain.name!r}")
+            assert_bit_identical(plain, given, f"engine after step {t}")
 
 
 class TestDecoupledUpdate:
