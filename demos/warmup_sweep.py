@@ -2,8 +2,10 @@
 
 Sign methods take fixed-size steps, so a too-short warmup at an aggressive
 learning rate costs them more than it costs a self-normalizing rule. The
-sweep API runs the grid with independently derived seeds; here the problem
-and horizon stay fixed while only schedule.warmup_steps varies.
+sweep API runs the grid with independently derived seeds, so each warmup
+point builds its own problem draw (dataset, initial weights and batches);
+only the problem's settings and the horizon stay fixed. A gap between two
+points therefore mixes the warmup effect with draw-to-draw spread.
 """
 
 from optlab import sweep

@@ -11,14 +11,14 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
->= 1. ``run_suite`` resolves every cell's run config, checks its rule's name,
-the names and kinds of its hyperparameters and its GNB pairing, and builds its
-learning-rate schedule, before any cell runs, so a ``SuiteSpec`` built in code
-is checked as a parsed file is. Value ranges that only the rule or the problem
-checks (a ``beta1`` of 1.5, a ``problem.dim`` of 0) are not checked there: such
-a cell fails when it runs. Every rule must resolve to the same
-``problem.kind``: ranks compare final losses across rules, and losses of
-different problems are not comparable.
+>= 1. ``run_suite`` resolves every cell's run config and builds its engine and
+learning-rate schedule on no blocks, as a run builds them
+(``harness.build_engine``), before any cell runs, so a ``SuiteSpec`` built in
+code is checked as a parsed file is. Value ranges that only a rule's step, its
+block states or the problem check (a ``beta1`` of 1.5, a ``problem.dim`` of 0)
+are not checked there: such a cell fails when it runs. Every rule must resolve
+to the same ``problem.kind``: ranks compare final losses across rules, and
+losses of different problems are not comparable.
 
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
@@ -34,8 +34,8 @@ from pathlib import Path
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError, ContractViolationError
-from .harness import check_estimator, optimizer_params, run, run_schedule
-from .optimizers.engine import optimizer_class, wrong_kind
+from .harness import build_engine, run
+from .optimizers.engine import wrong_kind
 from .problems import KINDS
 from .rng import stable_hash
 from .runio import write_run_artifacts
@@ -163,19 +163,15 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
 
 
 def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) -> dict:
-    """One cell's resolved run config, after checking its rule, hyperparameter names and kinds, GNB pairing, schedule."""
+    """One cell's resolved run config, after building its engine and schedule on no blocks."""
     cell = {
         "optimizer.name": optimizer,
         "run.steps": budget,
         "run.seed": stable_hash(suite.base_seed, optimizer, budget, replicate),
     }
     try:
-        rule = optimizer_class(optimizer)
         cfg = resolve(suite.base_config, suite.overrides.get(optimizer), cell)
-        params = optimizer_params(cfg)
-        rule.check_params(params)
-        check_estimator(optimizer, cfg["problem.kind"], KINDS[cfg["problem.kind"]])
-        run_schedule(cfg, params.get("lr", rule.defaults["lr"]))  # as setup_run builds it, at the engine's lr
+        build_engine(cfg, [], KINDS[cfg["problem.kind"]])
     except (ConfigurationError, ContractViolationError) as exc:
         raise ConfigurationError(f"suite {suite.name!r}: {exc}") from None
     return cfg

@@ -25,7 +25,7 @@ from .blocks import global_norm
 from .config import resolve, value_to_str
 from .errors import ConfigurationError, PoisonedStateError
 from .optimizers import OPTIMIZERS, make_optimizer
-from .problems import Problem, build_problem
+from .problems import KINDS, Problem, build_problem
 from .rng import stable_hash
 from .schedules import ScheduleSpec, lr_at
 
@@ -65,10 +65,16 @@ class RunRecord:
     rows: list[RunRow] = field(default_factory=list)
     final_loss: float | None = None
     mean_step_time_ns: float = 0.0
-    diverged: bool = False
-    divergence_step: int | None = None
     #: Why the run stopped early: ``{"kind", "step", "message"}`` of the error, or None for a clean run.
     failure: dict | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.failure is not None
+
+    @property
+    def divergence_step(self) -> int | None:
+        return None if self.failure is None else self.failure["step"]
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -118,9 +124,17 @@ def check_estimator(optimizer: str, problem: str, supports_gnb: bool) -> None:
         )
 
 
-def run_schedule(cfg: dict, gamma_max: float) -> ScheduleSpec:
-    """The learning-rate schedule of resolved config ``cfg``, peaking at ``gamma_max`` (the rule's lr)."""
-    return ScheduleSpec(gamma_max=gamma_max, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
+def build_engine(cfg: dict, blocks, supports_gnb: bool):
+    """The (engine, schedule) of resolved config ``cfg`` on ``blocks``; the schedule peaks at the engine's lr.
+
+    On no blocks this is the grid runners' pre-flight of a cell.
+    """
+    opt_params = optimizer_params(cfg)
+    if cfg["run.coupled_wd_demo"]:  # resolve has checked that the rule is signum
+        opt_params["coupled_wd"] = True
+    engine = make_optimizer(cfg["optimizer.name"], blocks, cfg["run.steps"], opt_params)
+    check_estimator(engine.name, cfg["problem.kind"], supports_gnb)
+    return engine, ScheduleSpec(gamma_max=engine.lr, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
 
 
 def setup_run(cfg: dict):
@@ -128,14 +142,8 @@ def setup_run(cfg: dict):
     cfg = resolve(cfg)
     problem_cfg = _section(cfg, "problem")
     problem = build_problem(problem_cfg.pop("kind"), cfg["run.seed"], **problem_cfg)
-    opt_name = cfg["optimizer.name"]
-    opt_params = optimizer_params(cfg)
-    if cfg["run.coupled_wd_demo"]:  # resolve has checked that the rule is signum
-        opt_params["coupled_wd"] = True
     blocks = problem.init_blocks(0)
-    engine = make_optimizer(opt_name, blocks, cfg["run.steps"], opt_params)
-    check_estimator(opt_name, problem.name, problem.supports_gnb)
-    return cfg, problem, blocks, engine, run_schedule(cfg, engine.lr)
+    return cfg, problem, blocks, *build_engine(cfg, blocks, problem.supports_gnb)
 
 
 def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: ScheduleSpec, seed: int,
@@ -164,8 +172,6 @@ def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: Schedu
             info = step(grads, lr_t / schedule.gamma_max, resampled, batch_size)
             elapsed = clock() - start
         except PoisonedStateError as exc:
-            record.diverged = True
-            record.divergence_step = t
             record.failure = {"kind": type(exc).__name__, "step": t, "message": str(exc)}
             break
         times.append(elapsed)
@@ -239,14 +245,17 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     Each grid cell runs with an independent seed derived from the base seed
     and the cell index, so cells are comparable but not correlated; a grid
     over ``run.seed`` runs the seeds it names instead. Every cell's config is
-    resolved by ``run``, so a misspelt grid key fails there.
+    resolved and its engine and schedule built (``build_engine`` on no
+    blocks) before any cell runs, so a misspelt grid key or a value the run
+    would reject raises before the first run.
     """
     if not grid:
         return [({}, run(base_config))]
     base_seed = resolve(base_config)["run.seed"]
-    results = []
+    cells = []
     for index, values in enumerate(itertools.product(*grid.values())):
         assignment = dict(zip(grid, values))
-        cfg = {**base_config, "run.seed": stable_hash(base_seed, index), **assignment}
-        results.append((assignment, run(cfg)))
-    return results
+        cfg = resolve(base_config, {"run.seed": stable_hash(base_seed, index)}, assignment)
+        build_engine(cfg, [], KINDS[cfg["problem.kind"]])
+        cells.append((assignment, cfg))
+    return [(assignment, run(cfg)) for assignment, cfg in cells]

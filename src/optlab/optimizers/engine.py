@@ -424,21 +424,16 @@ OPTIMIZER_NAMES = tuple(OPTIMIZERS)
 _NEEDS_TOTAL_STEPS = {"ademamix"}
 
 
-def optimizer_class(name: str) -> type[Optimizer]:
-    """The engine class of rule ``name``; an unknown name raises :class:`ConfigurationError` listing the valid ones."""
-    if name not in OPTIMIZERS:
-        raise ConfigurationError(f"unknown optimizer {name!r}; valid names: {', '.join(OPTIMIZER_NAMES)}")
-    return OPTIMIZERS[name]
-
-
 def make_optimizer(name: str, blocks, total_steps: int, params: dict | None = None) -> Optimizer:
     """Build an engine from flat config-style parameters.
 
-    Keys outside the rule's ``defaults`` raise :class:`ConfigurationError`
-    naming the rule, the key and the accepted keys.
+    An unknown ``name`` raises :class:`ConfigurationError` listing the valid
+    ones; keys outside the rule's ``defaults`` raise it naming the rule, the
+    key and the accepted keys.
     """
-    rule = optimizer_class(name)
+    if name not in OPTIMIZERS:
+        raise ConfigurationError(f"unknown optimizer {name!r}; valid names: {', '.join(OPTIMIZER_NAMES)}")
     kwargs = dict(params or {})
     if name in _NEEDS_TOTAL_STEPS:
         kwargs["total_steps"] = total_steps
-    return rule(blocks, **kwargs)
+    return OPTIMIZERS[name](blocks, **kwargs)

@@ -67,8 +67,11 @@ def _scales(steps: int) -> list[float]:
     return [0.55 + 0.45 * math.cos(math.pi * (t - 1) / steps) for t in range(1, steps + 1)]
 
 
-def _to_list(a: np.ndarray):
-    return a.tolist()
+def _stepped(engine, grads: dict[str, np.ndarray]):
+    """Step ``engine`` along ``grads`` (block name -> one gradient per row); yield its blocks' values after each step."""
+    for row in zip(*grads.values()):
+        engine.step(dict(zip(grads, row)))
+        yield [b.values for b in engine.blocks]
 
 
 def _max_dev(name: str, devs: list[float]) -> CheckResult:
@@ -197,8 +200,8 @@ def _run_oracle(rule: str) -> CheckResult:
     params, groups = ORACLE_CASES[rule]
     blocks = [ParamBlock(g.block, _draws(f"oracle/{rule}/{g.block}/x0", 1, *g.shape)[0], g.role) for g in groups]
     engine = make_optimizer(rule, blocks, ORACLE_STEPS, params)
-    refs = [g.reference(_to_list(b.values)) for g, b in zip(groups, blocks)]
-    xs = [_to_list(b.values) for b in blocks]
+    refs = [g.reference(b.values.tolist()) for g, b in zip(groups, blocks)]
+    xs = [b.values.tolist() for b in blocks]
     grads = {g.block: _draws(f"oracle/{rule}/{g.block}", ORACLE_STEPS, *g.shape) for g in groups}
     hess = None
     if engine.needs_gnb:
@@ -210,8 +213,8 @@ def _run_oracle(rule: str) -> CheckResult:
         info = engine.step(step_grads, s_t, resampled, _SOPHIA_BATCH)
         for i, (g, b, r) in enumerate(zip(groups, blocks, refs)):
             gamma = params[g.lr_key] * s_t
-            h = _to_list(hess[b.name][t]) if hess else None
-            xs[i] = _ref_step(r, xs[i], _to_list(step_grads[b.name]), gamma, h)
+            h = hess[b.name][t].tolist() if hess else None
+            xs[i] = _ref_step(r, xs[i], step_grads[b.name].tolist(), gamma, h)
             devs.append(float(np.max(np.abs(b.values - np.array(xs[i])))))
         if info.d is not None and abs(info.d - refs[0].d) > ORACLE_TOL:
             return _fail(name, f"d mismatch: {info.d} vs {refs[0].d}")
@@ -386,18 +389,13 @@ def check_newton_schulz_identity() -> CheckResult:
 
 def check_soap_identity_reduction() -> CheckResult:
     rows, cols, steps = 3, 4, 100
-    grads = _draws("soap-id", steps, rows, cols)
+    grads = {"w": _draws("soap-id", steps, rows, cols)}
     x0 = Rng(5, "soap-id/x0").normal_matrix(rows, cols)
-    soap_block = ParamBlock("w", x0.copy(), role="matrix")
-    adam_block = ParamBlock("w", x0.copy(), role="matrix")
-    soap_engine = Soap([soap_block], lr=1e-3, weight_decay=0.1, beta1=0.9, beta2=0.999,
-                       precond_freq=None, identity_init=True)
-    adam_engine = AdamW([adam_block], lr=1e-3, weight_decay=0.1, beta1=0.9, beta2=0.999)
-    worst = 0.0
-    for g in grads:
-        soap_engine.step({"w": g})
-        adam_engine.step({"w": g})
-        worst = max(worst, float(np.max(np.abs(soap_block.values - adam_block.values))))
+    common = {"lr": 1e-3, "weight_decay": 0.1, "beta1": 0.9, "beta2": 0.999}
+    soap_engine = Soap([ParamBlock("w", x0.copy(), role="matrix")], **common, precond_freq=None, identity_init=True)
+    adam_engine = AdamW([ParamBlock("w", x0.copy(), role="matrix")], **common)
+    trajectories = zip(_stepped(soap_engine, grads), _stepped(adam_engine, grads))
+    worst = max(float(np.max(np.abs(s - a))) for (s,), (a,) in trajectories)
     if worst > 1e-12:
         return _fail("soap/identity-reduction", f"max |dx| = {worst:.3e} over {steps} steps")
     return _ok("soap/identity-reduction", f"max |dx| = {worst:.3e} over {steps} steps")
@@ -409,14 +407,11 @@ def check_sign_scale_invariance() -> CheckResult:
     x0 = Rng(6, "sign-scale/x0").normal(n)
     for scale in (0.1, 7.3):
         for engine_cls, kwargs in ((Signum, {"momentum": 0.95}), (Lion, {"beta1": 0.9, "beta2": 0.99})):
-            b_ref = ParamBlock("x", x0.copy())
-            b_scaled = ParamBlock("x", x0.copy())
-            e_ref = engine_cls([b_ref], lr=1e-3, weight_decay=0.0, **kwargs)
-            e_scaled = engine_cls([b_scaled], lr=1e-3, weight_decay=0.0, **kwargs)
-            for g in base:
-                e_ref.step({"x": g})
-                e_scaled.step({"x": scale * g})
-            if not np.array_equal(b_ref.values, b_scaled.values):
+            ref_engine, scaled_engine = (engine_cls([ParamBlock("x", x0.copy())], lr=1e-3, weight_decay=0.0, **kwargs)
+                                         for _ in range(2))
+            *_, (x_ref,) = _stepped(ref_engine, {"x": base})
+            *_, (x_scaled,) = _stepped(scaled_engine, {"x": scale * base})
+            if not np.array_equal(x_ref, x_scaled):
                 return _fail(
                     "sign/scale-invariance",
                     f"{engine_cls.name} trajectory changed under gradient scaling by {scale}",
@@ -541,21 +536,17 @@ def check_zero_grad_fixed_points() -> CheckResult:
 
 def check_muon_wd_independence() -> CheckResult:
     steps = 40
-    grads_m = _draws("muon-wd/m", steps, 4, 3)
-    grads_v = _draws("muon-wd/v", steps, 5)
+    grads = {"w": _draws("muon-wd/m", steps, 4, 3), "b": _draws("muon-wd/v", steps, 5)}
     finals = []
-    vec_finals = []
     for lam in (0.0, 0.7):
         w = ParamBlock("w", Rng(15, "muon-wd/w0").normal_matrix(4, 3), role="matrix")
         b = ParamBlock("b", Rng(15, "muon-wd/b0").normal(5), role="vector")
-        engine = Muon([w, b], lr=0.01, lr_1d=1e-3, weight_decay=lam)
-        for gm, gv in zip(grads_m, grads_v):
-            engine.step({"w": gm, "b": gv})
-        finals.append(w.values.copy())
-        vec_finals.append(b.values.copy())
-    if not np.array_equal(finals[0], finals[1]):
+        *_, final = _stepped(Muon([w, b], lr=0.01, lr_1d=1e-3, weight_decay=lam), grads)
+        finals.append(final)
+    (w_zero, b_zero), (w_decayed, b_decayed) = finals
+    if not np.array_equal(w_zero, w_decayed):
         return _fail("muon/wd-independence", "matrix parameters changed with lam")
-    if np.array_equal(vec_finals[0], vec_finals[1]):
+    if np.array_equal(b_zero, b_decayed):
         return _fail("muon/wd-independence", "1-D parameters ignored lam (decay not applied)")
     return _ok("muon/wd-independence", "matrix path independent of lam; adamw path decays")
 

@@ -14,8 +14,11 @@ BASE = {"problem.kind": "quadratic", "schedule.family": "constant"}
         (("adamw", "sgd"), {}, "unknown optimizer 'sgd'"),
         (("adamw", "signum"), {"signum": {"schedule.warmup_steps": 5}}, "need 0 <= warmup_steps < total_steps"),
         (("adamw", "signum"), {"signum": {"optimizer.lr": -0.001}}, "gamma_max must be positive"),
+        (("adamw", "ademamix"), {"ademamix": {"optimizer.alpha": -1}}, "alpha must be >= 0"),
+        (("adamw", "sf-adamw"), {"sf-adamw": {"optimizer.sf_warmup": -1}}, "warmup_steps must be >= 0"),
     ],
-    ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer", "warmup-covers-budget", "negative-lr"],
+    ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer", "warmup-covers-budget", "negative-lr",
+         "ademamix-alpha", "sf-warmup"],
 )
 def test_built_suite_is_checked_before_any_cell_runs(tmp_path, optimizers, overrides, message):
     suite = SuiteSpec("x", optimizers, (5,), 1, 1, dict(BASE), overrides)

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optlab import harness, problems
-from optlab.errors import ConfigurationError, PoisonedStateError
+from optlab.errors import ConfigurationError, ContractViolationError, PoisonedStateError
 from optlab.harness import clip_gradients, run, sweep, time_optimizer
 from optlab.problems import _PREFETCH_VALUES, build_problem
 from optlab.runio import write_run_artifacts
@@ -148,6 +152,13 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep(quad_config(), {"optimizer.learning_rate": [0.1]})
 
+    def test_bad_last_cell_raises_before_any_cell_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run", lambda cfg, _run=run: ran.append(cfg) or _run(cfg))
+        with pytest.raises(ContractViolationError, match="gamma_max must be positive"):
+            sweep(quad_config(**{"run.steps": 5}), {"optimizer.lr": [0.01, 0.02, -1.0]})
+        assert ran == []
+
     def test_seed_grid_runs_the_seeds_it_names(self):
         results = sweep(quad_config(**{"run.steps": 3}), {"run.seed": [1, 2]})
         assert [assignment for assignment, _ in results] == [{"run.seed": 1}, {"run.seed": 2}]
@@ -212,6 +223,16 @@ def test_run_and_time_optimizer_share_the_patchable_loop(monkeypatch):
     calls.clear()
     time_optimizer("adamw", {"lr": 0.01}, build_problem("quadratic", 1, dim=4, condition=2.0), steps=3, repeats=2)
     assert calls == {"clip_gradients": 6, "lr_at": 6, "make_optimizer": 2}
+
+
+def test_perfbench_trace_hooks_install(tmp_path):
+    # perfbench's traced pass wraps optlab names by attribute; a name it patches that is gone fails here
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, pathlib, tracing; tracing.install(tracing.Recorder(), pathlib.Path(sys.argv[1]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "perfbench"), str(root / "src")])}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _count_stream_draws(monkeypatch, name):
