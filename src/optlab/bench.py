@@ -11,14 +11,13 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
->= 1. ``run_suite`` resolves every cell's run config and builds its engine and
-learning-rate schedule on no blocks, as a run builds them
-(``harness.build_engine``), before any cell runs, so a ``SuiteSpec`` built in
-code is checked as a parsed file is. Value ranges that only a rule's step, its
-block states or the problem check (a ``beta1`` of 1.5, a ``problem.dim`` of 0)
-are not checked there: such a cell fails when it runs. Every rule must resolve
-to the same ``problem.kind``: ranks compare final losses across rules, and
-losses of different problems are not comparable.
+>= 1, and the name, an output directory's, holds no path separator.
+``plan_cells``, the cell planner of ``run_suite`` and ``harness.sweep``,
+checks every cell as its run will build it before any cell runs, so a
+``SuiteSpec`` built in code is checked as a parsed file is; only ranges
+checked inside a rule's step (a ``beta1`` of 1.5) fail when their cell runs.
+Every rule must resolve to the same ``problem.kind``: ranks compare final
+losses across rules, and losses of different problems are not comparable.
 
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
@@ -34,9 +33,9 @@ from pathlib import Path
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError, ContractViolationError
-from .harness import build_engine, run
+from .harness import _section, build_engine, run
 from .optimizers.engine import wrong_kind
-from .problems import KINDS
+from .problems import build_problem
 from .rng import stable_hash
 from .runio import write_run_artifacts
 
@@ -131,6 +130,8 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
     meta = {k: v for k, v in flat.items() if k.startswith("suite.")}
     validate_keys(meta, SUITE_KEYS, SUITE_DEFAULTS, source=f"{source}: suite")
     meta = {**SUITE_DEFAULTS, **meta}
+    if "/" in meta["suite.name"] or "\\" in meta["suite.name"]:  # the name becomes an output directory
+        raise ConfigurationError(f"{source}: suite.name must not contain a path separator, got {meta['suite.name']!r}")
     optimizers = _csv_list(meta, "suite.optimizers", "optimizer", source)
     budgets = _csv_list(meta, "suite.budgets", "budget", source, parse=parse_value)
     if any(wrong_kind(b, 1) or b < 1 for b in budgets):
@@ -162,19 +163,42 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
     return items
 
 
-def _cell_config(suite: SuiteSpec, optimizer: str, budget: int, replicate: int) -> dict:
-    """One cell's resolved run config, after building its engine and schedule on no blocks."""
-    cell = {
-        "optimizer.name": optimizer,
-        "run.steps": budget,
-        "run.seed": stable_hash(suite.base_seed, optimizer, budget, replicate),
-    }
+def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
+    """The resolved run config of each ``(label, layer, assignment)`` cell, checked as its run will build it.
+
+    A cell resolves ``base_config < layer < {"run.seed": stable_hash(base_seed,
+    *label)} < assignment``; its engine and schedule (``harness.build_engine``)
+    are built on its problem's ``init_blocks(0)``. Each distinct ``problem.*``
+    section is built once, at seed 0: shapes and ranges do not depend on the seed.
+    """
+    built: dict[tuple, tuple] = {}
+    configs = []
+    for label, layer, assignment in cells:
+        cfg = resolve(base_config, layer, {"run.seed": stable_hash(base_seed, *label)}, assignment)
+        section = _section(cfg, "problem")
+        key = tuple(section.items())
+        if key not in built:
+            problem = build_problem(section.pop("kind"), 0, **section)
+            built[key] = problem, problem.init_blocks(0)
+        problem, blocks = built[key]
+        build_engine(cfg, blocks, problem.supports_gnb)
+        configs.append(cfg)
+    return configs
+
+
+def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int, int], dict]:
+    """Every cell's checked run config by (optimizer, budget, replicate); each error names the suite."""
+    labels = [(o, b, r) for o in suite.optimizers for b in suite.budgets for r in range(suite.seeds)]
+    cells = [((o, b, r), suite.overrides.get(o), {"optimizer.name": o, "run.steps": b}) for o, b, r in labels]
     try:
-        cfg = resolve(suite.base_config, suite.overrides.get(optimizer), cell)
-        build_engine(cfg, [], KINDS[cfg["problem.kind"]])
+        configs = plan_cells(suite.base_config, suite.base_seed, cells)
+        kinds = {o: cfg["problem.kind"] for (o, _, _), cfg in zip(labels, configs)}
+        if len(set(kinds.values())) > 1:
+            listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
+            raise ConfigurationError(f"every rule must run the same problem.kind, got {listed}")
     except (ConfigurationError, ContractViolationError) as exc:
         raise ConfigurationError(f"suite {suite.name!r}: {exc}") from None
-    return cfg
+    return dict(zip(labels, configs))
 
 
 def _run_cell(args: tuple[dict, str]) -> tuple[float | None, bool]:
@@ -191,25 +215,15 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
     A bad cell config, or rules on different problem kinds, raise before any cell runs.
     """
     out_dir = Path(out_dir)
-    cells = []
-    for optimizer in suite.optimizers:
-        for budget in suite.budgets:
-            for rep in range(suite.seeds):
-                cfg = _cell_config(suite, optimizer, budget, rep)
-                run_dir = out_dir / "runs" / f"{optimizer}-b{budget}-r{rep}"
-                cells.append(((optimizer, budget, rep), (cfg, str(run_dir))))
-    kinds = {key[0]: cfg["problem.kind"] for key, (cfg, _) in cells}
-    if len(set(kinds.values())) > 1:
-        listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
-        raise ConfigurationError(f"suite {suite.name!r}: every rule must run the same problem.kind, got {listed}")
-    problem = next(iter(kinds.values()))
+    configs = _cell_config(suite)
+    cells = [(cfg, str(out_dir / "runs" / f"{o}-b{b}-r{r}")) for (o, b, r), cfg in configs.items()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell, [args for _, args in cells]))
+            outcomes = list(pool.map(_run_cell, cells))
     else:
-        outcomes = [_run_cell(args) for _, args in cells]
-    by_cell = {key: outcome for (key, _), outcome in zip(cells, outcomes)}
-    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, problem)
+        outcomes = [_run_cell(args) for args in cells]
+    by_cell = dict(zip(configs, outcomes))
+    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, cells[0][0]["problem.kind"])
     for budget in suite.budgets:
         rows = []
         for optimizer in suite.optimizers:

@@ -25,7 +25,7 @@ from .blocks import global_norm
 from .config import resolve, value_to_str
 from .errors import ConfigurationError, PoisonedStateError
 from .optimizers import OPTIMIZERS, make_optimizer
-from .problems import KINDS, Problem, build_problem
+from .problems import Problem, build_problem
 from .rng import stable_hash
 from .schedules import ScheduleSpec, lr_at
 
@@ -125,10 +125,7 @@ def check_estimator(optimizer: str, problem: str, supports_gnb: bool) -> None:
 
 
 def build_engine(cfg: dict, blocks, supports_gnb: bool):
-    """The (engine, schedule) of resolved config ``cfg`` on ``blocks``; the schedule peaks at the engine's lr.
-
-    On no blocks this is the grid runners' pre-flight of a cell.
-    """
+    """The (engine, schedule) of resolved config ``cfg`` on ``blocks``; the schedule peaks at the engine's lr."""
     opt_params = optimizer_params(cfg)
     if cfg["run.coupled_wd_demo"]:  # resolve has checked that the rule is signum
         opt_params["coupled_wd"] = True
@@ -244,18 +241,15 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
 
     Each grid cell runs with an independent seed derived from the base seed
     and the cell index, so cells are comparable but not correlated; a grid
-    over ``run.seed`` runs the seeds it names instead. Every cell's config is
-    resolved and its engine and schedule built (``build_engine`` on no
-    blocks) before any cell runs, so a misspelt grid key or a value the run
-    would reject raises before the first run.
+    over ``run.seed`` runs the seeds it names instead. ``bench.plan_cells``
+    resolves every cell's config and builds its problem, engine and schedule
+    before any cell runs, as it does for a suite, so a misspelt grid key or a
+    value the run would reject when it starts raises before the first run.
     """
     if not grid:
         return [({}, run(base_config))]
-    base_seed = resolve(base_config)["run.seed"]
-    cells = []
-    for index, values in enumerate(itertools.product(*grid.values())):
-        assignment = dict(zip(grid, values))
-        cfg = resolve(base_config, {"run.seed": stable_hash(base_seed, index)}, assignment)
-        build_engine(cfg, [], KINDS[cfg["problem.kind"]])
-        cells.append((assignment, cfg))
-    return [(assignment, run(cfg)) for assignment, cfg in cells]
+    from .bench import plan_cells  # bench imports this module
+
+    points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+    configs = plan_cells(base_config, resolve(base_config)["run.seed"], [((i,), None, p) for i, p in enumerate(points)])
+    return [(point, run(cfg)) for point, cfg in zip(points, configs)]

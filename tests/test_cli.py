@@ -505,6 +505,19 @@ def test_bench_rejects_bad_suite_values_before_running(tmp_path, capsys, key, va
     assert not list(out.rglob("runs"))
 
 
+@pytest.mark.parametrize("name", ["x/../../escaped", "x\\..\\escaped"])
+def test_bench_rejects_suite_name_with_path_separator(tmp_path, capsys, name):
+    # the name becomes the output directory bench-<name>-<hash> under --out
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        f"suite.name = {name}\nsuite.optimizers = adamw\nsuite.budgets = 3\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\n"
+    )
+    assert main(["bench", "--config", str(suite), "--out", str(tmp_path / "out" / "root")]) == 2
+    assert f"{suite}: suite.name must not contain a path separator, got {name!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [suite]
+
+
 def test_bench_checks_coupled_wd_demo_before_running(tmp_path, capsys):
     # the demo is signum-only: caught at parse time, before the signum cells run
     suite = tmp_path / "suite.cfg"

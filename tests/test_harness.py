@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,13 @@ class TestSweep:
             sweep(quad_config(**{"run.steps": 5}), {"optimizer.lr": [0.01, 0.02, -1.0]})
         assert ran == []
 
+    def test_bad_problem_raises_before_any_cell_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run", lambda cfg, _run=run: ran.append(cfg) or _run(cfg))
+        with pytest.raises(ContractViolationError, match="dim must be >= 1"):
+            sweep(quad_config(**{"run.steps": 5}), {"problem.dim": [4, 0]})
+        assert ran == []
+
     def test_seed_grid_runs_the_seeds_it_names(self):
         results = sweep(quad_config(**{"run.steps": 3}), {"run.seed": [1, 2]})
         assert [assignment for assignment, _ in results] == [{"run.seed": 1}, {"run.seed": 2}]
@@ -229,6 +237,26 @@ def test_perfbench_trace_hooks_install(tmp_path):
     # perfbench's traced pass wraps optlab names by attribute; a name it patches that is gone fails here
     root = Path(__file__).resolve().parents[1]
     code = "import sys, pathlib, tracing; tracing.install(tracing.Recorder(), pathlib.Path(sys.argv[1]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "perfbench"), str(root / "src")])}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_perfbench_setup_clocks_advance(tmp_path):
+    # perfbench's untraced pass times these names as setup_s; one no longer reached through its module reads 0
+    root = Path(__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        import pathlib, sys, workloads
+        from optlab import bench, harness
+        cells, setup = workloads.SetupClock(), workloads.SetupClock()
+        cells.wrap(bench, "_cell_config")
+        suite = bench.SuiteSpec("x", ("adamw",), (3,), 1, 1, {"problem.dim": 4}, {})
+        bench.run_suite(suite, pathlib.Path(sys.argv[1]))
+        setup.wrap(harness, "setup_run")
+        harness.run({"problem.dim": 4, "run.steps": 3})
+        assert cells.seconds > 0 and setup.seconds > 0, (cells.seconds, setup.seconds)
+    """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "perfbench"), str(root / "src")])}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
                           timeout=60)

@@ -7,7 +7,13 @@ trajectory the same way still fails here, unlike run-against-run checks.
 
 Matmul-heavy rules may round differently on another numpy or BLAS build, so
 the fixture is keyed by both, and the test skips on a build it does not know.
-Regenerate the fixture only on a commit whose numerics are the reference:
+The unkeyed tier (``UNKEYED_CASES``, fixture section ``EVERY_BUILD``) is read
+on every build and never skips: the 13 rules that do not need the GNB
+estimator on rosenbrock, which makes no draws and whose one vector block no
+rule sends through BLAS. It still rests on libm ``pow``, through Python
+``**`` in the Adam bias corrections and adopt's ``t**0.25``; on a libm whose
+``pow`` rounds differently it fails, as it should. Regenerate the fixture
+only on a commit whose numerics are the reference:
 
     PYTHONPATH=src python tests/test_trajectory_pins.py --regen
 """
@@ -69,6 +75,13 @@ CASES.update(
     }
 )
 
+#: Fixture section of the unkeyed tier; build keys all start with "numpy".
+EVERY_BUILD = "every build"
+ROSENBROCK = {"problem.kind": "rosenbrock", "problem.dim": 6, "run.steps": 60, "run.clip": 1.0, "run.seed": 5}
+UNKEYED_CASES = {
+    f"rosenbrock/{name}": {**ROSENBROCK, "optimizer.name": name} for name in OPTIMIZER_NAMES if name not in NEEDS_GNB
+}
+
 
 def env_key() -> str:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -95,11 +108,17 @@ def test_trajectory_matches_pin(case):
     assert trajectory_pin(CASES[case]) == pins[case]
 
 
+@pytest.mark.parametrize("case", sorted(UNKEYED_CASES))
+def test_unkeyed_trajectory_matches_pin(case):
+    assert trajectory_pin(UNKEYED_CASES[case]) == _load()[EVERY_BUILD][case]
+
+
 def regen() -> None:
     doc = _load()
     doc[env_key()] = {case: trajectory_pin(cfg) for case, cfg in sorted(CASES.items())}
+    doc[EVERY_BUILD] = {case: trajectory_pin(cfg) for case, cfg in sorted(UNKEYED_CASES.items())}
     FIXTURE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"pinned {len(CASES)} trajectories for {env_key()!r} in {FIXTURE}")
+    print(f"pinned {len(CASES)} trajectories for {env_key()!r} and {len(UNKEYED_CASES)} for every build in {FIXTURE}")
 
 
 if __name__ == "__main__":
