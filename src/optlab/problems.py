@@ -271,19 +271,21 @@ def mlp_classification_problem(
         ]
 
     def _forward(params: dict, x: np.ndarray):
-        z1 = x @ params["w1"] + params["b1"]
-        h = np.tanh(z1)
+        """The hidden activations and the logits shifted by their row maximum."""
+        h = np.tanh(x @ params["w1"] + params["b1"])
         logits = h @ params["w2"] + params["b2"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expl = np.exp(shifted)
-        probs = expl / expl.sum(axis=1, keepdims=True)
-        return h, shifted, probs
+        return h, logits - logits.max(axis=1, keepdims=True)
 
-    def _loss_grads(params: dict, x: np.ndarray, y: np.ndarray):
-        n = x.shape[0]
-        h, shifted, probs = _forward(params, x)
+    def _softmax(shifted: np.ndarray) -> np.ndarray:
+        expl = np.exp(shifted)
+        return expl / expl.sum(axis=1, keepdims=True)
+
+    def _loss(shifted: np.ndarray, y: np.ndarray) -> float:
         logz = np.log(np.sum(np.exp(shifted), axis=1))
-        loss = float(np.mean(logz - shifted[np.arange(n), y]))
+        return float(np.mean(logz - shifted[np.arange(len(y)), y]))
+
+    def _grads(params: dict, x: np.ndarray, y: np.ndarray, h: np.ndarray, probs: np.ndarray) -> dict:
+        n = x.shape[0]
         dlogits = probs.copy()
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
@@ -293,7 +295,7 @@ def mlp_classification_problem(
         dz1 = dh * (1.0 - h * h)
         gw1 = x.T @ dz1
         gb1 = dz1.sum(axis=0)
-        return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+        return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
     def _batch(batch_seed: BatchSeed):
         idx = batches(*batch_seed)
@@ -301,21 +303,23 @@ def mlp_classification_problem(
 
     def loss_and_grad(params: dict, batch_seed: BatchSeed):
         x, y = _batch(batch_seed)
-        return _loss_grads(params, x, y)
+        h, shifted = _forward(params, x)
+        return _loss(shifted, y), _grads(params, x, y, h, _softmax(shifted))
 
     def resampled_grad(params: dict, batch_seed: BatchSeed):
         x, _ = _batch(batch_seed)
-        _, _, probs = _forward(params, x)
+        h, shifted = _forward(params, x)
+        probs = _softmax(shifted)
         run_seed, step = batch_seed
         r = Rng(run_seed, f"gnb/{step}")
         cdf = np.cumsum(probs, axis=1)
         draws = np.array([r.uniform() for _ in range(x.shape[0])])
         sampled = (draws[:, None] > cdf).sum(axis=1)
         sampled = np.minimum(sampled, classes - 1).astype(np.int64)
-        return _loss_grads(params, x, sampled)[1]
+        return _grads(params, x, sampled, h, probs)
 
     def full_loss(params: dict) -> float:
-        return _loss_grads(params, data, labels)[0]
+        return _loss(_forward(params, data)[1], labels)  # no softmax, no backward
 
     return Problem(
         name="mlp",

@@ -21,7 +21,7 @@ from .blocks import CommonHyper, ParamBlock
 from .linalg import frobenius_norm, matmul, qr_orthonormal, svd_singular_values, sym_eigenbasis
 from .optimizers.engine import AdamW, Lion, Muon, Signum, Soap, make_optimizer
 from .problems import build_problem, finite_difference_gradient
-from .rng import _JUMP, _MIN_JUMP_DRAWS, Rng, _box_muller, indices_streams, normal_streams
+from .rng import _JUMP, _MIN_JUMP_DRAWS, _TWO_PI, Rng, indices_streams, normal_streams
 from .schedules import EmaScheduleSpec, ScheduleSpec, ademamix_alpha_at, ademamix_beta3_at, lr_at
 
 ORACLE_STEPS = 200
@@ -57,9 +57,14 @@ def _draws(key: str, steps: int, *shape: int) -> np.ndarray:
 
 
 def _scalar_normal(r: Rng, n: int) -> np.ndarray:
-    """What ``r.normal(n)`` draws from a fresh stream, one ``next_u64`` at a time."""
-    raw = np.fromiter((r.next_u64() for _ in range(n + n % 2)), np.uint64, n + n % 2)
-    return _box_muller(raw[0::2], raw[1::2])[:n]
+    """What ``r.normal(n)`` draws from a fresh stream: Box-Muller in ``math``, one pair of raw draws at a time."""
+    out = []
+    while len(out) < n:
+        u1 = ((r.next_u64() >> 11) + 1) * 2.0**-53
+        theta = (r.next_u64() >> 11) * 2.0**-53 * _TWO_PI
+        radius = math.sqrt(-2.0 * math.log(u1))
+        out += (radius * math.cos(theta), radius * math.sin(theta))
+    return np.array(out[:n], dtype=np.float64)
 
 
 def _scales(steps: int) -> list[float]:

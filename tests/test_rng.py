@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,12 @@ import pytest
 import optlab
 from optlab import rng as rng_module
 from optlab import verify
+from optlab.verify import _scalar_normal
 from optlab.rng import (
     _JUMP,
     _MIN_JUMP_DRAWS,
     _NORMAL_BLOCK,
     Rng,
-    _box_muller,
     _jump_starts,
     _lane_states,
     _xoshiro_lanes,
@@ -158,12 +159,6 @@ def test_streams_reject_bad_arguments():
             indices_streams(1, ["a"] * count, 5, -1)
     with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
         Rng(1, "a").indices(5, -1)
-
-
-def _scalar_normal(r, n):
-    """What ``r.normal(n)`` draws from a fresh stream, one ``next_u64`` at a time."""
-    raw = np.fromiter((r.next_u64() for _ in range(2 * ((n + 1) // 2))), np.uint64, 2 * ((n + 1) // 2))
-    return _box_muller(raw[0::2], raw[1::2])[:n]
 
 
 def test_jump_matches_scalar_steps():
@@ -364,3 +359,71 @@ def test_normal_streams_take_the_lanes_from_the_threshold_on(monkeypatch, count,
     assert rows.shape == (count, n) and rows.dtype == np.float64
     for key, row in zip(keys, rows):
         assert row.tobytes() == _scalar_normal(Rng(78, key), n).tobytes()
+
+
+_TRIG_PATHS = ["_NUMPY_TRIG", "_LIBM_TRIG"]
+
+
+def _force_trig(monkeypatch, name):
+    pair = getattr(rng_module, name)
+    if pair is rng_module._NUMPY_TRIG and rng_module._cos_sin() is not pair:
+        pytest.skip("numpy's float64 cos/sin round unlike libm's on this build")
+    monkeypatch.setattr(rng_module, "_cos_sin", lambda: pair)
+
+
+@pytest.mark.parametrize("path", _TRIG_PATHS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 447, 100_001])
+def test_each_trig_path_draws_the_scalar_normals(monkeypatch, path, n):
+    _force_trig(monkeypatch, path)
+    r, scalar = Rng(31, "trig"), Rng(31, "trig")
+    # the second call takes the spare an odd n leaves, or draws a pair and keeps one
+    drawn = np.concatenate([r.normal(n), r.normal(1)])
+    assert drawn.tobytes() == _scalar_normal(scalar, n + 1).tobytes()
+    assert [r.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
+
+
+@pytest.mark.parametrize("path", _TRIG_PATHS)
+def test_each_trig_path_draws_the_scalar_noise_block(monkeypatch, path):
+    _force_trig(monkeypatch, path)
+    keys = [f"noise/{t}" for t in range(256)]  # one quadratic noise block of dimension 64
+    rows = normal_streams(17, keys, 64)
+    for key, row in zip(keys, rows):
+        assert row.tobytes() == _scalar_normal(Rng(17, key), 64).tobytes(), key
+
+
+def test_trig_probe_is_deterministic_and_covers_the_edges():
+    angles = rng_module._probe_angles()
+    assert angles.tobytes() == rng_module._probe_angles().tobytes()
+    # the Box-Muller angle of the smallest and largest draws, and of draws next to pi / 4 and pi
+    edges = np.array([0, 1, 2**50, 4 * 2**50 - 1, 2**53 - 1], dtype=np.uint64) * 2.0**-53 * rng_module._TWO_PI
+    assert np.isin(edges, angles).all()
+    assert rng_module._choose_trig(rng_module._NUMPY_TRIG) is rng_module._choose_trig(rng_module._NUMPY_TRIG)
+    assert rng_module._cos_sin() is rng_module._choose_trig(rng_module._NUMPY_TRIG)
+
+
+def test_trig_probe_picks_numpy_exactly_when_it_rounds_as_libm():
+    angles = rng_module._probe_angles()
+    matches = all(
+        f(angles).tobytes() == np.array([g(a) for a in angles.tolist()]).tobytes()
+        for f, g in ((np.cos, math.cos), (np.sin, math.sin))
+    )
+    chosen = rng_module._choose_trig(rng_module._NUMPY_TRIG)
+    assert chosen is (rng_module._NUMPY_TRIG if matches else rng_module._LIBM_TRIG)
+    # a pair that rounds as libm's does everywhere is taken
+    exact = (rng_module._per_value(math.cos), rng_module._per_value(math.sin))
+    assert rng_module._choose_trig(exact) is exact
+
+    def one_ulp_off(f, i):
+        def g(x):
+            y = f(x)
+            y[i] = np.nextafter(y[i], np.inf)
+            return y
+
+        return g
+
+    # one ULP on one probe angle, spread or edge, in either function, rejects the pair
+    for i in (0, len(angles) - 1):
+        for which in range(2):
+            pair = list(exact)
+            pair[which] = one_ulp_off(pair[which], i)
+            assert rng_module._choose_trig(tuple(pair)) is rng_module._LIBM_TRIG, (i, which)
