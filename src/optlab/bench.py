@@ -14,8 +14,9 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 >= 1, and the name, an output directory's, holds no path separator.
 ``plan_cells``, the cell planner of ``run_suite`` and ``harness.sweep``,
 checks every cell as its run will build it before any cell runs, so a
-``SuiteSpec`` built in code is checked as a parsed file is; only ranges
-checked inside a rule's step (a ``beta1`` of 1.5) fail when their cell runs.
+``SuiteSpec`` built in code is checked as a parsed file is. Only values that
+a rule checks when it steps (a ``beta1`` of 1.5, a negative ``eps`` or
+``lr_1d``; the README lists them) fail when their cell runs.
 Every rule must resolve to the same ``problem.kind``: ranks compare final
 losses across rules, and losses of different problems are not comparable.
 
@@ -181,7 +182,7 @@ def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
             problem = build_problem(section.pop("kind"), 0, **section)
             built[key] = problem, problem.init_blocks(0)
         problem, blocks = built[key]
-        build_engine(cfg, blocks, problem.supports_gnb)
+        build_engine(cfg, problem, blocks)
         configs.append(cfg)
     return configs
 

@@ -54,8 +54,8 @@ class CommonHyper:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ContractViolationError("gamma must be finite")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ContractViolationError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ContractViolationError("lam must be finite and >= 0")
         if not (math.isfinite(self.eps) and self.eps > 0.0):

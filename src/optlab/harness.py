@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .blocks import global_norm
 from .config import resolve, value_to_str
 from .errors import ConfigurationError, PoisonedStateError
-from .optimizers import OPTIMIZERS, make_optimizer
+from .optimizers import make_optimizer
 from .problems import Problem, build_problem
 from .rng import stable_hash
 from .schedules import ScheduleSpec, lr_at
@@ -116,21 +116,23 @@ def optimizer_params(cfg: dict) -> dict:
     return {k: v for k, v in _section(cfg, "optimizer").items() if k not in ("name", "preset")}
 
 
-def check_estimator(optimizer: str, problem: str, supports_gnb: bool) -> None:
-    """Reject a rule that needs the GNB estimator on a problem without one."""
-    if OPTIMIZERS[optimizer].needs_gnb and not supports_gnb:
+def check_estimator(engine, problem: Problem) -> None:
+    """Reject an engine that needs the GNB estimator on a problem without one."""
+    if engine.needs_gnb and not problem.supports_gnb:
         raise ConfigurationError(
-            f"optimizer {optimizer!r} needs the GNB estimator but problem {problem!r} has no categorical output"
+            f"optimizer {engine.name!r} needs the GNB estimator but problem {problem.name!r} has no categorical output"
         )
 
 
-def build_engine(cfg: dict, blocks, supports_gnb: bool):
-    """The (engine, schedule) of resolved config ``cfg`` on ``blocks``; the schedule peaks at the engine's lr."""
+def build_engine(cfg: dict, problem: Problem, blocks):
+    """The (engine, schedule) of resolved ``cfg`` on ``problem``'s ``blocks``; the schedule peaks at the engine's lr."""
     opt_params = optimizer_params(cfg)
-    if cfg["run.coupled_wd_demo"]:  # resolve has checked that the rule is signum
+    if cfg["run.coupled_wd_demo"]:
+        if cfg["optimizer.name"] != "signum":
+            raise ConfigurationError("run.coupled_wd_demo is only defined for the signum optimizer")
         opt_params["coupled_wd"] = True
     engine = make_optimizer(cfg["optimizer.name"], blocks, cfg["run.steps"], opt_params)
-    check_estimator(engine.name, cfg["problem.kind"], supports_gnb)
+    check_estimator(engine, problem)
     return engine, ScheduleSpec(gamma_max=engine.lr, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
 
 
@@ -140,7 +142,7 @@ def setup_run(cfg: dict):
     problem_cfg = _section(cfg, "problem")
     problem = build_problem(problem_cfg.pop("kind"), cfg["run.seed"], **problem_cfg)
     blocks = problem.init_blocks(0)
-    return cfg, problem, blocks, *build_engine(cfg, blocks, problem.supports_gnb)
+    return cfg, problem, blocks, *build_engine(cfg, problem, blocks)
 
 
 def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: ScheduleSpec, seed: int,
@@ -222,7 +224,7 @@ def time_optimizer(
     for rep in range(repeats):
         blocks = problem.init_blocks(rep)
         engine = make_optimizer(optimizer_name, blocks, steps, opt_params)
-        check_estimator(optimizer_name, problem.name, problem.supports_gnb)
+        check_estimator(engine, problem)
         schedule = ScheduleSpec("constant", engine.lr, steps)
         record = _train(RunRecord(config={}), problem, blocks, engine, schedule,
                         stable_hash(seed, optimizer_name, rep), None, steps)

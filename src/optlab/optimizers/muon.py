@@ -113,6 +113,8 @@ def dmuon_step(
     """
     check_finite_grad(grad)
     check_beta("beta", beta, allow_zero=True)
+    if not rms_factor > 0.0:  # a NaN factor fails this too
+        raise ContractViolationError(f"rms_factor must be positive, got {rms_factor!r}")
     d = _nesterov_momentum(state, grad, beta)
     scale = rms_factor * float(np.sqrt(max(block.shape)))
     if frobenius_norm(d) == 0.0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
+from ..errors import ContractViolationError
 from .base import check_beta, check_finite_grad, decoupled_update
 
 D_INIT = 1e-6
@@ -34,6 +35,8 @@ class ProdigyState:
 
     @classmethod
     def for_blocks(cls, blocks: list[ParamBlock], d0: float = D_INIT, bias_correction: bool = True) -> "ProdigyState":
+        if not (math.isfinite(d0) and d0 > 0.0):
+            raise ContractViolationError(f"d0 must be finite and > 0, got {d0!r}")
         return cls(
             d=d0,
             r=0.0,

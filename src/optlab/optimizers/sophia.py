@@ -54,7 +54,7 @@ def sophia_step(
     check_finite_grad(grad)
     check_beta("beta1", beta1)
     check_beta("beta2", beta2)
-    if rho <= 0.0:
+    if not rho > 0.0:  # a NaN rho fails this too
         raise ContractViolationError(f"rho must be positive, got {rho}")
     state.t += 1
     state.m = beta1 * state.m + (1.0 - beta1) * grad

@@ -29,8 +29,8 @@ DEFAULTS = {
     "in_dim": 8, "hidden": 16, "classes": 3, "samples": 512,
 }
 
-#: Each problem kind and whether it offers the GNB estimator (``Problem.supports_gnb``).
-KINDS = {"quadratic": False, "rosenbrock": False, "mlp": True}
+#: The problem kinds ``build_problem`` builds.
+KINDS = ("quadratic", "rosenbrock", "mlp")
 
 #: Most values one prefetched block of per-step draws holds (steps times draws per step).
 _PREFETCH_VALUES = 16384
@@ -251,22 +251,18 @@ def mlp_classification_problem(
     labels = np.arange(n_samples, dtype=np.int64) % classes
     data = means[labels] + rng.normal_matrix(n_samples, in_dim)
 
-    init_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     batches = _StepDraws(
         "batch", batch.batch_size, lambda run_seed, keys: indices_streams(run_seed, keys, n_samples, batch.batch_size)
     )
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
-        if variant not in init_cache:
-            r = Rng(seed, f"mlp/init/{variant}")
-            w1 = r.normal_matrix(in_dim, hidden) / math.sqrt(in_dim)
-            w2 = 0.1 * r.normal_matrix(hidden, classes) / math.sqrt(hidden)
-            init_cache[variant] = (w1, w2)
-        w1, w2 = init_cache[variant]
+        r = Rng(seed, f"mlp/init/{variant}")
+        w1 = r.normal_matrix(in_dim, hidden) / math.sqrt(in_dim)
+        w2 = 0.1 * r.normal_matrix(hidden, classes) / math.sqrt(hidden)
         return [
-            ParamBlock("w1", w1.copy(), role="matrix"),
+            ParamBlock("w1", w1, role="matrix"),
             ParamBlock("b1", np.zeros(hidden), role="vector"),
-            ParamBlock("w2", w2.copy(), role="output_head"),
+            ParamBlock("w2", w2, role="output_head"),
             ParamBlock("b2", np.zeros(classes), role="vector"),
         ]
 
@@ -338,7 +334,7 @@ def finite_difference_gradient(problem: Problem, params: dict, batch_seed: Batch
     The same batch_seed is passed to both evaluations, so with common random
     numbers the differences converge to the stochastic gradient itself.
     """
-    if h <= 0.0:
+    if not h > 0.0:  # a NaN step fails this too
         raise ContractViolationError("h must be positive")
     grads = {}
     work = {name: np.array(v, dtype=np.float64, copy=True) for name, v in params.items()}
@@ -362,6 +358,8 @@ def build_problem(kind: str, seed: int, **params) -> Problem:
     """Build ``kind`` from ``DEFAULTS`` updated by ``params``, checked as a run config's keys are."""
     from .config import validate_keys  # config derives its problem keys from this module
 
+    if kind not in KINDS:
+        raise ContractViolationError(f"unknown problem.kind {kind!r}; valid kinds: {', '.join(KINDS)}")
     validate_keys(params, DEFAULTS, DEFAULTS, source="build_problem")
     p = {**DEFAULTS, **params}
     batch = BatchSpec(batch_size=p["batch_size"], noise_scale=p["noise"])
@@ -370,6 +368,4 @@ def build_problem(kind: str, seed: int, **params) -> Problem:
         return quadratic_problem(p["dim"], p["condition"], rng, batch)
     if kind == "rosenbrock":
         return rosenbrock_problem(p["dim"])
-    if kind == "mlp":
-        return mlp_classification_problem(p["in_dim"], p["hidden"], p["classes"], p["samples"], rng, batch)
-    raise ContractViolationError(f"unknown problem kind {kind!r}")
+    return mlp_classification_problem(p["in_dim"], p["hidden"], p["classes"], p["samples"], rng, batch)

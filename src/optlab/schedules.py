@@ -114,7 +114,7 @@ class EmaScheduleSpec:
     t_beta3: int
 
     def __post_init__(self):
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:  # a NaN alpha fails this too
             raise ContractViolationError("alpha must be >= 0")
         for name, b in (("beta3", self.beta3), ("beta_start", self.beta_start)):
             if not 0.0 < b < 1.0:

@@ -1,0 +1,30 @@
+"""Every config file shipped in ``configs/`` passes its pre-flight without running a step."""
+
+from pathlib import Path
+
+import pytest
+
+from optlab import bench, harness
+from optlab.config import load_config_file
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+def test_the_readme_configs_are_shipped():
+    assert {"quickstart.cfg", "signnoise-suite.cfg"} <= {path.name for path in CONFIGS}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_passes_its_pre_flight(path, monkeypatch):
+    def no_steps(*args):
+        raise AssertionError("the pre-flight ran a step")
+
+    monkeypatch.setattr(harness, "_train", no_steps)
+    flat = load_config_file(path)
+    if any(key.startswith("suite.") for key in flat):
+        suite = bench.parse_suite(flat, source=str(path))
+        configs = bench._cell_config(suite)
+        assert len(configs) == len(suite.optimizers) * len(suite.budgets) * suite.seeds
+    else:
+        cfg, _, _, engine, schedule = harness.setup_run(flat)
+        assert (engine.name, schedule.total_steps) == (cfg["optimizer.name"], cfg["run.steps"])

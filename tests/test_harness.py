@@ -117,6 +117,19 @@ class TestRun:
         assert not record.diverged
         assert record.final_loss < math.log(3)
 
+    @pytest.mark.parametrize(
+        "rule,key,value,message",
+        [
+            ("muon", "optimizer.lr_1d", -0.001, "gamma must be finite and >= 0, got -0.001"),
+            ("dmuon", "optimizer.rms_factor", -1, "rms_factor must be positive, got -1"),
+        ],
+    )
+    def test_value_that_would_step_uphill_fails_at_step_one(self, rule, key, value, message):
+        cfg = {"problem.kind": "mlp", "problem.samples": 64, "optimizer.name": rule, key: value,
+               "schedule.family": "constant", "run.steps": 5}
+        with pytest.raises(ContractViolationError, match=message):
+            run(cfg)
+
     def test_coupled_wd_demo_is_signum_only(self):
         with pytest.raises(ConfigurationError):
             run(quad_config(**{"run.coupled_wd_demo": True}))

@@ -19,6 +19,13 @@ def scalar_block(x0=0.0):
     return ParamBlock("x", np.array([x0]))
 
 
+@pytest.mark.parametrize("gamma", [-1e-3, math.nan, math.inf])
+def test_common_hyper_rejects_gamma_not_finite_and_nonnegative(gamma):
+    with pytest.raises(ContractViolationError, match="gamma must be finite and >= 0, got"):
+        CommonHyper(gamma)
+    assert CommonHyper(0.0).gamma == 0.0
+
+
 class TestAdamW:
     def test_zero_gradient_no_motion(self):
         block = scalar_block(1.5)
@@ -183,6 +190,14 @@ class TestMuonRouting:
         opts.dmuon_step(w_d, g, opts.MuonState.for_block(w_d), CommonHyper(1e-2, 0.0))
         assert np.allclose(w_d.values, 0.2 * math.sqrt(n) * w_m.values, atol=1e-15)
 
+    @pytest.mark.parametrize("rms_factor", [-1.0, 0.0, math.nan])
+    def test_dmuon_rejects_rms_factor_not_positive(self, rms_factor):
+        block = ParamBlock("w", np.ones((2, 3)), role="matrix")
+        state = opts.MuonState.for_block(block)
+        with pytest.raises(ContractViolationError, match="rms_factor must be positive, got"):
+            opts.dmuon_step(block, np.ones((2, 3)), state, H, rms_factor=rms_factor)
+        assert np.all(block.values == 1.0) and np.all(state.m == 0.0)
+
 
 class TestSoap:
     def test_vector_block_matches_adamw(self):
@@ -230,6 +245,11 @@ class TestSophia:
         expected = -0.1 * state.m[0] / (0.04 * 1000.0 + 1e-15)
         assert block.values[0] == pytest.approx(expected, abs=1e-18)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.04, math.nan])
+    def test_rejects_rho_not_positive(self, rho):
+        with pytest.raises(ContractViolationError, match="rho must be positive, got"):
+            opts.sophia_step(ParamBlock("x", np.zeros(2)), np.ones(2), opts.SophiaState.zeros(2), H, rho=rho)
+
     def test_refresh_requires_estimate(self):
         state = opts.SophiaState.zeros(2)
         with pytest.raises(ContractViolationError):
@@ -266,6 +286,11 @@ class TestProdigy:
         assert state.d == 1e-6
         assert state.r == 0.0
         assert eff > 0.0
+
+    @pytest.mark.parametrize("d0", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_d0_not_finite_and_positive(self, d0):
+        with pytest.raises(ContractViolationError, match="d0 must be finite and > 0, got"):
+            opts.ProdigyState.for_blocks([scalar_block()], d0)
 
     def test_d_never_decreases(self):
         blocks = [ParamBlock("x", np.zeros(3))]

@@ -130,6 +130,16 @@ class TestMlp:
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
+    def test_init_blocks_are_fresh_draws_of_one_value(self, problem):
+        first = problem.init_blocks(2)
+        for block in first:
+            block.values += 1.0
+        fresh = mlp_classification_problem(5, 7, 3, 60, Rng(8, "mlp"), BatchSpec(batch_size=12)).init_blocks(2)
+        again = problem.init_blocks(2)
+        for a, b, f in zip(again, fresh, first):
+            assert np.array_equal(a.values, b.values)
+            assert not np.shares_memory(a.values, f.values)
+
     def test_gnb_supported_and_deterministic(self, problem):
         assert problem.supports_gnb
         params = {b.name: b.values for b in problem.init_blocks(0)}
@@ -144,7 +154,7 @@ def test_build_problem_dispatch():
     assert build_problem("quadratic", 1, dim=4, condition=5.0).name == "quadratic"
     assert build_problem("rosenbrock", 1, dim=4).name == "rosenbrock"
     assert build_problem("mlp", 1).name == "mlp"
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="unknown problem.kind 'maze'; valid kinds: quadratic, rosenbrock"):
         build_problem("maze", 1)
 
 
@@ -160,7 +170,7 @@ def test_build_problem_rejects_unknown_keys_and_wrong_kinds(kind, params, key):
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_kinds_and_defaults_match_what_build_problem_builds(kind):
     problem = build_problem(kind, 1)
-    assert problem.supports_gnb == KINDS[kind]
+    assert problem.supports_gnb == (kind == "mlp")
     d = DEFAULTS
     shapes = {
         "quadratic": [(d["dim"],)],
@@ -175,6 +185,13 @@ def test_batch_spec_validation():
         BatchSpec(batch_size=0)
     with pytest.raises(ContractViolationError):
         BatchSpec(noise_scale=-1.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan])
+def test_finite_difference_step_must_be_positive(h):
+    problem = quadratic_problem(2, 1.0, Rng(1, "q"))
+    with pytest.raises(ContractViolationError, match="h must be positive"):
+        finite_difference_gradient(problem, {"x": np.zeros(2)}, (1, 1), h)
 
 
 @pytest.mark.parametrize(
