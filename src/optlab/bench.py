@@ -13,10 +13,10 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
 >= 1, and the name, an output directory's, holds no path separator.
 ``plan_cells``, the cell planner of ``run_suite`` and ``harness.sweep``,
-checks every cell as its run will build it before any cell runs, so a
-``SuiteSpec`` built in code is checked as a parsed file is. Only values that
-a rule checks when it steps (a ``beta1`` of 1.5, a negative ``eps`` or
-``lr_1d``; the README lists them) fail when their cell runs.
+builds each distinct cell as its run will and runs its first step before any
+cell runs, so the problem, the engine and the rule's own step checks judge
+every value (a ``beta1`` of 1.5, a negative ``eps`` or ``lr_1d``), and a
+``SuiteSpec`` built in code is checked as a parsed file is.
 Every rule must resolve to the same ``problem.kind``: ranks compare final
 losses across rules, and losses of different problems are not comparable.
 
@@ -34,11 +34,12 @@ from pathlib import Path
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError, ContractViolationError
-from .harness import _section, build_engine, run
+from .harness import RunRecord, _section, _train, build_engine, run
 from .optimizers.engine import wrong_kind
-from .problems import build_problem
+from .problems import Problem, build_problem
 from .rng import stable_hash
 from .runio import write_run_artifacts
+from .schedules import ScheduleSpec
 
 
 #: The ``suite.*`` keys with defaults; ``suite.optimizers`` and
@@ -165,25 +166,32 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
 
 
 def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
-    """The resolved run config of each ``(label, layer, assignment)`` cell, checked as its run will build it.
+    """The resolved run config of each ``(label, layer, assignment)`` cell, checked by running its first step.
 
     A cell resolves ``base_config < layer < {"run.seed": stable_hash(base_seed,
-    *label)} < assignment``; its engine and schedule (``harness.build_engine``)
-    are built on its problem's ``init_blocks(0)``. Each distinct ``problem.*``
-    section is built once, at seed 0: shapes and ranges do not depend on the seed.
+    *label)} < assignment``. Each distinct cell (by ``config_hash``, which
+    leaves out ``run.seed``) builds its engine and schedule
+    (``harness.build_engine``) on fresh ``init_blocks(0)`` of its problem, and
+    ``harness._train`` runs one step of it at the engine's lr with the cell's
+    ``run.clip``. Each distinct ``problem.*`` section is built once, at seed 0.
+    A step that diverges is the run's outcome, not an error, and passes.
     """
-    built: dict[tuple, tuple] = {}
+    problems: dict[tuple, Problem] = {}
+    stepped = set()
     configs = []
     for label, layer, assignment in cells:
         cfg = resolve(base_config, layer, {"run.seed": stable_hash(base_seed, *label)}, assignment)
-        section = _section(cfg, "problem")
-        key = tuple(section.items())
-        if key not in built:
-            problem = build_problem(section.pop("kind"), 0, **section)
-            built[key] = problem, problem.init_blocks(0)
-        problem, blocks = built[key]
-        build_engine(cfg, problem, blocks)
         configs.append(cfg)
+        if (key := config_hash(cfg)) in stepped:
+            continue
+        stepped.add(key)
+        section = _section(cfg, "problem")
+        if (shape := tuple(section.items())) not in problems:
+            problems[shape] = build_problem(section.pop("kind"), 0, **section)
+        problem = problems[shape]
+        blocks = problem.init_blocks(0)
+        engine, _ = build_engine(cfg, problem, blocks)
+        _train(RunRecord({}), problem, blocks, engine, ScheduleSpec("constant", engine.lr, 1), 0, cfg["run.clip"], 1)
     return configs
 
 

@@ -149,11 +149,13 @@ def resolve(*layers: dict | None) -> dict:
     The preset is the one the merged ``optimizer.preset`` names for the merged
     ``optimizer.name``; the layers are, for the CLI, the config file and then
     the ``--set`` overrides. Unknown keys, values unlike the kind of their
-    ``DEFAULTS`` entry, a ``run.log_every`` below 1 and a ``run.clip`` not > 0
-    raise :class:`ConfigurationError`. Every other value is judged by the code
-    that builds from it: the problem (``problems.build_problem``), the engine
-    and schedule (``harness.build_engine``), or a rule's step. Resolving a
-    resolved config gives it back unchanged.
+    ``DEFAULTS`` entry and a ``run.log_every`` below 1 raise
+    :class:`ConfigurationError`. Every other value is judged by the code that
+    builds or steps from it: the problem (``problems.build_problem``), the
+    engine and schedule (``harness.build_engine``), ``run.clip`` by
+    ``harness.clip_gradients``, or a rule's step. ``bench.plan_cells`` runs
+    all of them before a suite or sweep runs any cell. Resolving a resolved
+    config gives it back unchanged.
     """
     merged: dict = {}
     for layer in layers:
@@ -168,8 +170,6 @@ def resolve(*layers: dict | None) -> dict:
     validate_keys(cfg)
     if cfg["run.log_every"] < 1:
         raise ConfigurationError(f"run.log_every must be >= 1, got {cfg['run.log_every']}")
-    if (clip := cfg["run.clip"]) is not None and not clip > 0:  # a NaN threshold fails this too
-        raise ConfigurationError(f"clip threshold must be positive, got {float(clip)!r}")
     return cfg
 
 

@@ -244,9 +244,10 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     Each grid cell runs with an independent seed derived from the base seed
     and the cell index, so cells are comparable but not correlated; a grid
     over ``run.seed`` runs the seeds it names instead. ``bench.plan_cells``
-    resolves every cell's config and builds its problem, engine and schedule
-    before any cell runs, as it does for a suite, so a misspelt grid key or a
-    value the run would reject when it starts raises before the first run.
+    resolves every cell's config, builds its problem, engine and schedule and
+    runs each distinct cell's first step before any cell runs, as it does for
+    a suite, so a misspelt grid key or a value the run would reject (a
+    ``problem.dim`` of 0, a lion ``beta1`` of 1.5) raises before the first run.
     """
     if not grid:
         return [({}, run(base_config))]

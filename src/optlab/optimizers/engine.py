@@ -186,7 +186,7 @@ class AdamW(_PerBlock):
 
 
 class Adopt(_PerBlock):
-    """First call only seeds v0 from the observed gradient (no motion)."""
+    """First call only seeds v0 from the observed gradient (no motion), after checking the betas later calls use."""
 
     name = "adopt"
     defaults = {"lr": 1e-3, "weight_decay": 0.0, "eps": 1e-6, "beta1": 0.9, "beta2": 0.999}
@@ -194,6 +194,8 @@ class Adopt(_PerBlock):
 
     def _rule(self, block, grad, state, hyper):
         if not state.v_ready:
+            base.check_beta("beta1", self.beta1)
+            base.check_beta("beta2", self.beta2)
             base.adopt_init(state, grad)
             return np.zeros(block.shape)
         return base.adopt_step(block, grad, state, hyper, self.beta1, self.beta2)
@@ -371,8 +373,10 @@ class Mars(_Hybrid):
     variant = "adamw"
     defaults = {
         "lr": 3e-3, "lr_1d": 1e-3, "weight_decay": 0.0, "weight_decay_1d": None, "eps": 1e-8,
-        "beta1": 0.95, "beta2": 0.99, "eta": 0.025, **_NS, **_BETAS_1D,
+        "beta1": 0.95, "beta2": 0.99, "eta": 0.025, **_BETAS_1D,
     }
+    #: only the shampoo variant orthogonalizes, so only it takes the Newton-Schulz keys
+    ns_iters, ns_a, ns_b, ns_c = _NS.values()
     state_type = mars.MarsState
     keys_1d = ("lr_1d", "weight_decay_1d", "beta1_1d", "beta2_1d")
 
@@ -396,6 +400,7 @@ class MarsLion(Mars):
 class MarsShampoo(Mars):
     name = "mars-shampoo"
     variant = "shampoo"
+    defaults = {**Mars.defaults, **_NS}
 
 
 OPTIMIZERS: dict[str, type[Optimizer]] = {

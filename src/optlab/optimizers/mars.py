@@ -11,6 +11,7 @@ to AdamW with its own learning rate, following the usual hybrid routing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ def mars_step(
     check_finite_grad(grad)
     check_beta("beta1", beta1)
     check_beta("beta2", beta2)
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ContractViolationError(f"eta must be finite and >= 0, got {eta!r}")
     state.t += 1
     t = state.t
     c = grad + eta * (beta1 / (1.0 - beta1)) * (grad - state.g_prev)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from optlab import harness
+from optlab import bench, harness
 from optlab.bench import SuiteSpec, run_suite
 from optlab.cli import main
 from optlab.config import value_to_str
@@ -12,6 +12,11 @@ from optlab.rng import stable_hash
 
 BASE = {"problem.kind": "quadratic", "schedule.family": "constant"}
 MLP = {"problem.kind": "mlp"}
+
+
+def on_mlp(rule, key, value):
+    """Suite overrides that run adamw and ``rule`` on the MLP, whose matrix blocks take the rule's own path."""
+    return {"adamw": MLP, rule: {**MLP, f"optimizer.{key}": value}}
 
 
 @pytest.mark.parametrize(
@@ -30,14 +35,36 @@ MLP = {"problem.kind": "mlp"}
         (("adamw", "lion"), {"lion": {"problem.dim": 0}}, "dim must be >= 1"),
         (("adamw", "soap"), {"adamw": MLP, "soap": {**MLP, "optimizer.precond_freq": 0}},
          "precond_freq must be >= 1 or None, got 0"),
+        # checked by the rule's first step, which the planner runs
+        (("adamw", "lion"), {"lion": {"optimizer.beta1": 1.5}}, "beta1 must lie in (0, 1), got 1.5"),
+        (("adamw", "adopt"), {"adopt": {"optimizer.beta2": 1.0}}, "beta2 must lie in (0, 1), got 1.0"),
+        (("adamw", "ademamix"), {"ademamix": {"optimizer.eps": 0.0}}, "eps must be finite and > 0"),
+        (("adamw", "signum"), {"signum": {"optimizer.weight_decay": -1.0}}, "lam must be finite and >= 0"),
+        (("adamw", "muon"), {"muon": {"optimizer.beta1_1d": 1.5}}, "beta1 must lie in (0, 1), got 1.5"),
+        (("adamw", "dmuon"), {"dmuon": {"optimizer.beta2_1d": -0.5}}, "beta2 must lie in (0, 1), got -0.5"),
+        (("adamw", "mars-adamw"), {"mars-adamw": {"optimizer.weight_decay_1d": -1.0}}, "lam must be finite and >= 0"),
+        (("adamw", "muon"), {"muon": {"optimizer.lr_1d": -0.001}}, "gamma must be finite and >= 0, got -0.001"),
+        (("adamw", "signum"), {"signum": {"optimizer.momentum": 1.5}}, "beta must lie in [0, 1), got 1.5"),
+        (("adamw", "signum"), {"signum": {"optimizer.dampening": 1.5}}, "dampening must lie in [0, 1), got 1.5"),
+        (("adamw", "muon"), on_mlp("muon", "momentum", 1.5), "beta must lie in [0, 1), got 1.5"),
+        (("adamw", "dmuon"), on_mlp("dmuon", "momentum", -0.1), "beta must lie in [0, 1), got -0.1"),
+        (("adamw", "dmuon"), on_mlp("dmuon", "rms_factor", 0.0), "rms_factor must be positive, got 0.0"),
+        (("adamw", "sophia"), on_mlp("sophia", "rho", 0.0), "rho must be positive, got 0.0"),
+        (("adamw", "sophia"), on_mlp("sophia", "estimator_freq", 0), "estimator_freq must be >= 1, got 0"),
+        (("adamw", "muon"), on_mlp("muon", "ns_iters", 0), "iters must be >= 1"),
+        (("adamw", "mars-shampoo"), on_mlp("mars-shampoo", "ns_iters", 0), "iters must be >= 1"),
+        (("adamw", "mars-lion"), on_mlp("mars-lion", "eta", -1), "eta must be finite and >= 0, got -1"),
     ],
     ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer", "warmup-covers-budget", "negative-lr",
          "ademamix-alpha", "ademamix-alpha-nan", "prodigy-d0-negative", "prodigy-d0-zero", "sf-warmup", "problem-dim",
-         "soap-precond-freq"],
+         "soap-precond-freq", "lion-beta1", "adopt-beta2", "ademamix-eps", "signum-weight-decay", "muon-beta1-1d",
+         "dmuon-beta2-1d", "mars-weight-decay-1d", "muon-negative-lr-1d", "signum-momentum", "signum-dampening",
+         "muon-momentum", "dmuon-momentum", "dmuon-rms-factor", "sophia-rho", "sophia-estimator-freq",
+         "muon-ns-iters", "mars-shampoo-ns-iters", "mars-eta"],
 )
 def test_built_suite_is_checked_before_any_cell_runs(tmp_path, optimizers, overrides, message):
     suite = SuiteSpec("x", optimizers, (5,), 1, 1, dict(BASE), overrides)
-    with pytest.raises(ConfigurationError, match=f"^suite 'x': .*{message}"):
+    with pytest.raises(ConfigurationError, match=f"^suite 'x': .*{re.escape(message)}"):
         run_suite(suite, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -79,6 +106,64 @@ def test_every_entry_point_rejects_what_the_built_run_rejects_before_any_step(
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("clip,shown", [(0, "0.0"), (-1.5, "-1.5")])
+def test_every_entry_point_rejects_a_clip_that_is_not_positive(tmp_path, monkeypatch, capsys, clip, shown):
+    # resolve() accepts it; clip_gradients rejects it at a run's first step, which the planner runs
+    message = f"clip threshold must be positive, got {shown}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        harness.run({**BASE, "run.clip": clip})
+    ran = []
+    monkeypatch.setattr(harness, "run", lambda cfg: ran.append(cfg))
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        harness.sweep(BASE, {"run.clip": [0.5, clip]})
+    assert ran == []
+
+    suite = SuiteSpec("x", ("adamw", "lion"), (5,), 1, 1, dict(BASE), {"lion": {"run.clip": clip}})
+    with pytest.raises(ConfigurationError, match="^suite 'x': " + re.escape(message)):
+        run_suite(suite, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {value_to_str(v)}\n" for k, v in {**BASE, "run.clip": clip}.items()))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_sweep_over_a_value_the_step_checks_raises_before_any_run(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run", lambda cfg: ran.append(cfg))
+    with pytest.raises(ContractViolationError, match=re.escape("beta1 must lie in (0, 1), got 1.5")):
+        harness.sweep({**BASE, "optimizer.name": "lion"}, {"optimizer.beta1": [0.9, 1.5]})
+    assert ran == []
+
+
+def _count_planned_engines(monkeypatch) -> list:
+    built = []
+    monkeypatch.setattr(bench, "build_engine", lambda *args: built.append(args) or harness.build_engine(*args))
+    return built
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the divergence is the point
+def test_a_cell_whose_first_step_diverges_passes_the_pre_flight_and_ranks_diverged(tmp_path, monkeypatch):
+    built = _count_planned_engines(monkeypatch)
+    overrides = {"adamw": {"optimizer.lr": 1e308, "optimizer.weight_decay": 1e10}}
+    table = run_suite(SuiteSpec("x", ("adamw", "lion"), (3, 4), 3, 1, dict(BASE), overrides), tmp_path)
+    assert len(built) == 4  # one per distinct cell: 2 rules x 2 budgets, not 12
+    for budget in (3, 4):
+        assert [(row.optimizer, row.diverged) for row in table.ranked(budget)] == [("lion", False), ("adamw", True)]
+        for rep in range(3):
+            summary = json.loads((tmp_path / "runs" / f"adamw-b{budget}-r{rep}" / "summary.json").read_text())
+            assert summary["divergence_step"] == 1
+
+
+def test_a_seed_grid_is_checked_once(monkeypatch):
+    built = _count_planned_engines(monkeypatch)
+    results = harness.sweep({**BASE, "run.steps": 2}, {"run.seed": [1, 2, 3]})
+    assert len(built) == 1
+    assert [record.config["run.seed"] for _, record in results] == [1, 2, 3]
 
 
 def test_suite_cells_are_named_and_seeded_by_rule_budget_and_replicate(tmp_path):

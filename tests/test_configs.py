@@ -1,4 +1,4 @@
-"""Every config file shipped in ``configs/`` passes its pre-flight without running a step."""
+"""Every config file shipped in ``configs/`` passes its pre-flight without starting a run."""
 
 from pathlib import Path
 
@@ -16,10 +16,11 @@ def test_the_readme_configs_are_shipped():
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
 def test_shipped_config_passes_its_pre_flight(path, monkeypatch):
-    def no_steps(*args):
-        raise AssertionError("the pre-flight ran a step")
+    def no_runs(*args):
+        raise AssertionError("the pre-flight started a run")
 
-    monkeypatch.setattr(harness, "_train", no_steps)
+    # a run's loop is harness._train; the planner's own first steps do not go through this name
+    monkeypatch.setattr(harness, "_train", no_runs)
     flat = load_config_file(path)
     if any(key.startswith("suite.") for key in flat):
         suite = bench.parse_suite(flat, source=str(path))

@@ -1,8 +1,10 @@
 """The constructor defaults are the tuned reference values; pin them."""
 
 import numpy as np
+import pytest
 
 from optlab.blocks import ParamBlock
+from optlab.errors import ConfigurationError
 from optlab.optimizers import NS_COEFFS, NS_ITERS
 from optlab.optimizers.engine import (
     AdamW,
@@ -16,6 +18,7 @@ from optlab.optimizers.engine import (
     Signum,
     Soap,
     Sophia,
+    make_optimizer,
 )
 
 
@@ -88,3 +91,11 @@ def test_mars_defaults():
     assert (e.beta1, e.beta2, e.eta) == (0.95, 0.99, 0.025)
     assert e.betas_1d == (0.8, 0.999)
     assert e.weight_decay_1d == e.weight_decay
+
+
+@pytest.mark.parametrize("name", ["mars-adamw", "mars-lion"])
+def test_only_mars_shampoo_takes_the_newton_schulz_keys(name):
+    # only the shampoo variant orthogonalizes; elsewhere the keys would change the config hash but not the run
+    with pytest.raises(ConfigurationError, match=f"{name!r} takes no hyperparameter 'ns_iters'; it accepts: "):
+        make_optimizer(name, _block(), 10, {"ns_iters": 3})
+    assert make_optimizer("mars-shampoo", _block(), 10, {"ns_iters": 3}).ns_iters == 3

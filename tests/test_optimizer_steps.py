@@ -348,6 +348,14 @@ class TestMars:
         with pytest.raises(ContractViolationError):
             opts.mars_step(block, np.ones((2, 2)), opts.MarsState.for_block(block), H, "sgd")
 
+    @pytest.mark.parametrize("eta,shown", [(-1, "-1"), (-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_eta_must_be_finite_and_non_negative(self, eta, shown):
+        block = ParamBlock("w", np.zeros((2, 2)), role="matrix")
+        state = opts.MarsState.for_block(block)
+        with pytest.raises(ContractViolationError, match=f"eta must be finite and >= 0, got {shown}$"):
+            opts.mars_step(block, np.ones((2, 2)), state, H, "adamw", eta=eta)
+        assert state.t == 0 and not block.values.any()
+
 
 def assert_bit_identical(a, b, path="engine"):
     """Recursively compare two engines' attributes: arrays by their bytes, everything else by ``==``."""
