@@ -1,9 +1,15 @@
-"""Race all fourteen update rules on one ill-conditioned quadratic.
+"""Race the fourteen update rules, thirteen of them on one ill-conditioned quadratic.
 
 Each optimizer runs 500 steps at a constant learning rate from a small
 per-method grid (the quadratic's loss is its distance to the optimum, so
 "loss reduced by 1000x" reads directly). Sophia needs a categorical loss for
 its curvature estimator and therefore races on the MLP problem instead.
+
+The quadratic's only parameter block is a vector, and the hybrid rules send
+every block that is not a matrix to their AdamW 1-D group. So muon, dmuon,
+soap, mars-adamw, mars-lion and mars-shampoo race here as AdamW with their
+own 1-D values, not with their own update; seven rules race their own update
+on the quadratic.
 """
 
 from optlab import OPTIMIZER_NAMES, sweep

@@ -4,9 +4,10 @@ Every source of randomness in the library is an :class:`Rng` addressed by a ``(s
 ``Rng(seed, "batch/17")`` for the batch drawn at step 17. The raw 64-bit integer stream is a pure integer
 recurrence and is therefore byte-identical across platforms and processes; floating-point outputs (uniform,
 normal) are deterministic given IEEE-754 doubles and the platform's libm. Normal draws use the Box-Muller
-transform, chosen once so the stream layout never changes. Its log is libm's, one value at a time; its cos and sin
-are numpy's float64 ufuncs where a probe, run once per process, shows that they round as libm's do, and libm's one
-value at a time otherwise, so the numbers are the same either way.
+transform, chosen once so the stream layout never changes. Its log, cos and sin give libm's bytes: for each, a probe
+run once per process takes the first of numpy's ufunc on the array, numpy's ufunc on a reversed view (numpy then runs
+its per-element loop, which calls libm) and ``math`` one value at a time that gives ``math``'s bytes. So the numbers
+are the same either way, and Python is called once per value only where neither numpy path rounds as libm does.
 
 Distinct keys yield independent streams without any shared mutable state, which is what makes concurrent runs
 reproducible: each run owns its Rngs.
@@ -158,18 +159,22 @@ def _check_bound(bound: int, bits: int, size: int = 0) -> None:
 def _box_muller(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Normal pairs from raw draws ``a`` (for u1) and ``b`` (for u2), interleaved (cos, sin) on the last axis.
 
-    The log is libm's, one value at a time through ``math.log`` (``np.log`` rounds otherwise on some inputs); cos
-    and sin are the pair ``_cos_sin`` picks, which rounds as libm's do. The integer-to-double conversions,
-    multiplications and ``sqrt`` are correctly rounded either way, so they run in numpy.
+    The log, cos and sin are the vector functions ``_libm`` picks, each of which gives libm's bytes. The
+    integer-to-double conversions, multiplications and ``sqrt`` are correctly rounded either way, so they run in numpy.
     """
     u1 = (((a >> _U[11]) + _U[1]) * 2.0**-53).ravel()  # u1 in (0, 1] keeps log() finite
     theta = ((b >> _U[11]) * 2.0**-53 * _TWO_PI).ravel()
-    r = np.sqrt(-2.0 * _LIBM_LOG(u1))
+    r = np.sqrt(-2.0 * _libm("log")(u1))
     out = np.empty((len(u1), 2))
-    cos, sin = _cos_sin()
-    np.multiply(r, cos(theta), out=out[:, 0])
-    np.multiply(r, sin(theta), out=out[:, 1])
+    np.multiply(r, _libm("cos")(theta), out=out[:, 0])
+    np.multiply(r, _libm("sin")(theta), out=out[:, 1])
     return out.reshape(*a.shape[:-1], 2 * a.shape[-1])
+
+
+def _reversed(f):
+    """numpy's ``f`` on a reversed view, in the input's order: on a negative stride numpy skips its SIMD kernel and
+    runs its per-element loop, which calls libm's ``f``."""
+    return lambda x: f(x[::-1])[::-1]
 
 
 def _per_value(f):
@@ -177,38 +182,42 @@ def _per_value(f):
     return lambda x: np.fromiter(map(f, memoryview(x)), np.float64, len(x))
 
 
-#: libm's log, cos and sin one value at a time through ``math``, and numpy's float64 cos/sin.
-_LIBM_LOG, _LIBM_TRIG = _per_value(math.log), (_per_value(math.cos), _per_value(math.sin))
-_NUMPY_TRIG = (np.cos, np.sin)
-#: Probe angles: fixed ones spread over the whole range, and this many either side of each multiple of pi/4.
-_PROBE_ANGLES, _PROBE_EDGE = 4096, 256
+#: For each function Box-Muller takes, the candidates in the order ``_libm`` tries them: numpy's ufunc on the array,
+#: numpy's ufunc on a reversed view, and ``math``'s one value at a time, whose bytes the other two must give.
+_CANDIDATES = {
+    name: (getattr(np, name), _reversed(getattr(np, name)), _per_value(getattr(math, name)))
+    for name in ("log", "cos", "sin")
+}
+#: Probe draws: fixed ones spread over the whole range, and this many either side of each multiple of ``2**50``.
+_PROBE_DRAWS, _PROBE_EDGE = 4096, 256
 
 
-def _probe_angles() -> np.ndarray:
-    """Box-Muller angles ``k * 2**-53 * 2 pi`` (``k`` below ``2**53``) on which the trig pairs are compared.
+def _probe(name: str) -> np.ndarray:
+    """Box-Muller's inputs to ``name`` for 53-bit draws ``k``: ``u1 = (k + 1) * 2**-53`` to log, ``k * 2**-53 * 2 pi``
+    to cos and sin.
 
-    A Weyl sequence gives ``_PROBE_ANGLES`` values of ``k`` across the range; the edges, where an approximating
-    kernel most likely rounds otherwise, are the ``k`` within ``_PROBE_EDGE`` of each ``m * 2**50``, the angle
-    ``m pi / 4`` (``m`` = 0 .. 8, so the smallest and the largest ``k`` too).
+    A Weyl sequence gives ``_PROBE_DRAWS`` values of ``k`` across the range; the edges, where an approximating kernel
+    most likely rounds otherwise, are the ``k`` within ``_PROBE_EDGE`` of each ``m * 2**50`` (``m`` = 0 .. 8, so the
+    smallest and the largest ``k`` too): the angle ``m pi / 4``, and ``u1`` next to 1/8, 1/4, 1/2 and 1.
     """
-    spread = (np.arange(1, _PROBE_ANGLES + 1, dtype=np.uint64) * _U[_GOLDEN]) >> _U[11]
+    spread = (np.arange(1, _PROBE_DRAWS + 1, dtype=np.uint64) * _U[_GOLDEN]) >> _U[11]
     offsets = np.arange(-_PROBE_EDGE, _PROBE_EDGE, dtype=np.int64)
     edges = (np.arange(9, dtype=np.int64)[:, None] << 50) + offsets
     k = np.concatenate([spread, edges[(edges >= 0) & (edges < 1 << 53)].astype(np.uint64)])
-    return k * 2.0**-53 * _TWO_PI
+    return (k + _U[1]) * 2.0**-53 if name == "log" else k * 2.0**-53 * _TWO_PI
 
 
-def _choose_trig(candidate):
-    """``candidate`` if its cos and sin give libm's bytes on every probe angle, else ``_LIBM_TRIG``."""
-    theta = _probe_angles()
-    same = all(f(theta).tobytes() == g(theta).tobytes() for f, g in zip(candidate, _LIBM_TRIG))
-    return candidate if same else _LIBM_TRIG
+def _choose(candidates, x: np.ndarray):
+    """The first of ``candidates`` that gives the last one's bytes on every value of ``x``."""
+    want = candidates[-1](x).tobytes()
+    return next(f for f in candidates if f(x).tobytes() == want)
 
 
 @functools.cache
-def _cos_sin():
-    """The cos/sin pair of ``_box_muller``: numpy's where it rounds as libm's on the probe, chosen once per process."""
-    return _choose_trig(_NUMPY_TRIG)
+def _libm(name: str):
+    """libm's ``name`` (log, cos or sin) over a float64 vector: of ``_CANDIDATES[name]``, the first that gives
+    ``math``'s bytes on ``_probe(name)``, chosen once per process."""
+    return _choose(_CANDIDATES[name], _probe(name))
 
 
 def _lane_states(seed: int, keys) -> list[np.ndarray]:

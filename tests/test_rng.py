@@ -361,20 +361,31 @@ def test_normal_streams_take_the_lanes_from_the_threshold_on(monkeypatch, count,
         assert row.tobytes() == _scalar_normal(Rng(78, key), n).tobytes()
 
 
-_TRIG_PATHS = ["_NUMPY_TRIG", "_LIBM_TRIG"]
+_LIBM_NAMES = ("log", "cos", "sin")
+# every (function, candidate) pair of the chooser, candidates in the order it tries them
+_LIBM_PATHS = [
+    pytest.param(name, i, id=f"{name}-{label}")
+    for name in _LIBM_NAMES
+    for i, label in enumerate(("numpy", "numpy-reversed", "math"))
+]
 
 
-def _force_trig(monkeypatch, name):
-    pair = getattr(rng_module, name)
-    if pair is rng_module._NUMPY_TRIG and rng_module._cos_sin() is not pair:
-        pytest.skip("numpy's float64 cos/sin round unlike libm's on this build")
-    monkeypatch.setattr(rng_module, "_cos_sin", lambda: pair)
+def _math_bytes(name, x):
+    return np.array([getattr(math, name)(v) for v in x.tolist()], dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("path", _TRIG_PATHS)
+def _force_libm(monkeypatch, name, i):
+    """Make ``_box_muller`` take candidate ``i`` for ``name``, and the chosen candidates for the other functions."""
+    candidate, chosen, x = rng_module._CANDIDATES[name][i], rng_module._libm, rng_module._probe(name)
+    if i < 2 and candidate(x).tobytes() != _math_bytes(name, x):
+        pytest.skip(f"this numpy path of float64 {name} rounds unlike libm's on this build")
+    monkeypatch.setattr(rng_module, "_libm", lambda f: candidate if f == name else chosen(f))
+
+
+@pytest.mark.parametrize("name,candidate", _LIBM_PATHS)
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 447, 100_001])
-def test_each_trig_path_draws_the_scalar_normals(monkeypatch, path, n):
-    _force_trig(monkeypatch, path)
+def test_each_libm_candidate_draws_the_scalar_normals(monkeypatch, name, candidate, n):
+    _force_libm(monkeypatch, name, candidate)
     r, scalar = Rng(31, "trig"), Rng(31, "trig")
     # the second call takes the spare an odd n leaves, or draws a pair and keeps one
     drawn = np.concatenate([r.normal(n), r.normal(1)])
@@ -382,48 +393,67 @@ def test_each_trig_path_draws_the_scalar_normals(monkeypatch, path, n):
     assert [r.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
 
 
-@pytest.mark.parametrize("path", _TRIG_PATHS)
-def test_each_trig_path_draws_the_scalar_noise_block(monkeypatch, path):
-    _force_trig(monkeypatch, path)
+@pytest.mark.parametrize("name,candidate", _LIBM_PATHS)
+def test_each_libm_candidate_draws_the_scalar_noise_block(monkeypatch, name, candidate):
+    _force_libm(monkeypatch, name, candidate)
     keys = [f"noise/{t}" for t in range(256)]  # one quadratic noise block of dimension 64
     rows = normal_streams(17, keys, 64)
     for key, row in zip(keys, rows):
         assert row.tobytes() == _scalar_normal(Rng(17, key), 64).tobytes(), key
 
 
-def test_trig_probe_is_deterministic_and_covers_the_edges():
-    angles = rng_module._probe_angles()
-    assert angles.tobytes() == rng_module._probe_angles().tobytes()
+def test_libm_probe_is_deterministic_and_covers_the_edges():
+    for name in _LIBM_NAMES:
+        x = rng_module._probe(name)
+        assert x.tobytes() == rng_module._probe(name).tobytes()
+        assert rng_module._libm(name) is rng_module._choose(rng_module._CANDIDATES[name], x)
     # the Box-Muller angle of the smallest and largest draws, and of draws next to pi / 4 and pi
     edges = np.array([0, 1, 2**50, 4 * 2**50 - 1, 2**53 - 1], dtype=np.uint64) * 2.0**-53 * rng_module._TWO_PI
-    assert np.isin(edges, angles).all()
-    assert rng_module._choose_trig(rng_module._NUMPY_TRIG) is rng_module._choose_trig(rng_module._NUMPY_TRIG)
-    assert rng_module._cos_sin() is rng_module._choose_trig(rng_module._NUMPY_TRIG)
+    assert np.isin(edges, rng_module._probe("cos")).all()
+    assert rng_module._probe("sin").tobytes() == rng_module._probe("cos").tobytes()
+    # u1 of the smallest and largest draws, and either side of 1/8, 1/4 and 1/2
+    ulp = 2.0**-53
+    u1 = np.array([ulp, 1.0, 0.125, 0.125 - ulp, 0.125 + ulp, 0.25, 0.25 + ulp, 0.5, 0.5 - ulp, 0.5 + ulp, 1.0 - ulp])
+    assert np.isin(u1, rng_module._probe("log")).all()
 
 
-def test_trig_probe_picks_numpy_exactly_when_it_rounds_as_libm():
-    angles = rng_module._probe_angles()
-    matches = all(
-        f(angles).tobytes() == np.array([g(a) for a in angles.tolist()]).tobytes()
-        for f, g in ((np.cos, math.cos), (np.sin, math.sin))
-    )
-    chosen = rng_module._choose_trig(rng_module._NUMPY_TRIG)
-    assert chosen is (rng_module._NUMPY_TRIG if matches else rng_module._LIBM_TRIG)
-    # a pair that rounds as libm's does everywhere is taken
-    exact = (rng_module._per_value(math.cos), rng_module._per_value(math.sin))
-    assert rng_module._choose_trig(exact) is exact
+@pytest.mark.parametrize("name", _LIBM_NAMES)
+def test_libm_chooser_takes_the_first_candidate_that_rounds_as_libm(name):
+    x = rng_module._probe(name)
+    libm = _math_bytes(name, x)
+    candidates = rng_module._CANDIDATES[name]
+    assert candidates[-1](x).tobytes() == libm
+    assert rng_module._libm(name) is next(f for f in candidates if f(x).tobytes() == libm)
+    # a candidate that rounds as libm's does everywhere is taken before the last
+    exact = rng_module._per_value(getattr(math, name))
+    assert rng_module._choose((exact, candidates[-1]), x) is exact
 
-    def one_ulp_off(f, i):
-        def g(x):
-            y = f(x)
+
+@pytest.mark.parametrize("name", _LIBM_NAMES)
+def test_libm_chooser_rejects_a_candidate_one_ulp_off(name):
+    x = rng_module._probe(name)
+    libm = rng_module._CANDIDATES[name][-1]
+
+    def one_ulp_off(i):
+        def f(v):
+            y = libm(v)
             y[i] = np.nextafter(y[i], np.inf)
             return y
 
-        return g
+        return f
 
-    # one ULP on one probe angle, spread or edge, in either function, rejects the pair
-    for i in (0, len(angles) - 1):
-        for which in range(2):
-            pair = list(exact)
-            pair[which] = one_ulp_off(pair[which], i)
-            assert rng_module._choose_trig(tuple(pair)) is rng_module._LIBM_TRIG, (i, which)
+    # the first probe value, the smallest draw (the first edge) and the last probe value
+    for i in (0, rng_module._PROBE_DRAWS, len(x) - 1):
+        off = one_ulp_off(i)
+        assert rng_module._choose((off, libm), x) is libm, i
+        assert rng_module._choose((off, off, libm), x) is libm, i
+
+
+def test_chosen_libm_functions_hold_on_held_out_draws():
+    # 2**16 Box-Muller inputs from a stream the probe never sees
+    k = Rng(2026, "held-out/box-muller")._raw(2**17).reshape(-1, 2) >> np.uint64(11)
+    inputs = {"log": (k[:, 0] + np.uint64(1)) * 2.0**-53, "cos": k[:, 1] * 2.0**-53 * rng_module._TWO_PI}
+    inputs["sin"] = inputs["cos"]
+    for name, x in inputs.items():
+        assert len(x) == 2**16 and not np.isin(x, rng_module._probe(name)).any()
+        assert rng_module._libm(name)(x).tobytes() == _math_bytes(name, x), name
