@@ -113,6 +113,10 @@ def cmd_plotdata(args) -> int:
     idx = header.index(column)
     step_idx = header.index("step")
     pairs = [(r[step_idx], r[idx]) for r in rows if r[idx] != ""]
+    try:
+        values = [float(v) for _, v in pairs]
+    except ValueError as exc:
+        raise ConfigurationError(f"{Path(args.run_dir) / 'record.csv'}: column {column!r}: {exc}") from None
     out_path = Path(args.out) if args.out else Path(args.run_dir) / f"plot_{args.kind}.csv"
     lines = ["step,value"]
     if pairs:
@@ -120,9 +124,9 @@ def cmd_plotdata(args) -> int:
             lines.extend(f"{s},{v}" for s, v in pairs)
         else:
             alpha = 2.0 / (window + 1.0)
-            smooth = float(pairs[0][1])
-            for s, v in pairs:
-                smooth += alpha * (float(v) - smooth)
+            smooth = values[0]
+            for (s, _), v in zip(pairs, values):
+                smooth += alpha * (v - smooth)
                 lines.append(f"{s},{smooth!r}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -113,7 +113,7 @@ def load_config_file(path: str | Path) -> dict:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON summary: {exc}") from exc
-        if not isinstance(doc, dict) or "config" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
             raise ConfigurationError(f"{path}: JSON file has no 'config' object")
         return dict(doc["config"])
     return parse_config_text(text, source=str(path))

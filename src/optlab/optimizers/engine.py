@@ -358,10 +358,6 @@ class Prodigy(Optimizer):
         super().__init__(blocks, **params)
         self.state = prodigy.ProdigyState.for_blocks(self.blocks, self.d0, self.bias_correction)
 
-    @property
-    def d(self) -> float:
-        return self.state.d
-
     def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
         hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
         deltas, eff_lr = prodigy.prodigy_step(self.blocks, grads, self.state, hyper, self.beta1, self.beta2)

@@ -5,9 +5,9 @@ Every source of randomness in the library is an :class:`Rng` addressed by a ``(s
 recurrence and is therefore byte-identical across platforms and processes; floating-point outputs (uniform,
 normal) are deterministic given IEEE-754 doubles and the platform's libm. Normal draws use the Box-Muller
 transform, chosen once so the stream layout never changes. Its log, cos and sin give libm's bytes: for each, a probe
-run once per process takes the first of numpy's ufunc on the array, numpy's ufunc on a reversed view (numpy then runs
-its per-element loop, which calls libm) and ``math`` one value at a time that gives ``math``'s bytes. So the numbers
-are the same either way, and Python is called once per value only where neither numpy path rounds as libm does.
+run once per process takes numpy's ufunc on a reversed view (numpy then runs its per-element loop, which calls libm)
+if it gives ``math``'s bytes, else ``math`` one value at a time. So the numbers are the same either way, and Python
+is called once per value only where numpy's loop rounds otherwise.
 
 Distinct keys yield independent streams without any shared mutable state, which is what makes concurrent runs
 reproducible: each run owns its Rngs.
@@ -182,12 +182,6 @@ def _per_value(f):
     return lambda x: np.fromiter(map(f, memoryview(x)), np.float64, len(x))
 
 
-#: For each function Box-Muller takes, the candidates in the order ``_libm`` tries them: numpy's ufunc on the array,
-#: numpy's ufunc on a reversed view, and ``math``'s one value at a time, whose bytes the other two must give.
-_CANDIDATES = {
-    name: (getattr(np, name), _reversed(getattr(np, name)), _per_value(getattr(math, name)))
-    for name in ("log", "cos", "sin")
-}
 #: Probe draws: fixed ones spread over the whole range, and this many either side of each multiple of ``2**50``.
 _PROBE_DRAWS, _PROBE_EDGE = 4096, 256
 
@@ -207,17 +201,16 @@ def _probe(name: str) -> np.ndarray:
     return (k + _U[1]) * 2.0**-53 if name == "log" else k * 2.0**-53 * _TWO_PI
 
 
-def _choose(candidates, x: np.ndarray):
-    """The first of ``candidates`` that gives the last one's bytes on every value of ``x``."""
-    want = candidates[-1](x).tobytes()
-    return next(f for f in candidates if f(x).tobytes() == want)
+def _choose(loop, reference, x: np.ndarray):
+    """``loop`` if it gives ``reference``'s bytes on every value of ``x``, else ``reference``."""
+    return loop if loop(x).tobytes() == reference(x).tobytes() else reference
 
 
 @functools.cache
 def _libm(name: str):
-    """libm's ``name`` (log, cos or sin) over a float64 vector: of ``_CANDIDATES[name]``, the first that gives
-    ``math``'s bytes on ``_probe(name)``, chosen once per process."""
-    return _choose(_CANDIDATES[name], _probe(name))
+    """libm's ``name`` (log, cos or sin) over a float64 vector, chosen once per process: numpy's per-element loop
+    (``_reversed``) if it gives ``math``'s bytes on ``_probe(name)``, else ``math`` one value at a time."""
+    return _choose(_reversed(getattr(np, name)), _per_value(getattr(math, name)), _probe(name))
 
 
 def _lane_states(seed: int, keys) -> list[np.ndarray]:

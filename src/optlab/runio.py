@@ -19,7 +19,7 @@ def write_run_artifacts(record: RunRecord, run_dir: str | Path) -> Path:
 
 
 def read_record_csv(run_dir: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header fields and raw string rows of a run's record.csv."""
+    """Header fields and raw string rows of a run's record.csv; a row of another length than the header is rejected."""
     path = Path(run_dir) / "record.csv"
     if not path.is_file():
         raise ConfigurationError(f"{path} not found; not a run directory?")
@@ -27,5 +27,10 @@ def read_record_csv(run_dir: str | Path) -> tuple[list[str], list[list[str]]]:
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"{path} does not carry the expected header")
     header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line]
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line:
+            rows.append(line.split(","))
+            if len(rows[-1]) != len(header):
+                raise ConfigurationError(f"{path} line {lineno}: {len(rows[-1])} fields, header has {len(header)}")
     return header, rows

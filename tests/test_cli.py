@@ -169,6 +169,13 @@ class TestRun:
 
         assert strip_time(dir1 / "record.csv") == strip_time(dir2 / "record.csv")
 
+    @pytest.mark.parametrize("config", ["5", '["a"]', '"text"', "null"], ids=["int", "list", "str", "null"])
+    def test_summary_whose_config_is_not_an_object_exit_2(self, tmp_path, capsys, config):
+        summary = tmp_path / "summary.json"
+        summary.write_text(f'{{"config": {config}}}')
+        assert main(["run", "--config", str(summary), "--out", str(tmp_path / "o")]) == 2
+        assert f"{summary}: JSON file has no 'config' object" in capsys.readouterr().err
+
     def test_preset_flag(self, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -235,6 +242,29 @@ class TestPlotdata:
     def test_bad_setting_exit_2(self, run_dir, capsys, setting, error):
         assert main(["plotdata", str(run_dir), "--kind", "loss", "--set", setting]) == 2
         assert error in capsys.readouterr().err
+        assert not (run_dir / "plot_loss.csv").exists()
+
+    @pytest.mark.parametrize("cut", [1, -1], ids=["one-field", "one-extra"])
+    def test_row_with_wrong_field_count_exit_2_names_line(self, run_dir, capsys, cut):
+        record = run_dir / "record.csv"
+        lines = record.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:cut]) if cut > 0 else lines[3] + ",extra"
+        record.write_text("\n".join(lines) + "\n")
+        assert main(["plotdata", str(run_dir), "--kind", "loss"]) == 2
+        fields, header = len(lines[3].split(",")), len(lines[0].split(","))
+        assert f"{record} line 4: {fields} fields, header has {header}" in capsys.readouterr().err
+        assert not (run_dir / "plot_loss.csv").exists()
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_non_numeric_value_exit_2(self, run_dir, capsys, window):
+        record = run_dir / "record.csv"
+        lines = record.read_text().splitlines()
+        row = lines[3].split(",")
+        row[1] = "abc"  # the loss column
+        lines[3] = ",".join(row)
+        record.write_text("\n".join(lines) + "\n")
+        assert main(["plotdata", str(run_dir), "--kind", "loss", "--set", f"plot.window={window}"]) == 2
+        assert f"{record}: column 'loss': could not convert string to float: 'abc'" in capsys.readouterr().err
         assert not (run_dir / "plot_loss.csv").exists()
 
     def test_missing_column_warns_and_exits_zero(self, run_dir, capsys):

@@ -80,6 +80,23 @@ def test_engines_step_all_roles(name):
         assert np.all(np.isfinite(b.values))
 
 
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_engines_step_all_zero_gradients(name):
+    # muon, dmuon and mars-shampoo skip Newton-Schulz on an all-zero momentum, so no rule raises here;
+    # sf-adamw's averaging of its two sequences moves the parameters by rounding
+    r = Rng(80, "zero-grads")
+    blocks = [ParamBlock("w", r.normal_matrix(4, 3), role="matrix"), ParamBlock("b", r.normal(3))]
+    start = [b.values.copy() for b in blocks]
+    engine = make_optimizer(name, blocks, total_steps=10, params={})
+    zeros = {b.name: np.zeros(b.shape) for b in blocks}
+    for _ in range(3):
+        engine.step(zeros, 1.0, zeros if engine.wants_estimate() else None, 4)
+    for block, values in zip(blocks, start):
+        assert np.all(np.isfinite(block.values))
+        if name != "sf-adamw":
+            assert block.values.tobytes() == values.tobytes(), block.name
+
+
 @pytest.mark.parametrize("name", ["muon", "dmuon", "soap", "mars-shampoo"])
 def test_matrix_rules_reject_matrix_blocks_beyond_2d(name):
     # rejected when the block is built, so no rule ever sees it

@@ -362,11 +362,9 @@ def test_normal_streams_take_the_lanes_from_the_threshold_on(monkeypatch, count,
 
 
 _LIBM_NAMES = ("log", "cos", "sin")
-# every (function, candidate) pair of the chooser, candidates in the order it tries them
+# every (function, candidate) pair of the chooser: numpy's per-element loop on a reversed view, and math per value
 _LIBM_PATHS = [
-    pytest.param(name, i, id=f"{name}-{label}")
-    for name in _LIBM_NAMES
-    for i, label in enumerate(("numpy", "numpy-reversed", "math"))
+    pytest.param(name, label, id=f"{name}-{label}") for name in _LIBM_NAMES for label in ("numpy-reversed", "math")
 ]
 
 
@@ -374,12 +372,18 @@ def _math_bytes(name, x):
     return np.array([getattr(math, name)(v) for v in x.tolist()], dtype=np.float64).tobytes()
 
 
-def _force_libm(monkeypatch, name, i):
-    """Make ``_box_muller`` take candidate ``i`` for ``name``, and the chosen candidates for the other functions."""
-    candidate, chosen, x = rng_module._CANDIDATES[name][i], rng_module._libm, rng_module._probe(name)
-    if i < 2 and candidate(x).tobytes() != _math_bytes(name, x):
-        pytest.skip(f"this numpy path of float64 {name} rounds unlike libm's on this build")
-    monkeypatch.setattr(rng_module, "_libm", lambda f: candidate if f == name else chosen(f))
+def _candidate(name, label):
+    if label == "math":
+        return rng_module._per_value(getattr(math, name))
+    return rng_module._reversed(getattr(np, name))
+
+
+def _force_libm(monkeypatch, name, label):
+    """Make ``_box_muller`` take candidate ``label`` for ``name``, and the chosen candidates for the other functions."""
+    forced, chosen, x = _candidate(name, label), rng_module._libm, rng_module._probe(name)
+    if label != "math" and forced(x).tobytes() != _math_bytes(name, x):
+        pytest.skip(f"numpy's per-element loop of float64 {name} rounds unlike libm's on this build")
+    monkeypatch.setattr(rng_module, "_libm", lambda f: forced if f == name else chosen(f))
 
 
 @pytest.mark.parametrize("name,candidate", _LIBM_PATHS)
@@ -404,9 +408,7 @@ def test_each_libm_candidate_draws_the_scalar_noise_block(monkeypatch, name, can
 
 def test_libm_probe_is_deterministic_and_covers_the_edges():
     for name in _LIBM_NAMES:
-        x = rng_module._probe(name)
-        assert x.tobytes() == rng_module._probe(name).tobytes()
-        assert rng_module._libm(name) is rng_module._choose(rng_module._CANDIDATES[name], x)
+        assert rng_module._probe(name).tobytes() == rng_module._probe(name).tobytes()
     # the Box-Muller angle of the smallest and largest draws, and of draws next to pi / 4 and pi
     edges = np.array([0, 1, 2**50, 4 * 2**50 - 1, 2**53 - 1], dtype=np.uint64) * 2.0**-53 * rng_module._TWO_PI
     assert np.isin(edges, rng_module._probe("cos")).all()
@@ -418,21 +420,23 @@ def test_libm_probe_is_deterministic_and_covers_the_edges():
 
 
 @pytest.mark.parametrize("name", _LIBM_NAMES)
-def test_libm_chooser_takes_the_first_candidate_that_rounds_as_libm(name):
+def test_libm_takes_numpys_loop_exactly_when_it_rounds_as_libm(name):
     x = rng_module._probe(name)
     libm = _math_bytes(name, x)
-    candidates = rng_module._CANDIDATES[name]
-    assert candidates[-1](x).tobytes() == libm
-    assert rng_module._libm(name) is next(f for f in candidates if f(x).tobytes() == libm)
-    # a candidate that rounds as libm's does everywhere is taken before the last
+    loop, reference = _candidate(name, "numpy-reversed"), _candidate(name, "math")
+    assert reference(x).tobytes() == libm
+    # every function _reversed or _per_value returns shares its code object, so this names the candidate taken
+    taken = (loop if loop(x).tobytes() == libm else reference).__code__
+    assert rng_module._libm(name).__code__ is taken
+    # a loop that rounds as libm's does everywhere is taken
     exact = rng_module._per_value(getattr(math, name))
-    assert rng_module._choose((exact, candidates[-1]), x) is exact
+    assert rng_module._choose(exact, reference, x) is exact
 
 
 @pytest.mark.parametrize("name", _LIBM_NAMES)
 def test_libm_chooser_rejects_a_candidate_one_ulp_off(name):
     x = rng_module._probe(name)
-    libm = rng_module._CANDIDATES[name][-1]
+    libm = _candidate(name, "math")
 
     def one_ulp_off(i):
         def f(v):
@@ -444,9 +448,7 @@ def test_libm_chooser_rejects_a_candidate_one_ulp_off(name):
 
     # the first probe value, the smallest draw (the first edge) and the last probe value
     for i in (0, rng_module._PROBE_DRAWS, len(x) - 1):
-        off = one_ulp_off(i)
-        assert rng_module._choose((off, libm), x) is libm, i
-        assert rng_module._choose((off, off, libm), x) is libm, i
+        assert rng_module._choose(one_ulp_off(i), libm, x) is libm, i
 
 
 def test_chosen_libm_functions_hold_on_held_out_draws():
