@@ -66,6 +66,5 @@ def global_norm(arrays) -> float:
     """l2 norm of the concatenation of all arrays."""
     total = 0.0
     for a in arrays:
-        a = np.asarray(a)
-        total += float(np.add.reduce(a * a, axis=None))
+        total += float(np.add.reduce(np.multiply(a, a), axis=None))
     return math.sqrt(total)

@@ -71,7 +71,7 @@ def prodigy_step(
     for block in blocks:
         g = grads[block.name]
         check_finite_grad(g)
-        dot += float(np.sum(g * (state.x0[block.name] - block.values)))
+        dot += float(np.add.reduce(g * (state.x0[block.name] - block.values), axis=None))
         state.m[block.name] = beta1 * state.m[block.name] + (1.0 - beta1) * d * g
         state.v[block.name] = beta2 * state.v[block.name] + (1.0 - beta2) * d * d * g * g
     state.r = sqb2 * state.r + (1.0 - sqb2) * gamma_t * d * d * dot
@@ -79,7 +79,7 @@ def prodigy_step(
     for block in blocks:
         g = grads[block.name]
         state.s[block.name] = sqb2 * state.s[block.name] + (1.0 - sqb2) * gamma_t * d * d * g
-        s_norm1 += float(np.sum(np.abs(state.s[block.name])))
+        s_norm1 += float(np.add.reduce(np.abs(state.s[block.name]), axis=None))
     # ||s||_1 == 0 implies r == 0 as well; d then simply stays put
     d_next = max(d, state.r / s_norm1) if s_norm1 > 0.0 else d
     deltas: dict[str, np.ndarray] = {}

@@ -167,17 +167,17 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
     def loss_and_grad(params: dict, batch_seed: BatchSeed):
         x = params["x"]
         dx = x - x_star
-        grad = a @ x - b
-        loss = float(0.5 * dx @ a @ dx)
+        grad = a.dot(x) - b
+        loss = float((0.5 * dx).dot(a).dot(dx))
         if sigma_eff > 0.0:
             scaled = sigma_eff * noise(*batch_seed)
             grad = grad + scaled
-            loss += float(scaled @ dx)
+            loss += float(scaled.dot(dx))
         return loss, {"x": grad}
 
     def full_loss(params: dict) -> float:
         dx = params["x"] - x_star
-        return float(0.5 * dx @ a @ dx)
+        return float((0.5 * dx).dot(a).dot(dx))
 
     return Problem(
         name="quadratic",

@@ -19,7 +19,11 @@ def write_run_artifacts(record: RunRecord, run_dir: str | Path) -> Path:
 
 
 def read_record_csv(run_dir: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header fields and raw string rows of a run's record.csv; a row of another length than the header is rejected."""
+    """Header fields and raw string rows of a run's record.csv.
+
+    A row of another length than the header, or whose ``step`` is not a
+    whole number, is rejected with its line number.
+    """
     path = Path(run_dir) / "record.csv"
     if not path.is_file():
         raise ConfigurationError(f"{path} not found; not a run directory?")
@@ -27,10 +31,15 @@ def read_record_csv(run_dir: str | Path) -> tuple[list[str], list[list[str]]]:
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"{path} does not carry the expected header")
     header = lines[0].split(",")
+    step_idx = header.index("step")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line:
-            rows.append(line.split(","))
-            if len(rows[-1]) != len(header):
-                raise ConfigurationError(f"{path} line {lineno}: {len(rows[-1])} fields, header has {len(header)}")
+            row = line.split(",")
+            if len(row) != len(header):
+                raise ConfigurationError(f"{path} line {lineno}: {len(row)} fields, header has {len(header)}")
+            step = row[step_idx]
+            if not (step.isascii() and step.isdigit()):
+                raise ConfigurationError(f"{path} line {lineno}: step must be a whole number, got {step!r}")
+            rows.append(row)
     return header, rows

@@ -267,6 +267,19 @@ class TestPlotdata:
         assert f"{record}: column 'loss': could not convert string to float: 'abc'" in capsys.readouterr().err
         assert not (run_dir / "plot_loss.csv").exists()
 
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("step", ["x", "1.5", "+3", ""], ids=["x", "1.5", "+3", "empty"])
+    def test_step_not_a_whole_number_exit_2_names_line(self, run_dir, capsys, window, step):
+        record = run_dir / "record.csv"
+        lines = record.read_text().splitlines()
+        row = lines[2].split(",")
+        row[0] = step  # the step column
+        lines[2] = ",".join(row)
+        record.write_text("\n".join(lines) + "\n")
+        assert main(["plotdata", str(run_dir), "--kind", "loss", "--set", f"plot.window={window}"]) == 2
+        assert f"{record} line 3: step must be a whole number, got {step!r}" in capsys.readouterr().err
+        assert not (run_dir / "plot_loss.csv").exists()
+
     def test_missing_column_warns_and_exits_zero(self, run_dir, capsys):
         assert main(["plotdata", str(run_dir), "--kind", "d"]) == 0
         out = capsys.readouterr().out

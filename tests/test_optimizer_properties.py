@@ -1,5 +1,6 @@
 """Cross-cutting optimizer invariants: oracle equivalence, routing, state safety."""
 
+import math
 import pickle
 import warnings
 
@@ -155,6 +156,8 @@ def test_make_optimizer_rejects_unknowns(name):
 
 _STRIDED = np.arange(12.0)
 _STRIDED[4] = np.nan
+_READ_ONLY_ROWS = np.arange(48.0).reshape(3, 16)
+_READ_ONLY_ROWS.setflags(write=False)  # as Problem.step_draws hands out its rows
 FINITE_CASES = {
     "finite": np.array([1.0, -2.0, 0.0]),
     "nan": np.array([1.0, np.nan]),
@@ -169,6 +172,10 @@ FINITE_CASES = {
     "2-D inf": np.where(np.arange(12).reshape(3, 4) == 7, np.inf, 1.0),
     "strided finite": _STRIDED[1::4],
     "strided nan": _STRIDED[::4],
+    "long, nan last": np.append(np.ones(8200), np.nan),
+    "Fortran 2-D inf": np.asfortranarray(np.where(np.arange(12).reshape(3, 4) == 5, np.inf, 1.0)),
+    "3-D nan": np.where(np.arange(24).reshape(2, 3, 4) == 17, np.nan, 1.0),
+    "read-only row": _READ_ONLY_ROWS[1],
 }
 
 
@@ -180,3 +187,24 @@ def test_all_finite_agrees_with_isfinite_all_and_warns_nothing(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert all_finite(a) is bool(np.isfinite(a).all())
+
+
+_STRIDED_FINITE = np.arange(1.0, 13.0) / 7.0
+NORM_CASES = {
+    "python float": 3.7,
+    "list": [1.5, -2.25, 1e-3],
+    "0-d": np.array(-0.3),
+    "strided": _STRIDED_FINITE[1::3],
+    "2-D": _STRIDED_FINITE.reshape(3, 4) - 0.9,
+}
+
+
+@pytest.mark.parametrize("case", [*NORM_CASES, "all"])
+def test_global_norm_is_the_root_of_the_summed_squares(case):
+    from optlab.blocks import global_norm
+
+    arrays = list(NORM_CASES.values()) if case == "all" else [NORM_CASES[case]]
+    total = sum(float(np.add.reduce(np.asarray(a) * np.asarray(a), axis=None)) for a in arrays)
+    norm = global_norm(arrays)
+    assert type(norm) is float
+    assert norm.hex() == math.sqrt(total).hex()

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -56,6 +57,24 @@ class TestQuadratic:
         numeric = finite_difference_gradient(problem, params, (5, 3), 1e-5)
         rel = np.max(np.abs(analytic["x"] - numeric["x"])) / np.max(np.abs(analytic["x"]))
         assert rel <= 1e-6
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 33, 64, 65])
+    def test_dot_forms_give_the_bytes_of_the_matmul_forms(self, dim):
+        """Unkeyed, so it runs on every numpy/BLAS build: the loss and gradient
+        go through ``ndarray.dot``, which must round as the ``@`` forms do."""
+        problem = quadratic_problem(dim, 100.0, Rng(dim, "q"), BatchSpec(noise_scale=1.0))
+        closure = inspect.getclosurevars(problem.loss_and_grad).nonlocals
+        a, b, x_star = closure["a"], closure["b"], closure["x_star"]
+        assert (a == a.T).all()
+        rng = np.random.default_rng(dim)
+        for step in range(1, 7):  # from x far from x* (the quadratic term leads) to near it (the noise leads)
+            x = x_star + 10.0 ** (2 - step) * rng.standard_normal(dim)
+            dx = x - x_star
+            scaled = closure["sigma_eff"] * closure["noise"](7, step)
+            loss, grads = problem.loss_and_grad({"x": x}, (7, step))
+            assert grads["x"].tobytes() == (a @ x - b + scaled).tobytes()
+            assert loss.hex() == (float(0.5 * dx @ a @ dx) + float(scaled @ dx)).hex()
+            assert problem.full_loss({"x": x}).hex() == float(0.5 * dx @ a @ dx).hex()
 
     def test_validation(self):
         with pytest.raises(ContractViolationError):
