@@ -2,10 +2,14 @@
 
 Every ``*_step`` function mutates ``block.values`` and its state in place and
 returns the increment that was added to the parameters (for update-norm
-logging). Weight decay is decoupled everywhere: the shrinkage term ``lam * x``
-rides inside the update, never inside the gradient. :func:`decoupled_update`
-is the one place that applies it: every rule that decays ends its step there.
-Only ``muon_step`` (no decay on the matrix path) and ``sfadamw_step`` (the
+logging). State buffers are updated in place (:func:`ema_update` for the
+moment EMAs), so an array taken from a state is that state's live buffer. A
+step never writes into the gradient it is handed, nor into the direction it
+hands :func:`decoupled_update`: adopt's direction is its own ``state.m``.
+Weight decay is decoupled everywhere: the shrinkage term ``lam * x`` rides
+inside the update, never inside the gradient. :func:`decoupled_update` is the
+one place that applies it: every rule that decays ends its step there. Only
+``muon_step`` (no decay on the matrix path) and ``sfadamw_step`` (the
 parameters are an averaged iterate) commit on their own.
 """
 
@@ -53,15 +57,32 @@ def decoupled_update(block: ParamBlock, direction, gamma: float, lam: float, own
     """Commit ``x <- x - gamma * (direction + lam * x)`` and return the increment.
 
     Then ``owner``'s state ``buffers`` and the new parameters must be finite.
+    The increment is built in one new array; ``direction`` is only read.
     ``gamma`` and ``lam`` are plain floats, not a :class:`CommonHyper`:
     prodigy passes its adapted ``gamma_t * d``, whose non-finite value must
     surface as :class:`PoisonedStateError`, not as a contract violation.
     """
-    delta = -gamma * (direction + lam * block.values)
+    delta = lam * block.values
+    delta += direction
+    delta *= -gamma
     block.values += delta
     check_finite_buffers(owner, *buffers)
     check_finite_values(block)
     return delta
+
+
+def ema_update(buf: np.ndarray, beta: float, x, y=None) -> None:
+    """``buf <- beta * buf + (1 - beta) * x [* y]`` in place, rounding as that expression does.
+
+    ``buf`` is scaled where it lies and the new term, ``(1 - beta) * x`` times
+    ``y`` when given, is added to it: the same IEEE operations on the same
+    operands as the expression read left to right, without its temporaries.
+    """
+    buf *= beta
+    term = (1.0 - beta) * x
+    if y is not None:
+        term *= y
+    buf += term
 
 
 def check_beta(name: str, value: float, *, allow_zero: bool = False) -> None:
@@ -124,11 +145,13 @@ def adamw_step(
     check_beta("beta2", beta2)
     state.t += 1
     t = state.t
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    mhat = state.m / (1.0 - beta1**t)
-    vhat = state.v / (1.0 - beta2**t)
-    direction = mhat / (np.sqrt(vhat) + hyper.eps)
+    ema_update(state.m, beta1, grad)
+    ema_update(state.v, beta2, grad, grad)
+    den = state.v / (1.0 - beta2**t)
+    np.sqrt(den, out=den)
+    den += hyper.eps
+    direction = state.m / (1.0 - beta1**t)
+    direction /= den
     return decoupled_update(block, direction, hyper.gamma, hyper.lam, "adamw", state.m, state.v)
 
 

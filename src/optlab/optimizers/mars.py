@@ -19,8 +19,8 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
 from ..linalg import frobenius_norm
-from .base import check_beta, check_finite_grad, decoupled_update
-from .muon import NS_COEFFS, NS_ITERS, newton_schulz_orthogonalize
+from .base import check_beta, check_finite_grad, decoupled_update, ema_update
+from .muon import NS_COEFFS, NS_ITERS, check_ns_coeffs, newton_schulz_orthogonalize
 
 VARIANTS = ("adamw", "lion", "shampoo")
 
@@ -59,19 +59,24 @@ def mars_step(
     check_beta("beta2", beta2)
     if not (math.isfinite(eta) and eta >= 0.0):
         raise ContractViolationError(f"eta must be finite and >= 0, got {eta!r}")
+    check_ns_coeffs(ns_coeffs)
     state.t += 1
     t = state.t
-    c = grad + eta * (beta1 / (1.0 - beta1)) * (grad - state.g_prev)
+    c = grad - state.g_prev
+    c *= eta * (beta1 / (1.0 - beta1))
+    c += grad
     if variant in ("adamw", "lion"):
         c_norm = float(np.sqrt(np.sum(c * c)))
         if c_norm > 1.0:
-            c = c / c_norm
-    state.m = beta1 * state.m + (1.0 - beta1) * c
+            c /= c_norm
+    ema_update(state.m, beta1, c)
     if variant == "adamw":
-        state.v = beta2 * state.v + (1.0 - beta2) * c * c
-        mhat = state.m / (1.0 - beta1**t)
-        vhat = state.v / (1.0 - beta2**t)
-        direction = mhat / (np.sqrt(vhat) + hyper.eps)
+        ema_update(state.v, beta2, c, c)
+        den = state.v / (1.0 - beta2**t)
+        np.sqrt(den, out=den)
+        den += hyper.eps
+        direction = state.m / (1.0 - beta1**t)
+        direction /= den
     elif variant == "lion":
         direction = np.sign(state.m)
     else:  # shampoo: sign-spectrum step U V^T via Newton-Schulz
@@ -79,5 +84,5 @@ def mars_step(
             direction = np.zeros(block.shape)
         else:
             direction = newton_schulz_orthogonalize(state.m, ns_iters, ns_coeffs)
-    state.g_prev = grad.copy()
+    np.copyto(state.g_prev, grad)
     return decoupled_update(block, direction, hyper.gamma, hyper.lam, "mars", state.m, state.v)

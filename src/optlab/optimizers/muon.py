@@ -10,6 +10,7 @@ block to AdamW.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,25 @@ NS_ITERS = 5
 RMS_FACTOR = 0.2
 
 
+def check_ns_coeffs(coeffs) -> None:
+    """Each Newton-Schulz coefficient must be finite; a NaN or infinite one would poison the first update."""
+    for name, value in zip(("ns_a", "ns_b", "ns_c"), coeffs):
+        if not math.isfinite(value):
+            raise ContractViolationError(f"{name} must be finite, got {value!r}")
+
+
 def newton_schulz_orthogonalize(g, iters: int = NS_ITERS, coeffs=NS_COEFFS) -> np.ndarray:
     """Drive the singular values of g toward 1, approximating its polar factor.
 
     The iterate is normalized to unit Frobenius norm, then run through
     w <- a*w + b*(w w^T) w + c*(w w^T)^2 w. Wide inputs are processed as
     their transpose so the Gram matrix stays on the small side.
+
+    With s = w w^T, y = s w and z = s y, each iteration scales y and z in
+    place and sums into y, the C-ordered product: ``(b*y + a*w) + c*z``, the
+    rounding of the expression above, with no temporaries but ``a*w``. On a
+    tall input w is a transposed view, and summing into it instead would
+    change both the bits and the strides of the result. ``g`` is only read.
     """
     g = as_matrix(g)
     if iters < 1:
@@ -50,7 +64,12 @@ def newton_schulz_orthogonalize(g, iters: int = NS_ITERS, coeffs=NS_COEFFS) -> n
     for _ in range(iters):
         s = x @ x.T
         y = s @ x
-        x = a * x + b * y + c * (s @ y)
+        z = s @ y
+        y *= b
+        y += a * x
+        z *= c
+        y += z
+        x = y
     return x.T if transposed else x
 
 
@@ -66,8 +85,12 @@ class MuonState:
 
 
 def _nesterov_momentum(state: MuonState, grad: np.ndarray, beta: float) -> np.ndarray:
-    state.m = beta * state.m + grad
-    return beta * state.m + grad
+    """``m <- beta * m + g`` in place; returns ``beta * m + g`` in a new array."""
+    state.m *= beta
+    state.m += grad
+    d = beta * state.m
+    d += grad
+    return d
 
 
 def muon_step(
@@ -87,10 +110,12 @@ def muon_step(
     """
     check_finite_grad(grad)
     check_beta("beta", beta, allow_zero=True)
+    check_ns_coeffs(ns_coeffs)
     d = _nesterov_momentum(state, grad, beta)
     if frobenius_norm(d) == 0.0:
         return np.zeros(block.shape)
-    delta = -hyper.gamma * newton_schulz_orthogonalize(d, ns_iters, ns_coeffs)
+    delta = newton_schulz_orthogonalize(d, ns_iters, ns_coeffs)
+    delta *= -hyper.gamma
     block.values += delta
     check_finite_buffers("muon", state.m)
     check_finite_values(block)
@@ -115,10 +140,14 @@ def dmuon_step(
     check_beta("beta", beta, allow_zero=True)
     if not rms_factor > 0.0:  # a NaN factor fails this too
         raise ContractViolationError(f"rms_factor must be positive, got {rms_factor!r}")
+    if rms_factor == math.inf:
+        raise ContractViolationError(f"rms_factor must be finite, got {rms_factor!r}")
+    check_ns_coeffs(ns_coeffs)
     d = _nesterov_momentum(state, grad, beta)
     scale = rms_factor * float(np.sqrt(max(block.shape)))
     if frobenius_norm(d) == 0.0:
         ortho = np.zeros(block.shape)
     else:
         ortho = newton_schulz_orthogonalize(d, ns_iters, ns_coeffs)
-    return decoupled_update(block, scale * ortho, hyper.gamma, hyper.lam, "dmuon", state.m)
+    ortho *= scale
+    return decoupled_update(block, ortho, hyper.gamma, hyper.lam, "dmuon", state.m)

@@ -27,7 +27,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError, DegenerateInputError, NumericalFailureError
 from ..linalg import qr_orthonormal, sym_eigenbasis
-from .base import check_beta, check_finite_grad, decoupled_update
+from .base import check_beta, check_finite_grad, decoupled_update, ema_update
 
 
 @dataclass
@@ -94,18 +94,20 @@ def soap_step(
     state.t += 1
     t = state.t
     g_rot = state.q_l.T @ grad @ state.q_r
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    m_rot = state.q_l.T @ state.m @ state.q_r
-    state.v = beta2 * state.v + (1.0 - beta2) * g_rot * g_rot
+    ema_update(state.m, beta1, grad)
+    num = state.q_l.T @ state.m @ state.q_r
+    ema_update(state.v, beta2, g_rot, g_rot)
     if state.bias_correction:
-        num = m_rot / (1.0 - beta1**t)
-        den = np.sqrt(state.v / (1.0 - beta2**t)) + hyper.eps
+        num /= 1.0 - beta1**t
+        den = state.v / (1.0 - beta2**t)
+        np.sqrt(den, out=den)
     else:
-        num = m_rot
-        den = np.sqrt(state.v) + hyper.eps
-    update = state.q_l @ (num / den) @ state.q_r.T
-    state.l_stat = beta2 * state.l_stat + (1.0 - beta2) * (grad @ grad.T)
-    state.r_stat = beta2 * state.r_stat + (1.0 - beta2) * (grad.T @ grad)
+        den = np.sqrt(state.v)
+    den += hyper.eps
+    num /= den
+    update = state.q_l @ num @ state.q_r.T
+    ema_update(state.l_stat, beta2, grad @ grad.T)
+    ema_update(state.r_stat, beta2, grad.T @ grad)
     freq = state.precond_freq
     # refreshes start once the stats have accumulated freq gradients; the
     # step-1 stats are nearly rank-1 and would make the QR degenerate

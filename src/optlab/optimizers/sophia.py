@@ -11,13 +11,14 @@ which clamps at a pure sign step whenever the curvature estimate is small.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
-from .base import check_beta, check_finite_grad, decoupled_update
+from .base import check_beta, check_finite_grad, decoupled_update, ema_update
 
 
 @dataclass
@@ -56,15 +57,24 @@ def sophia_step(
     check_beta("beta2", beta2)
     if not rho > 0.0:  # a NaN rho fails this too
         raise ContractViolationError(f"rho must be positive, got {rho}")
+    if rho == math.inf:  # would clamp every update to 0
+        raise ContractViolationError(f"rho must be finite, got {rho}")
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    ema_update(state.m, beta1, grad)
     if sophia_wants_estimate(state.t, estimator_freq):
         if resampled_grad is None or batch_size is None:
             raise ContractViolationError(
                 f"step {state.t} refreshes the estimate: resampled_grad and batch_size required"
             )
         check_finite_grad(resampled_grad)
-        h_hat = batch_size * resampled_grad * resampled_grad
-        state.h = beta2 * state.h + (1.0 - beta2) * h_hat
-    ratio = np.minimum(np.abs(state.m) / (rho * state.h + hyper.eps), 1.0)
-    return decoupled_update(block, np.sign(state.m) * ratio, hyper.gamma, hyper.lam, "sophia", state.m, state.h)
+        h_hat = batch_size * resampled_grad
+        h_hat *= resampled_grad
+        ema_update(state.h, beta2, h_hat)
+    den = rho * state.h
+    den += hyper.eps
+    ratio = np.abs(state.m)
+    ratio /= den
+    np.minimum(ratio, 1.0, out=ratio)
+    direction = np.sign(state.m)
+    direction *= ratio
+    return decoupled_update(block, direction, hyper.gamma, hyper.lam, "sophia", state.m, state.h)

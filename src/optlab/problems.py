@@ -267,28 +267,39 @@ def mlp_classification_problem(
         ]
 
     def _forward(params: dict, x: np.ndarray):
-        """The hidden activations and the logits shifted by their row maximum."""
-        h = np.tanh(x @ params["w1"] + params["b1"])
-        logits = h @ params["w2"] + params["b2"]
-        return h, logits - logits.max(axis=1, keepdims=True)
+        """The hidden activations and the logits shifted by their row maximum.
+
+        Each step after a product works in place on the array that product made.
+        """
+        h = x @ params["w1"]
+        h += params["b1"]
+        np.tanh(h, out=h)
+        logits = h @ params["w2"]
+        logits += params["b2"]
+        logits -= logits.max(axis=1, keepdims=True)
+        return h, logits
 
     def _softmax(shifted: np.ndarray) -> np.ndarray:
         expl = np.exp(shifted)
-        return expl / expl.sum(axis=1, keepdims=True)
+        expl /= expl.sum(axis=1, keepdims=True)
+        return expl
 
     def _loss(shifted: np.ndarray, y: np.ndarray) -> float:
         logz = np.log(np.sum(np.exp(shifted), axis=1))
         return float(np.mean(logz - shifted[np.arange(len(y)), y]))
 
     def _grads(params: dict, x: np.ndarray, y: np.ndarray, h: np.ndarray, probs: np.ndarray) -> dict:
+        """The batch gradient; ``probs`` becomes the logits' gradient in place, ``h`` is only read."""
         n = x.shape[0]
-        dlogits = probs.copy()
+        dlogits = probs
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
         gw2 = h.T @ dlogits
         gb2 = dlogits.sum(axis=0)
-        dh = dlogits @ params["w2"].T
-        dz1 = dh * (1.0 - h * h)
+        dz1 = dlogits @ params["w2"].T
+        dtanh = h * h
+        np.subtract(1.0, dtanh, out=dtanh)
+        dz1 *= dtanh
         gw1 = x.T @ dz1
         gb1 = dz1.sum(axis=0)
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}

@@ -54,13 +54,19 @@ def on_mlp(rule, key, value):
         (("adamw", "muon"), on_mlp("muon", "ns_iters", 0), "iters must be >= 1"),
         (("adamw", "mars-shampoo"), on_mlp("mars-shampoo", "ns_iters", 0), "iters must be >= 1"),
         (("adamw", "mars-lion"), on_mlp("mars-lion", "eta", -1), "eta must be finite and >= 0, got -1"),
+        (("adamw", "muon"), on_mlp("muon", "ns_a", float("nan")), "ns_a must be finite, got nan"),
+        (("adamw", "dmuon"), on_mlp("dmuon", "ns_b", float("inf")), "ns_b must be finite, got inf"),
+        (("adamw", "mars-shampoo"), on_mlp("mars-shampoo", "ns_c", float("-inf")), "ns_c must be finite, got -inf"),
+        (("adamw", "dmuon"), on_mlp("dmuon", "rms_factor", float("inf")), "rms_factor must be finite, got inf"),
+        (("adamw", "sophia"), on_mlp("sophia", "rho", float("inf")), "rho must be finite, got inf"),
     ],
     ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer", "warmup-covers-budget", "negative-lr",
          "ademamix-alpha", "ademamix-alpha-nan", "prodigy-d0-negative", "prodigy-d0-zero", "sf-warmup", "problem-dim",
          "soap-precond-freq", "lion-beta1", "adopt-beta2", "ademamix-eps", "signum-weight-decay", "muon-beta1-1d",
          "dmuon-beta2-1d", "mars-weight-decay-1d", "muon-negative-lr-1d", "signum-momentum", "signum-dampening",
          "muon-momentum", "dmuon-momentum", "dmuon-rms-factor", "sophia-rho", "sophia-estimator-freq",
-         "muon-ns-iters", "mars-shampoo-ns-iters", "mars-eta"],
+         "muon-ns-iters", "mars-shampoo-ns-iters", "mars-eta", "muon-ns-a-nan", "dmuon-ns-b-inf",
+         "mars-shampoo-ns-c-inf", "dmuon-rms-factor-inf", "sophia-rho-inf"],
 )
 def test_built_suite_is_checked_before_any_cell_runs(tmp_path, optimizers, overrides, message):
     suite = SuiteSpec("x", optimizers, (5,), 1, 1, dict(BASE), overrides)

@@ -72,6 +72,27 @@ class TestRun:
         assert f"{key} must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name,setting,message",
+        [
+            ("muon", "ns_a=nan", "ns_a must be finite, got nan"),
+            ("dmuon", "ns_b=inf", "ns_b must be finite, got inf"),
+            ("mars-shampoo", "ns_c=-inf", "ns_c must be finite, got -inf"),
+            ("dmuon", "rms_factor=inf", "rms_factor must be finite, got inf"),
+            ("sophia", "rho=inf", "rho must be finite, got inf"),
+        ],
+        ids=["muon-ns-a", "dmuon-ns-b", "mars-shampoo-ns-c", "dmuon-rms-factor", "sophia-rho"],
+    )
+    def test_non_finite_rule_value_exit_2_not_diverged(self, cfg_file, tmp_path, capsys, name, setting, message):
+        code = main(
+            ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--set", f"optimizer.name={name}",
+             "--set", "problem.kind=mlp", "--set", "problem.samples=64", "--set", f"optimizer.{setting}"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "DIVERGED" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
         "settings,needs",
         [
             (["optimizer.lr=fast"], "'lr' needs a number"),

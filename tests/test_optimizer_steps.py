@@ -198,6 +198,27 @@ class TestMuonRouting:
             opts.dmuon_step(block, np.ones((2, 3)), state, H, rms_factor=rms_factor)
         assert np.all(block.values == 1.0) and np.all(state.m == 0.0)
 
+    def test_dmuon_rejects_an_infinite_rms_factor(self):
+        block = ParamBlock("w", np.ones((2, 3)), role="matrix")
+        with pytest.raises(ContractViolationError, match="rms_factor must be finite, got inf"):
+            opts.dmuon_step(block, np.ones((2, 3)), opts.MuonState.for_block(block), H, rms_factor=math.inf)
+        assert np.all(block.values == 1.0)
+
+    @pytest.mark.parametrize("rule", ["muon", "dmuon", "mars-shampoo"])
+    @pytest.mark.parametrize("index,name", enumerate(("ns_a", "ns_b", "ns_c")))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_orthogonalizing_steps_reject_a_non_finite_coefficient(self, rule, index, name, value):
+        coeffs = list(muon.NS_COEFFS)
+        coeffs[index] = value
+        block = ParamBlock("w", np.ones((2, 3)), role="matrix")
+        with pytest.raises(ContractViolationError, match=f"{name} must be finite, got {value!r}"):
+            if rule == "mars-shampoo":
+                opts.mars_step(block, np.ones((2, 3)), opts.MarsState.for_block(block), H, "shampoo", ns_coeffs=coeffs)
+            else:
+                step = opts.muon_step if rule == "muon" else opts.dmuon_step
+                step(block, np.ones((2, 3)), opts.MuonState.for_block(block), H, ns_coeffs=coeffs)
+        assert np.all(block.values == 1.0)
+
 
 class TestSoap:
     def test_vector_block_matches_adamw(self):
@@ -249,6 +270,10 @@ class TestSophia:
     def test_rejects_rho_not_positive(self, rho):
         with pytest.raises(ContractViolationError, match="rho must be positive, got"):
             opts.sophia_step(ParamBlock("x", np.zeros(2)), np.ones(2), opts.SophiaState.zeros(2), H, rho=rho)
+
+    def test_rejects_an_infinite_rho(self):
+        with pytest.raises(ContractViolationError, match="rho must be finite, got inf"):
+            opts.sophia_step(ParamBlock("x", np.zeros(2)), np.ones(2), opts.SophiaState.zeros(2), H, rho=math.inf)
 
     def test_refresh_requires_estimate(self):
         state = opts.SophiaState.zeros(2)
