@@ -18,6 +18,8 @@ class ParamBlock:
 
     Hybrid methods send ``matrix`` blocks through their matrix path; vectors,
     scalars, embeddings, and output heads are treated as the 1-D group.
+    A float64 C-contiguous ``values`` array is kept without a copy, and every
+    step updates ``values`` in place, so a step writes into the caller's array.
     """
 
     name: str

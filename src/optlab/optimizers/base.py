@@ -1,10 +1,13 @@
 """Adam-family update rules and the state/validation helpers shared by all rules.
 
-Every ``*_step`` function mutates ``block.values`` and its state in place and
-returns the increment that was added to the parameters (for update-norm
-logging). State buffers are updated in place (:func:`ema_update` for the
-moment EMAs), so an array taken from a state is that state's live buffer. A
-step never writes into the gradient it is handed, nor into the direction it
+Every ``*_step`` function of the fourteen rules updates ``block.values`` and
+its state buffers in place and returns the increment it added to the
+parameters (for update-norm logging), so an array taken from a block or a
+state is its live buffer; the one field a step replaces is SOAP's bases
+``q_l``/``q_r``, when it seeds and refreshes them. The shared formulas live
+here: the moment EMAs (:func:`ema_update`), Adam's denominator
+(:func:`adam_denominator`) and the decayed commit (:func:`decoupled_update`).
+A step never writes into the gradient it is handed, nor into the direction it
 hands :func:`decoupled_update`: adopt's direction is its own ``state.m``.
 Weight decay is decoupled everywhere: the shrinkage term ``lam * x`` rides
 inside the update, never inside the gradient. :func:`decoupled_update` is the
@@ -85,6 +88,14 @@ def ema_update(buf: np.ndarray, beta: float, x, y=None) -> None:
     buf += term
 
 
+def adam_denominator(v: np.ndarray, correction: float, eps: float) -> np.ndarray:
+    """``sqrt(v / correction) + eps`` in one new array; ``v`` is only read, and ``v / 1.0`` is exact."""
+    den = v / correction
+    np.sqrt(den, out=den)
+    den += eps
+    return den
+
+
 def check_beta(name: str, value: float, *, allow_zero: bool = False) -> None:
     low_ok = value >= 0.0 if allow_zero else value > 0.0
     if not (low_ok and value < 1.0):
@@ -147,18 +158,15 @@ def adamw_step(
     t = state.t
     ema_update(state.m, beta1, grad)
     ema_update(state.v, beta2, grad, grad)
-    den = state.v / (1.0 - beta2**t)
-    np.sqrt(den, out=den)
-    den += hyper.eps
     direction = state.m / (1.0 - beta1**t)
-    direction /= den
+    direction /= adam_denominator(state.v, 1.0 - beta2**t, hyper.eps)
     return decoupled_update(block, direction, hyper.gamma, hyper.lam, "adamw", state.m, state.v)
 
 
 def adopt_init(state: AdoptState, grad: np.ndarray) -> None:
     """Consume the first observed gradient to seed v0 = g0 * g0 (no motion)."""
     check_finite_grad(grad)
-    state.v = grad * grad
+    np.multiply(grad, grad, out=state.v)
     state.v_ready = True
 
 
@@ -179,8 +187,8 @@ def adopt_step(
     state.t += 1
     c = state.t**0.25
     ratio = grad / np.maximum(np.sqrt(state.v), hyper.eps)
-    state.m = beta1 * state.m + (1.0 - beta1) * np.clip(ratio, -c, c)
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    ema_update(state.m, beta1, np.clip(ratio, -c, c, out=ratio))
+    ema_update(state.v, beta2, grad, grad)
     return decoupled_update(block, state.m, hyper.gamma, hyper.lam, "adopt", state.m, state.v)
 
 
@@ -205,11 +213,10 @@ def ademamix_step(
     t = state.t
     alpha_t = ademamix_alpha_at(ema, t)
     beta3_t = ademamix_beta3_at(ema, t)
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.m_slow = beta3_t * state.m_slow + (1.0 - beta3_t) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    mhat = state.m / (1.0 - beta1**t)
-    vhat = state.v / (1.0 - beta2**t)
-    num = mhat + alpha_t * state.m_slow
-    direction = num / (np.sqrt(vhat) + hyper.eps)
+    ema_update(state.m, beta1, grad)
+    ema_update(state.m_slow, beta3_t, grad)
+    ema_update(state.v, beta2, grad, grad)
+    direction = state.m / (1.0 - beta1**t)
+    direction += alpha_t * state.m_slow
+    direction /= adam_denominator(state.v, 1.0 - beta2**t, hyper.eps)
     return decoupled_update(block, direction, hyper.gamma, hyper.lam, "ademamix", state.m, state.m_slow, state.v)

@@ -19,7 +19,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
 from ..linalg import frobenius_norm
-from .base import check_beta, check_finite_grad, decoupled_update, ema_update
+from .base import adam_denominator, check_beta, check_finite_grad, decoupled_update, ema_update
 from .muon import NS_COEFFS, NS_ITERS, check_ns_coeffs, newton_schulz_orthogonalize
 
 VARIANTS = ("adamw", "lion", "shampoo")
@@ -66,17 +66,14 @@ def mars_step(
     c *= eta * (beta1 / (1.0 - beta1))
     c += grad
     if variant in ("adamw", "lion"):
-        c_norm = float(np.sqrt(np.sum(c * c)))
+        c_norm = frobenius_norm(c)
         if c_norm > 1.0:
             c /= c_norm
     ema_update(state.m, beta1, c)
     if variant == "adamw":
         ema_update(state.v, beta2, c, c)
-        den = state.v / (1.0 - beta2**t)
-        np.sqrt(den, out=den)
-        den += hyper.eps
         direction = state.m / (1.0 - beta1**t)
-        direction /= den
+        direction /= adam_denominator(state.v, 1.0 - beta2**t, hyper.eps)
     elif variant == "lion":
         direction = np.sign(state.m)
     else:  # shampoo: sign-spectrum step U V^T via Newton-Schulz

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
-from .base import check_beta, check_finite_grad, decoupled_update
+from .base import check_beta, check_finite_grad, decoupled_update, ema_update
 
 D_INIT = 1e-6
 
@@ -67,19 +67,19 @@ def prodigy_step(
     else:
         gamma_t = hyper.gamma
     sqb2 = math.sqrt(beta2)
-    dot = 0.0
+    dot = s_norm1 = 0.0
     for block in blocks:
         g = grads[block.name]
         check_finite_grad(g)
         dot += float(np.add.reduce(g * (state.x0[block.name] - block.values), axis=None))
-        state.m[block.name] = beta1 * state.m[block.name] + (1.0 - beta1) * d * g
-        state.v[block.name] = beta2 * state.v[block.name] + (1.0 - beta2) * d * d * g * g
+        ema_update(state.m[block.name], beta1, d, g)
+        v, s = state.v[block.name], state.s[block.name]
+        v *= beta2
+        v += (1.0 - beta2) * d * d * g * g
+        s *= sqb2
+        s += (1.0 - sqb2) * gamma_t * d * d * g
+        s_norm1 += float(np.add.reduce(np.abs(s), axis=None))
     state.r = sqb2 * state.r + (1.0 - sqb2) * gamma_t * d * d * dot
-    s_norm1 = 0.0
-    for block in blocks:
-        g = grads[block.name]
-        state.s[block.name] = sqb2 * state.s[block.name] + (1.0 - sqb2) * gamma_t * d * d * g
-        s_norm1 += float(np.add.reduce(np.abs(state.s[block.name]), axis=None))
     # ||s||_1 == 0 implies r == 0 as well; d then simply stays put
     d_next = max(d, state.r / s_norm1) if s_norm1 > 0.0 else d
     deltas: dict[str, np.ndarray] = {}

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
-from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values
+from .base import check_beta, check_finite_buffers, check_finite_grad, check_finite_values, ema_update
 
 
 @dataclass
@@ -72,15 +72,13 @@ def sfadamw_step(
     for block in blocks:
         g = grads[block.name]
         check_finite_grad(g)
-        z = state.z[block.name]
+        z, v = state.z[block.name], state.v[block.name]
         y = (1.0 - beta1) * z + beta1 * block.values
-        v = beta2 * state.v[block.name] + (1.0 - beta2) * g * g
-        state.v[block.name] = v
-        z = z - gamma_t * (g / (np.sqrt(v) + hyper.eps) + hyper.lam * y)
-        state.z[block.name] = z
+        ema_update(v, beta2, g, g)
+        z -= gamma_t * (g / (np.sqrt(v) + hyper.eps) + hyper.lam * y)
         new_x = (1.0 - c) * block.values + c * z
         deltas[block.name] = new_x - block.values
-        block.values = new_x
-        check_finite_buffers("sf-adamw", state.v[block.name], state.z[block.name])
+        np.copyto(block.values, new_x)
+        check_finite_buffers("sf-adamw", v, z)
         check_finite_values(block)
     return deltas

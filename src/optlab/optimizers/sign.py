@@ -13,7 +13,7 @@ import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError
-from .base import check_beta, check_finite_grad, decoupled_update
+from .base import check_beta, check_finite_grad, decoupled_update, ema_update
 
 
 @dataclass
@@ -41,7 +41,7 @@ def lion_step(
     check_beta("beta1", beta1)
     check_beta("beta2", beta2)
     direction = np.sign(beta1 * state.m + (1.0 - beta1) * grad)
-    state.m = beta2 * state.m + (1.0 - beta2) * grad
+    ema_update(state.m, beta2, grad)
     state.t += 1
     return decoupled_update(block, direction, hyper.gamma, hyper.lam, "lion", state.m)
 
@@ -71,7 +71,8 @@ def signum_step(
     if nesterov and (beta <= 0.0 or dampening != 0.0):
         raise ContractViolationError("nesterov momentum requires beta > 0 and zero dampening")
     g = grad + hyper.lam * block.values if coupled_wd else grad
-    state.m = beta * state.m + (1.0 - dampening) * g
+    state.m *= beta
+    state.m += (1.0 - dampening) * g
     direction = np.sign(g + beta * state.m) if nesterov else np.sign(state.m)
     state.t += 1
     # coupled decay already sits inside the sign; the update then shrinks nothing

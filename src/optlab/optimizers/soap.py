@@ -27,7 +27,7 @@ import numpy as np
 from ..blocks import CommonHyper, ParamBlock
 from ..errors import ContractViolationError, DegenerateInputError, NumericalFailureError
 from ..linalg import qr_orthonormal, sym_eigenbasis
-from .base import check_beta, check_finite_grad, decoupled_update, ema_update
+from .base import adam_denominator, check_beta, check_finite_grad, decoupled_update, ema_update
 
 
 @dataclass
@@ -99,12 +99,7 @@ def soap_step(
     ema_update(state.v, beta2, g_rot, g_rot)
     if state.bias_correction:
         num /= 1.0 - beta1**t
-        den = state.v / (1.0 - beta2**t)
-        np.sqrt(den, out=den)
-    else:
-        den = np.sqrt(state.v)
-    den += hyper.eps
-    num /= den
+    num /= adam_denominator(state.v, 1.0 - beta2**t if state.bias_correction else 1.0, hyper.eps)
     update = state.q_l @ num @ state.q_r.T
     ema_update(state.l_stat, beta2, grad @ grad.T)
     ema_update(state.r_stat, beta2, grad.T @ grad)

@@ -33,9 +33,9 @@ class ScheduleSpec:
 
     Args:
         family: one of ``constant``, ``cosine``, ``linear``, ``wsd``.
-        gamma_max: peak learning rate (> 0).
+        gamma_max: peak learning rate (> 0 and finite).
         total_steps: run length T; valid steps are 1..T.
-        warmup_steps: linear warmup length (< T).
+        warmup_steps: linear warmup length (< T; for wsd, at most the cooldown start).
         final_lr_factor: gamma_end = factor * gamma_max; defaults per family.
         wsd_cooldown_fraction: fraction of T spent cooling down (wsd only).
     """
@@ -50,8 +50,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractViolationError(f"unknown schedule family {self.family!r}")
-        if not self.gamma_max > 0.0:
-            raise ContractViolationError("gamma_max must be positive")
+        if not 0.0 < self.gamma_max < math.inf:
+            raise ContractViolationError(f"gamma_max must be positive and finite, got {self.gamma_max!r}")
         if self.total_steps < 1:
             raise ContractViolationError("total_steps must be >= 1")
         if not 0 <= self.warmup_steps < self.total_steps:
@@ -64,6 +64,12 @@ class ScheduleSpec:
                 raise ContractViolationError("wsd_cooldown_fraction must lie in (0, 1]")
             if self.wsd_cooldown_fraction * self.total_steps < 1.0:
                 raise ContractViolationError("wsd cooldown must cover at least one step")
+            # a warmup that ran into the cooldown would drop the lr from gamma_max in one step
+            if self.warmup_steps > self.cooldown_start:
+                raise ContractViolationError(
+                    f"wsd warmup_steps ({self.warmup_steps}) must not exceed the cooldown start "
+                    f"(1 - wsd_cooldown_fraction) * total_steps = {self.cooldown_start!r}"
+                )
 
     @property
     def final_factor(self) -> float:
@@ -74,6 +80,11 @@ class ScheduleSpec:
     @property
     def gamma_end(self) -> float:
         return self.final_factor * self.gamma_max
+
+    @property
+    def cooldown_start(self) -> float:
+        """The step after which ``wsd`` cools down, (1 - wsd_cooldown_fraction) * T."""
+        return (1.0 - self.wsd_cooldown_fraction) * self.total_steps
 
 
 def lr_at(spec: ScheduleSpec, t: int) -> float:
@@ -92,7 +103,7 @@ def lr_at(spec: ScheduleSpec, t: int) -> float:
         frac = (t - spec.warmup_steps) / (spec.total_steps - spec.warmup_steps)
         return gmax + (gend - gmax) * frac
     # wsd: constant plateau, then (1 - sqrt(x)) cooldown
-    cooldown_start = (1.0 - spec.wsd_cooldown_fraction) * spec.total_steps
+    cooldown_start = spec.cooldown_start
     if t <= cooldown_start:
         return gmax
     x = (t - cooldown_start) / (spec.total_steps - cooldown_start)

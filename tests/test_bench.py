@@ -27,6 +27,11 @@ def on_mlp(rule, key, value):
         (("adamw", "sgd"), {}, "unknown optimizer 'sgd'"),
         (("adamw", "signum"), {"signum": {"schedule.warmup_steps": 5}}, "need 0 <= warmup_steps < total_steps"),
         (("adamw", "signum"), {"signum": {"optimizer.lr": -0.001}}, "gamma_max must be positive"),
+        (("adamw", "signum"), {"signum": {"optimizer.lr": float("inf")}},
+         "gamma_max must be positive and finite, got inf"),
+        (("adamw", "signum"), {"signum": {"schedule.family": "wsd", "schedule.wsd_cooldown_fraction": 0.5,
+                                          "schedule.warmup_steps": 4}},
+         "wsd warmup_steps (4) must not exceed the cooldown start (1 - wsd_cooldown_fraction) * total_steps = 2.5"),
         (("adamw", "ademamix"), {"ademamix": {"optimizer.alpha": -1}}, "alpha must be >= 0"),
         (("adamw", "ademamix"), {"ademamix": {"optimizer.alpha": float("nan")}}, "alpha must be >= 0"),
         (("adamw", "prodigy"), {"prodigy": {"optimizer.d0": -1}}, "d0 must be finite and > 0, got -1"),
@@ -61,6 +66,7 @@ def on_mlp(rule, key, value):
         (("adamw", "sophia"), on_mlp("sophia", "rho", float("inf")), "rho must be finite, got inf"),
     ],
     ids=["gnb-pairing", "unknown-hyperparameter", "unknown-optimizer", "warmup-covers-budget", "negative-lr",
+         "infinite-lr", "wsd-warmup-past-cooldown",
          "ademamix-alpha", "ademamix-alpha-nan", "prodigy-d0-negative", "prodigy-d0-zero", "sf-warmup", "problem-dim",
          "soap-precond-freq", "lion-beta1", "adopt-beta2", "ademamix-eps", "signum-weight-decay", "muon-beta1-1d",
          "dmuon-beta2-1d", "mars-weight-decay-1d", "muon-negative-lr-1d", "signum-momentum", "signum-dampening",

@@ -136,13 +136,22 @@ class TestRun:
             ("run.clip=nan", "clip threshold must be positive, got nan"),
             ("problem.noise=nan", "noise_scale must be finite and >= 0, got nan"),
             ("problem.condition=nan", "condition must be finite and >= 1, got nan"),
+            ("optimizer.lr=inf", "gamma_max must be positive and finite, got inf"),
         ],
-        ids=["clip", "noise", "condition"],
+        ids=["clip", "noise", "condition", "lr"],
     )
     def test_nan_setting_exit_2_names_value(self, cfg_file, tmp_path, capsys, setting, message):
         args = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--set", setting]
         assert main(args) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_wsd_warmup_past_the_cooldown_start_exit_2(self, cfg_file, tmp_path, capsys):
+        args = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        for setting in ("schedule.family=wsd", "schedule.wsd_cooldown_fraction=0.5", "schedule.warmup_steps=80"):
+            args += ["--set", setting]
+        assert main(args) == 2
+        assert "wsd warmup_steps (80) must not exceed the cooldown start" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_library_run_with_preset_matches_cli(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,19 @@ def test_spec_validation():
         ScheduleSpec("cosine", -1.0, 100, 0)
     with pytest.raises(ContractViolationError):
         ScheduleSpec("wsd", 1.0, 100, 0, wsd_cooldown_fraction=0.0)
+    for gamma_max in (math.inf, math.nan):
+        with pytest.raises(ContractViolationError, match=f"^gamma_max must be positive and finite, got {gamma_max!r}$"):
+            ScheduleSpec("cosine", gamma_max, 100, 0)
+
+
+def test_wsd_warmup_past_the_cooldown_start_rejected():
+    # the cooldown starts at (1 - 0.5) * 100 = 50: a warmup to 80 would drop the lr 78% at t=81
+    message = "wsd warmup_steps (80) must not exceed the cooldown start (1 - wsd_cooldown_fraction) * total_steps = 50.0"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        ScheduleSpec("wsd", 1.0, 100, 80, wsd_cooldown_fraction=0.5)
+    spec = ScheduleSpec("wsd", 1.0, 100, 50, wsd_cooldown_fraction=0.5)  # a warmup may end where the cooldown starts
+    assert lr_at(spec, 50) == 1.0
+    assert all(lr_at(spec, t + 1) <= lr_at(spec, t) for t in range(50, 100))
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,7 +92,9 @@ def test_spec_validation():
     data=st.data(),
 )
 def test_monotone_nonincreasing_after_warmup(family, total, data):
-    warmup = data.draw(st.integers(0, total - 2))
+    # a wsd warmup must end by the cooldown start
+    last_warmup = int(ScheduleSpec("wsd", 1.0, total).cooldown_start) if family == "wsd" else total - 2
+    warmup = data.draw(st.integers(0, last_warmup))
     spec = ScheduleSpec(family, 1.0, total, warmup)
     t = data.draw(st.integers(max(warmup, 1), total - 1))
     assert lr_at(spec, t + 1) <= lr_at(spec, t) + 1e-15
