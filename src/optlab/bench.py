@@ -23,6 +23,12 @@ losses across rules, and losses of different problems are not comparable.
 Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
 diverged seed is flagged and ranked behind all clean aggregates.
+
+The ``suite.seeds`` replicates of an (optimizer, budget) cell whose engine
+the planner finds lane-safe (``Optimizer.lane_safe``) run as one task, a lane
+group (``harness.run_lanes``), which writes each replicate's own run
+directory with the bytes its own run would write. Every other cell runs as
+one task per replicate (``_run_cell``). Tasks go out longest budget first.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from pathlib import Path
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError, ContractViolationError
-from .harness import RunRecord, _section, _train, build_engine, run
+from .harness import Lane, RunRecord, _section, _train, build_engine, run, run_lanes
 from .optimizers.engine import wrong_kind
 from .problems import Problem, build_problem
 from .rng import stable_hash
@@ -168,6 +174,14 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
 def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
     """The resolved run config of each ``(label, layer, assignment)`` cell, checked by running its first step.
 
+    See ``_plan_cells``.
+    """
+    return _plan_cells(base_config, base_seed, cells)[0]
+
+
+def _plan_cells(base_config: dict, base_seed: int, cells) -> tuple[list[dict], list[bool]]:
+    """``plan_cells``'s configs, and for each cell whether its engine is lane-safe.
+
     A cell resolves ``base_config < layer < {"run.seed": stable_hash(base_seed,
     *label)} < assignment``. Each distinct cell (by ``config_hash``, which
     leaves out ``run.seed``) builds its engine and schedule
@@ -177,37 +191,43 @@ def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
     A step that diverges is the run's outcome, not an error, and passes.
     """
     problems: dict[tuple, Problem] = {}
-    stepped = set()
-    configs = []
+    lane_safe: dict[str, bool] = {}
+    configs, keys = [], []
     for label, layer, assignment in cells:
         cfg = resolve(base_config, layer, {"run.seed": stable_hash(base_seed, *label)}, assignment)
         configs.append(cfg)
-        if (key := config_hash(cfg)) in stepped:
+        keys.append(key := config_hash(cfg))
+        if key in lane_safe:
             continue
-        stepped.add(key)
         section = _section(cfg, "problem")
         if (shape := tuple(section.items())) not in problems:
             problems[shape] = build_problem(section.pop("kind"), 0, **section)
         problem = problems[shape]
         blocks = problem.init_blocks(0)
         engine, _ = build_engine(cfg, problem, blocks)
-        _train(RunRecord({}), problem, blocks, engine, ScheduleSpec("constant", engine.lr, 1), 0, cfg["run.clip"], 1)
-    return configs
+        lane_safe[key] = engine.lane_safe
+        _train([Lane(problem, 0, RunRecord({}))], blocks, engine, ScheduleSpec("constant", engine.lr, 1),
+               cfg["run.clip"], 1)
+    return configs, [lane_safe[key] for key in keys]
 
 
-def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int, int], dict]:
-    """Every cell's checked run config by (optimizer, budget, replicate); each error names the suite."""
+def _cell_config(suite: SuiteSpec) -> tuple[dict[tuple[str, int, int], dict], set[tuple[str, int]]]:
+    """Every cell's checked run config by (optimizer, budget, replicate), and the lane-safe (optimizer, budget) pairs.
+
+    Each error names the suite.
+    """
     labels = [(o, b, r) for o in suite.optimizers for b in suite.budgets for r in range(suite.seeds)]
     cells = [((o, b, r), suite.overrides.get(o), {"optimizer.name": o, "run.steps": b}) for o, b, r in labels]
     try:
-        configs = plan_cells(suite.base_config, suite.base_seed, cells)
+        configs, lane_safe = _plan_cells(suite.base_config, suite.base_seed, cells)
         kinds = {o: cfg["problem.kind"] for (o, _, _), cfg in zip(labels, configs)}
         if len(set(kinds.values())) > 1:
             listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
             raise ConfigurationError(f"every rule must run the same problem.kind, got {listed}")
     except (ConfigurationError, ContractViolationError) as exc:
         raise ConfigurationError(f"suite {suite.name!r}: {exc}") from None
-    return dict(zip(labels, configs))
+    grouped = {(o, b) for (o, b, _), safe in zip(labels, lane_safe) if safe and suite.seeds > 1}
+    return dict(zip(labels, configs)), grouped
 
 
 def _run_cell(args: tuple[dict, str]) -> tuple[float | None, bool]:
@@ -218,21 +238,41 @@ def _run_cell(args: tuple[dict, str]) -> tuple[float | None, bool]:
     return record.final_loss, record.diverged
 
 
+def _run_lanes(args: tuple[list[dict], list[str]]) -> list[tuple[float | None, bool]]:
+    """Run one cell's replicates as a lane group, write each one's artifacts, and return their outcomes."""
+    configs, run_dirs = args
+    records = run_lanes(configs)
+    for record, run_dir in zip(records, run_dirs):
+        write_run_artifacts(record, run_dir)
+    return [(record.final_loss, record.diverged) for record in records]
+
+
 def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTable:
     """Check every cell, then run them all (optionally in parallel) and rank per budget.
 
     A bad cell config, or rules on different problem kinds, raise before any cell runs.
     """
     out_dir = Path(out_dir)
-    configs = _cell_config(suite)
-    cells = [(cfg, str(out_dir / "runs" / f"{o}-b{b}-r{r}")) for (o, b, r), cfg in configs.items()]
+    configs, grouped = _cell_config(suite)
+    tasks = []  # (labels, task function, its argument), the longest budget first
+    for budget in sorted(suite.budgets, reverse=True):
+        for optimizer in suite.optimizers:
+            labels = [(optimizer, budget, rep) for rep in range(suite.seeds)]
+            cfgs = [configs[label] for label in labels]
+            run_dirs = [str(out_dir / "runs" / f"{optimizer}-b{budget}-r{rep}") for rep in range(suite.seeds)]
+            if (optimizer, budget) in grouped:
+                tasks.append((labels, _run_lanes, (cfgs, run_dirs)))
+            else:
+                tasks.extend(([label], _run_cell, cell) for label, cell in zip(labels, zip(cfgs, run_dirs)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
+            results = [future.result() for future in [pool.submit(fn, args) for _, fn, args in tasks]]
     else:
-        outcomes = [_run_cell(args) for args in cells]
-    by_cell = dict(zip(configs, outcomes))
-    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, cells[0][0]["problem.kind"])
+        results = [fn(args) for _, fn, args in tasks]
+    by_cell = {}
+    for (labels, fn, _), result in zip(tasks, results):
+        by_cell.update(zip(labels, result if fn is _run_lanes else [result]))
+    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, next(iter(configs.values()))["problem.kind"])
     for budget in suite.budgets:
         rows = []
         for optimizer in suite.optimizers:

@@ -20,20 +20,28 @@ class ParamBlock:
     scalars, embeddings, and output heads are treated as the 1-D group.
     A float64 C-contiguous ``values`` array is kept without a copy, and every
     step updates ``values`` in place, so a step writes into the caller's array.
+
+    ``lanes`` describes the layout of ``values``: 0 for one run's block, or the
+    number of replicate runs whose values lie stacked on a leading lane axis
+    (:func:`stack_lanes`). Row ``i`` of such a block is lane ``i``'s block.
     """
 
     name: str
     values: np.ndarray
     role: str = "vector"
+    lanes: int = 0
 
     def __post_init__(self):
         if self.role not in ROLES:
             raise ContractViolationError(f"unknown role {self.role!r} for block {self.name!r}")
         self.values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if self.role == "matrix" and self.values.ndim != 2:
+        if self.lanes and self.values.shape[:1] != (self.lanes,):
             raise ContractViolationError(
-                f"matrix block {self.name!r} needs exactly 2 dimensions, got {self.values.ndim}"
+                f"block {self.name!r} of {self.lanes} lanes needs them on its first axis, got shape {self.values.shape}"
             )
+        ndim = self.values.ndim - (1 if self.lanes else 0)
+        if self.role == "matrix" and ndim != 2:
+            raise ContractViolationError(f"matrix block {self.name!r} needs exactly 2 dimensions, got {ndim}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,8 +72,28 @@ class CommonHyper:
             raise ContractViolationError("eps must be finite and > 0")
 
 
-def global_norm(arrays) -> float:
-    """l2 norm of the concatenation of all arrays."""
+def stack_lanes(lane_blocks: list[list[ParamBlock]]) -> list[ParamBlock]:
+    """Each block of the replicate runs' ``lane_blocks`` as one block, the lanes stacked in order on a first axis."""
+    lanes = len(lane_blocks)
+    return [
+        ParamBlock(first.name, np.stack([blocks[j].values for blocks in lane_blocks]), first.role, lanes)
+        for j, first in enumerate(lane_blocks[0])
+    ]
+
+
+def global_norm(arrays, lanes: int = 0):
+    """l2 norm of the concatenation of all arrays.
+
+    For arrays that stack ``lanes`` replicate runs on their first axis it is
+    each lane's norm, one float64 per lane: the same squares summed by the
+    same reduction per block and added block by block, so lane ``i``'s norm
+    is, bit for bit, the norm of the arrays' row ``i``.
+    """
+    if lanes:
+        total = 0.0
+        for a in arrays:
+            total = total + np.add.reduce(np.multiply(a, a), axis=tuple(range(1, a.ndim)))
+        return np.sqrt(total)
     total = 0.0
     for a in arrays:
         total += float(np.add.reduce(np.multiply(a, a), axis=None))

@@ -10,6 +10,20 @@ clips by global norm, applies the scheduled learning rate, steps the
 optimizer (timed in isolation from gradient work), and logs. Divergence is
 permanent: nothing moves after the flagged step, and the record keeps why
 (``RunRecord.failure``). ``time_optimizer`` times this same loop.
+
+The loop, ``_train``, steps a group of lanes. A run (``run``,
+``time_optimizer``, each ``sweep`` cell, the planner's first steps) is a group
+of one lane whose arrays have no lane axis. ``run_lanes`` steps the
+replicates of one cell, which differ only in ``run.seed``, as one group of a
+lane-safe engine (``Optimizer.lane_safe``): one engine over blocks that stack
+each lane's initial blocks on a leading axis. Each lane keeps its own
+problem, seed and record. A step calls every lane's own ``loss_and_grad`` on
+its row of the blocks and stacks the gradients; the loss check, the clip
+scale and the norms are each lane's own, and one ``engine.step`` moves every
+lane, so each lane's rows and final loss are those of its own run, bit for
+bit. A lane's ``step_time_ns`` is the group's step time divided by the lane
+count, rounded down. A group in which any lane diverges is discarded, and
+each of its lanes runs alone.
 """
 
 from __future__ import annotations
@@ -21,9 +35,11 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .blocks import global_norm
+import numpy as np
+
+from .blocks import global_norm, stack_lanes
 from .config import resolve, value_to_str
-from .errors import ConfigurationError, PoisonedStateError
+from .errors import ConfigurationError, ContractViolationError, PoisonedStateError
 from .optimizers import make_optimizer
 from .problems import Problem, build_problem
 from .rng import stable_hash
@@ -93,11 +109,24 @@ class RunRecord:
         }
 
 
-def clip_gradients(grads: dict, threshold: float) -> tuple[dict, float]:
-    """Global-norm clipping across all blocks; returns the pre-clip norm."""
+def clip_gradients(grads: dict, threshold: float, lanes: int = 0) -> tuple[dict, float]:
+    """Global-norm clipping across all blocks; returns the pre-clip norm.
+
+    For gradients that stack ``lanes`` lanes (``global_norm``'s lane form) the
+    norm and the clipping are each lane's own; a lane under the threshold is
+    scaled by 1.0, which leaves its bytes as they are.
+    """
     if not threshold > 0.0:  # a NaN threshold fails this too
         raise ConfigurationError(f"clip threshold must be positive, got {threshold!r}")
-    norm = global_norm(grads.values())
+    norm = global_norm(grads.values(), lanes)
+    if lanes:
+        if not np.isfinite(norm).all():
+            raise PoisonedStateError("non-finite gradient norm")
+        over = norm > threshold
+        if over.any():
+            scale = np.divide(threshold, norm, out=np.ones(lanes), where=over)
+            grads = {name: g * scale.reshape((lanes,) + (1,) * (g.ndim - 1)) for name, g in grads.items()}
+        return grads, norm
     if not math.isfinite(norm):
         raise PoisonedStateError("non-finite gradient norm")
     if norm > threshold:
@@ -136,62 +165,141 @@ def build_engine(cfg: dict, problem: Problem, blocks):
     return engine, ScheduleSpec(gamma_max=engine.lr, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
 
 
-def setup_run(cfg: dict):
-    """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from its sections."""
+def _build_problem(cfg: dict):
+    """Resolve ``cfg``, then build (cfg, problem, blocks): the problem at the run's seed and its ``init_blocks(0)``."""
     cfg = resolve(cfg)
     problem_cfg = _section(cfg, "problem")
     problem = build_problem(problem_cfg.pop("kind"), cfg["run.seed"], **problem_cfg)
-    blocks = problem.init_blocks(0)
+    return cfg, problem, problem.init_blocks(0)
+
+
+def setup_run(cfg: dict):
+    """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from its sections."""
+    cfg, problem, blocks = _build_problem(cfg)
     return cfg, problem, blocks, *build_engine(cfg, problem, blocks)
 
 
-def _train(record: RunRecord, problem: Problem, blocks, engine, schedule: ScheduleSpec, seed: int,
-           clip: float | None, log_every: int) -> RunRecord:
-    """Step ``engine`` for ``schedule.total_steps`` steps, filling ``record``; see the module docstring.
+class Lane(NamedTuple):
+    """One run of a group: its problem, its seed and the record ``_train`` fills."""
 
-    The problem is told the run's seed and length first, so its per-step
-    streams are drawn in blocks sized to the run (``Problem.draw_ahead``).
+    problem: Problem
+    seed: int
+    record: RunRecord
+
+
+def _lane_views(point: dict, lanes: int) -> list[dict]:
+    """Each lane's row of every array of ``point``, in lane order."""
+    return [{name: values[i] for name, values in point.items()} for i in range(lanes)]
+
+
+def _stack(lane_arrays: list[dict]) -> dict:
+    """Each name's arrays of every lane stacked on a new first axis, in lane order."""
+    return {name: np.array([arrays[name] for arrays in lane_arrays]) for name in lane_arrays[0]}
+
+
+def _train(lanes: list[Lane], blocks, engine, schedule: ScheduleSpec, clip: float | None, log_every: int) -> None:
+    """Step ``engine`` for ``schedule.total_steps`` steps, filling each lane's record; see the module docstring.
+
+    ``engine.lanes`` is 0 for one run: ``lanes`` then holds that run alone,
+    its arrays carry no lane axis, and each step calls its problem directly.
+    In a group, a ``PoisonedStateError`` in any lane propagates, for the
+    caller to discard the group. Each problem is told its run's seed and
+    length first, so its per-step streams are drawn in blocks sized to the
+    run (``Problem.draw_ahead``).
     """
-    total = schedule.total_steps
-    problem.draw_ahead(seed, total)
+    total, stacked, count = schedule.total_steps, engine.lanes, len(lanes)
+    for lane in lanes:
+        lane.problem.draw_ahead(lane.seed, total)
+    problem, seed, record = lanes[0]
     # bound once per run; clip_gradients, lr_at and global_norm stay module lookups, which profilers patch
-    eval_point, loss_and_grad, step, clock = engine.eval_point, problem.loss_and_grad, engine.step, time.perf_counter_ns
+    evaluate, estimate = problem.loss_and_grad, problem.gnb_grad
+    if stacked:
+        losses: list[float] = []  # each lane's loss at this step
+
+        def evaluate(point, batch_seed):
+            """Every lane's own loss and gradient at its row of ``point``; the loss is the worst lane's."""
+            views = _lane_views(point, count)
+            outs = [lane.problem.loss_and_grad(view, (lane.seed, batch_seed[1])) for lane, view in zip(lanes, views)]
+            losses[:] = [loss for loss, _ in outs]
+            worst = max(losses) if all(map(math.isfinite, losses)) else math.nan
+            return worst, _stack([grads for _, grads in outs])
+
+        def estimate(point, batch_seed):
+            views = _lane_views(point, count)
+            return _stack([lane.problem.gnb_grad(view, (lane.seed, batch_seed[1])) for lane, view in zip(lanes, views)])
+    eval_point, step, clock = engine.eval_point, engine.step, time.perf_counter_ns
     threshold, batch_size = math.inf if clip is None else float(clip), problem.batch.batch_size
     times: list[int] = []
     for t in range(1, total + 1):
         point = eval_point()
-        loss, grads = loss_and_grad(point, (seed, t))
+        loss, grads = evaluate(point, (seed, t))
         try:
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 raise PoisonedStateError("loss diverged")
-            grads, pre_norm = clip_gradients(grads, threshold)
+            grads, pre_norm = clip_gradients(grads, threshold, stacked)
             lr_t = lr_at(schedule, t)
-            resampled = problem.gnb_grad(point, (seed, t)) if engine.wants_estimate() else None
+            resampled = estimate(point, (seed, t)) if engine.wants_estimate() else None
             start = clock()
             info = step(grads, lr_t / schedule.gamma_max, resampled, batch_size)
-            elapsed = clock() - start
+            elapsed = (clock() - start) // count
         except PoisonedStateError as exc:
+            if stacked:
+                raise
             record.failure = {"kind": type(exc).__name__, "step": t, "message": str(exc)}
             break
         times.append(elapsed)
         if t % log_every == 0 or t == total:
-            param_norm = global_norm(b.values for b in blocks)
-            record.rows.append(
-                RunRow(t, loss, pre_norm, info.update_norm, param_norm, lr_t, info.effective_lr, info.d, elapsed)
-            )
+            param_norm = global_norm((b.values for b in blocks), stacked)
+            if stacked:
+                for lane, loss, grad_norm, update_norm, norm in zip(
+                    lanes, losses, pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist()
+                ):
+                    lane.record.rows.append(
+                        RunRow(t, loss, grad_norm, update_norm, norm, lr_t, info.effective_lr, info.d, elapsed)
+                    )
+            else:
+                record.rows.append(
+                    RunRow(t, loss, pre_norm, info.update_norm, param_norm, lr_t, info.effective_lr, info.d, elapsed)
+                )
     if times:
-        record.mean_step_time_ns = float(statistics.fmean(times))
-    return record
+        mean = float(statistics.fmean(times))
+        for lane in lanes:
+            lane.record.mean_step_time_ns = mean
 
 
 def run(config: dict) -> RunRecord:
     """Execute one deterministic run; see the module docstring for the loop."""
     cfg, problem, blocks, engine, schedule = setup_run(config)
-    record = _train(RunRecord(config=cfg), problem, blocks, engine, schedule,
-                    cfg["run.seed"], cfg["run.clip"], cfg["run.log_every"])
+    record = RunRecord(config=cfg)
+    _train([Lane(problem, cfg["run.seed"], record)], blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
     if not record.diverged:
         record.final_loss = problem.full_loss({b.name: b.values for b in blocks})
     return record
+
+
+def run_lanes(configs: list[dict]) -> list[RunRecord]:
+    """The records of ``configs``, replicates of one cell, stepped as one lane group; see the module docstring.
+
+    The configs may differ only in ``run.seed``, and the engine they build
+    must be lane-safe; ``ContractViolationError`` otherwise. If any lane
+    diverges (``PoisonedStateError``, a diverged loss included), the group is
+    discarded and each config runs alone through ``run``, so every record
+    equals its run's, ``failure`` included.
+    """
+    built = [_build_problem(cfg) for cfg in configs]
+    cfg, problem, _ = built[0]
+    if any({**other, "run.seed": None} != {**cfg, "run.seed": None} for other, _, _ in built):
+        raise ContractViolationError("the configs of a lane group may differ only in run.seed")
+    blocks = stack_lanes([lane_blocks for _, _, lane_blocks in built])
+    engine, schedule = build_engine(cfg, problem, blocks)
+    lanes = [Lane(lane_problem, lane_cfg["run.seed"], RunRecord(lane_cfg)) for lane_cfg, lane_problem, _ in built]
+    try:
+        _train(lanes, blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
+    except PoisonedStateError:
+        return [run(config) for config in configs]
+    for i, lane in enumerate(lanes):
+        lane.record.final_loss = lane.problem.full_loss({b.name: b.values[i] for b in blocks})
+    return [lane.record for lane in lanes]
 
 
 @dataclass(frozen=True)
@@ -226,8 +334,8 @@ def time_optimizer(
         engine = make_optimizer(optimizer_name, blocks, steps, opt_params)
         check_estimator(engine, problem)
         schedule = ScheduleSpec("constant", engine.lr, steps)
-        record = _train(RunRecord(config={}), problem, blocks, engine, schedule,
-                        stable_hash(seed, optimizer_name, rep), None, steps)
+        record = RunRecord(config={})
+        _train([Lane(problem, stable_hash(seed, optimizer_name, rep), record)], blocks, engine, schedule, None, steps)
         if record.diverged:
             raise PoisonedStateError(
                 f"optimizer {optimizer_name!r} diverged in repeat {rep} at step {record.divergence_step}"

@@ -20,6 +20,15 @@ block takes the rule's path; the hybrid rules (:class:`_Hybrid`: Muon, DMuon,
 SOAP and the MARS family) send ``matrix`` blocks down it and run every other
 block as AdamW with the rule's 1-D values.
 
+An engine steps one run, or the replicate runs of one cell as a lane group:
+blocks built by :func:`optlab.blocks.stack_lanes` hold every lane's values on
+a leading axis, the step's gradients stack the same way, and ``update_norm``
+is then one norm per lane. Only a rule whose step is element-wise, with
+scalars that every lane shares, keeps each lane's bytes that way; ``lane_safe``
+says whether an engine is one, and an engine that is not refuses lane-stacked
+blocks. Prodigy is not (its ``d`` is one scalar per run), nor is a hybrid
+rule with a block on its matrix path.
+
 Engines are constructed through :func:`make_optimizer`.
 """
 
@@ -31,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..blocks import CommonHyper, ParamBlock, global_norm
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ContractViolationError
 from ..schedules import EmaScheduleSpec
 from . import base, mars, muon, prodigy, schedule_free, sign, soap, sophia
 
@@ -84,6 +93,8 @@ class Optimizer:
     nullable: tuple[str, ...] = ()
     #: whether ``step`` needs the label-resampled (GNB) gradient of a ``supports_gnb`` problem
     needs_gnb = False
+    #: whether lanes stepped together keep each lane's bytes (see the module docstring)
+    lane_safe = False
 
     def __init__(self, blocks: list[ParamBlock], **params):
         self.check_params(params)
@@ -93,6 +104,13 @@ class Optimizer:
         names = [b.name for b in self.blocks]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate block names: {names}")
+        lanes = {b.lanes for b in self.blocks}
+        if len(lanes) > 1:
+            raise ContractViolationError(f"the blocks of one engine must stack the same lanes, got {sorted(lanes)}")
+        #: the lane count of the blocks, 0 when they have no lane axis
+        self.lanes = lanes.pop() if lanes else 0
+        if self.lanes and not self.lane_safe:
+            raise ContractViolationError(f"optimizer {self.name!r} cannot step replicate lanes together")
 
     @classmethod
     def check_params(cls, params: dict) -> None:
@@ -151,6 +169,11 @@ class _PerBlock(Optimizer):
             else:
                 self.adam_states[b.name] = base.AdamLikeState.zeros(b.shape)
 
+    @property
+    def lane_safe(self) -> bool:
+        # every path is element-wise but a hybrid's matrix path
+        return self.keys_1d is None or not any(map(self._takes_rule_path, self.blocks))
+
     def _takes_rule_path(self, block: ParamBlock) -> bool:
         return self.keys_1d is None or block.matrix_routed()
 
@@ -173,7 +196,7 @@ class _PerBlock(Optimizer):
             else:
                 hyper_1d = hyper_1d or CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
                 deltas.append(base.adamw_step(b, grads[b.name], adam, hyper_1d, *self.betas_1d))
-        return StepInfo(global_norm(deltas), self.lr * scale)
+        return StepInfo(global_norm(deltas, self.lanes), self.lr * scale)
 
 
 class AdamW(_PerBlock):
@@ -302,7 +325,7 @@ class Soap(_Hybrid):
     keys_1d = ("lr", "weight_decay", "beta1", "beta2")
 
     def _takes_rule_path(self, block):
-        return block.matrix_routed() and max(block.shape) <= self.precond_max_dim
+        return block.matrix_routed() and max(block.shape[-2:]) <= self.precond_max_dim
 
     def _new_state(self, block):
         return soap.SoapState.for_block(block, self.precond_freq, self.bias_correction, self.identity_init)
@@ -333,6 +356,8 @@ class Sophia(_PerBlock):
 class ScheduleFreeAdamW(Optimizer):
     name = "sf-adamw"
     defaults = {"lr": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "beta1": 0.9, "beta2": 0.9999, "sf_warmup": 0}
+    # its scalars, gamma_t and the averaging weight, follow the lr and the step count, which lanes share
+    lane_safe = True
 
     def __init__(self, blocks, **params):
         super().__init__(blocks, **params)
@@ -344,7 +369,7 @@ class ScheduleFreeAdamW(Optimizer):
     def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
         hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
         deltas = schedule_free.sfadamw_step(self.blocks, grads, self.state, hyper, self.beta1, self.beta2)
-        return StepInfo(global_norm(deltas.values()), self.lr * scale)
+        return StepInfo(global_norm(deltas.values(), self.lanes), self.lr * scale)
 
 
 class Prodigy(Optimizer):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from optlab import verify
+from optlab import bench, verify
 from optlab.cli import main
+from optlab.config import load_config_file
 from optlab.harness import run
 from optlab.runio import write_run_artifacts
 
@@ -34,6 +35,14 @@ def _single_run_dir(out: Path) -> Path:
     dirs = [p for p in out.iterdir() if p.is_dir()]
     assert len(dirs) == 1
     return dirs[0]
+
+
+def _run_bytes(run_dir: Path) -> tuple[str, dict]:
+    """A run directory's ``record.csv`` without ``step_time_ns`` and ``summary.json`` without ``mean_step_time_ns``."""
+    csv = [line.rsplit(",", 1)[0] for line in (run_dir / "record.csv").read_text().splitlines()]
+    summary = json.loads((run_dir / "summary.json").read_text())
+    del summary["mean_step_time_ns"]
+    return "\n".join(csv), summary
 
 
 class TestRun:
@@ -459,23 +468,36 @@ class TestOutputRootAndJobs:
         assert root.is_dir() and list(root.iterdir())
 
     def test_bench_parallel_matches_serial(self, tmp_path):
+        # adamw and signum replicates step as lane groups, prodigy's as one task per cell
         suite = tmp_path / "suite.cfg"
         suite.write_text(
             "suite.name = par\n"
-            "suite.optimizers = adamw, signum\n"
-            "suite.budgets = 25\n"
+            "suite.optimizers = adamw, signum, prodigy\n"
+            "suite.budgets = 25, 10\n"
             "suite.seeds = 2\n"
             "problem.kind = quadratic\n"
+            "problem.noise = 0.5\n"
             "schedule.family = constant\n"
+            "run.clip = 2.0\n"
             "adamw.optimizer.lr = 0.03\n"
             "signum.optimizer.lr = 0.01\n"
         )
-        reports = []
+        _, grouped = bench._cell_config(bench.parse_suite(load_config_file(suite)))
+        assert grouped == {(rule, budget) for rule in ("adamw", "signum") for budget in (25, 10)}
+        reports, runs = [], []
         for jobs, label in ((1, "serial"), (2, "parallel")):
             out = tmp_path / label
             assert main(["bench", "--config", str(suite), "--out", str(out), "--jobs", str(jobs)]) == 0
-            reports.append(next(out.glob("bench-*")).joinpath("report.csv").read_text())
+            bench_dir = next(out.glob("bench-*"))
+            reports.append(bench_dir.joinpath("report.csv").read_text())
+            runs.append({run_dir.name: _run_bytes(run_dir) for run_dir in (bench_dir / "runs").iterdir()})
         assert reports[0] == reports[1]
+        assert len(runs[0]) == 3 * 2 * 2 and runs[0] == runs[1]
+        serial_runs = next((tmp_path / "serial").glob("bench-*")) / "runs"
+        for name, artifacts in runs[0].items():
+            out = tmp_path / "alone" / name
+            assert main(["run", "--config", str(serial_runs / name / "summary.json"), "--out", str(out)]) == 0
+            assert _run_bytes(_single_run_dir(out)) == artifacts, name
 
     def test_bench_rerun_reproduces_report(self, tmp_path):
         suite = tmp_path / "suite.cfg"

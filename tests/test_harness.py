@@ -392,3 +392,8 @@ def test_profiled_names_are_reached_on_every_step(monkeypatch):
     calls.clear()
     time_optimizer("adamw", {"lr": 0.01}, build_problem("quadratic", 1, dim=4, condition=2.0), steps=3, repeats=2)
     assert calls == {"harness.global_norm": 2 * (3 + 1), **{k: 6 * v for k, v in per_step.items()}}
+    calls.clear()
+    # a lane group reaches each name once per step for all of its lanes
+    records = harness.run_lanes([quad_config(**{"run.steps": 3, "run.seed": seed}) for seed in (1, 2, 3)])
+    assert not any(record.diverged for record in records)
+    assert calls == {"harness.global_norm": 6, **{k: 3 * v for k, v in per_step.items()}}
