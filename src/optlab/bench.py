@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError, ContractViolationError
-from .harness import Lane, RunRecord, _section, _train, build_engine, run, run_lanes
+from .harness import RunRecord, _section, _train, build_engine, run, run_lanes
 from .optimizers.engine import wrong_kind
 from .problems import Problem, build_problem
 from .rng import stable_hash
@@ -206,8 +206,7 @@ def _plan_cells(base_config: dict, base_seed: int, cells) -> tuple[list[dict], l
         blocks = problem.init_blocks(0)
         engine, _ = build_engine(cfg, problem, blocks)
         lane_safe[key] = engine.lane_safe
-        _train([Lane(problem, 0, RunRecord({}))], blocks, engine, ScheduleSpec("constant", engine.lr, 1),
-               cfg["run.clip"], 1)
+        _train(problem, 0, [RunRecord({})], blocks, engine, ScheduleSpec("constant", engine.lr, 1), cfg["run.clip"], 1)
     return configs, [lane_safe[key] for key in keys]
 
 
@@ -250,8 +249,10 @@ def _run_lanes(args: tuple[list[dict], list[str]]) -> list[tuple[float | None, b
 def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTable:
     """Check every cell, then run them all (optionally in parallel) and rank per budget.
 
-    A bad cell config, or rules on different problem kinds, raise before any cell runs.
+    A bad cell config, rules on different problem kinds, or ``jobs`` below 1, raise before any cell runs.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
     configs, grouped = _cell_config(suite)
     tasks = []  # (labels, task function, its argument), the longest budget first

@@ -71,7 +71,7 @@ def cmd_bench(args) -> int:
         flat["suite.base_seed"] = args.seed
     suite = parse_suite(flat, source=str(args.config))
     out_dir = _out_root(args) / f"bench-{suite.name}-{suite_hash(suite)}"
-    table = run_suite(suite, out_dir, jobs=max(1, args.jobs))
+    table = run_suite(suite, out_dir, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(table.csv_text(), encoding="utf-8")
     (out_dir / "report.json").write_text(

@@ -11,14 +11,17 @@ optimizer (timed in isolation from gradient work), and logs. Divergence is
 permanent: nothing moves after the flagged step, and the record keeps why
 (``RunRecord.failure``). ``time_optimizer`` times this same loop.
 
-The loop, ``_train``, steps a group of lanes. A run (``run``,
-``time_optimizer``, each ``sweep`` cell, the planner's first steps) is a group
-of one lane whose arrays have no lane axis. ``run_lanes`` steps the
-replicates of one cell, which differ only in ``run.seed``, as one group of a
-lane-safe engine (``Optimizer.lane_safe``): one engine over blocks that stack
-each lane's initial blocks on a leading axis. Each lane keeps its own
-problem, seed and record. A step calls every lane's own ``loss_and_grad`` on
-its row of the blocks and stacks the gradients; the loss check, the clip
+The loop, ``_train``, steps one problem and one engine, and calls
+``problem.loss_and_grad`` once per step. A run (``run``, ``time_optimizer``,
+each ``sweep`` cell, the planner's first steps) has no lane axis.
+``run_lanes`` steps the replicates of one cell, which differ only in
+``run.seed``, as one lane group of a lane-safe engine
+(``Optimizer.lane_safe``): it builds one lane-stacked problem of the lanes'
+seeds (``build_problem`` with a tuple of seeds), whose ``init_blocks(0)``
+stack every lane's initial blocks on a leading axis, and one engine over
+them. Each lane keeps its own seed and record. A step evaluates every lane
+in one call, which returns a loss per lane and the stacked gradients; the
+loss check reads the worst lane (NaN if any lane is non-finite), the clip
 scale and the norms are each lane's own, and one ``engine.step`` moves every
 lane, so each lane's rows and final loss are those of its own run, bit for
 bit. A lane's ``step_time_ns`` is the group's step time divided by the lane
@@ -37,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import global_norm, stack_lanes
+from .blocks import global_norm
 from .config import resolve, value_to_str
 from .errors import ConfigurationError, ContractViolationError, PoisonedStateError
 from .optimizers import make_optimizer
@@ -165,76 +168,51 @@ def build_engine(cfg: dict, problem: Problem, blocks):
     return engine, ScheduleSpec(gamma_max=engine.lr, total_steps=cfg["run.steps"], **_section(cfg, "schedule"))
 
 
-def _build_problem(cfg: dict):
-    """Resolve ``cfg``, then build (cfg, problem, blocks): the problem at the run's seed and its ``init_blocks(0)``."""
-    cfg = resolve(cfg)
+def _build_problem(cfg: dict, seed):
+    """The problem of resolved ``cfg``'s ``problem.*`` section at run seed ``seed`` (a tuple of seeds: lane-stacked)."""
     problem_cfg = _section(cfg, "problem")
-    problem = build_problem(problem_cfg.pop("kind"), cfg["run.seed"], **problem_cfg)
-    return cfg, problem, problem.init_blocks(0)
+    return build_problem(problem_cfg.pop("kind"), seed, **problem_cfg)
 
 
 def setup_run(cfg: dict):
     """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from its sections."""
-    cfg, problem, blocks = _build_problem(cfg)
+    cfg = resolve(cfg)
+    problem = _build_problem(cfg, cfg["run.seed"])
+    blocks = problem.init_blocks(0)
     return cfg, problem, blocks, *build_engine(cfg, problem, blocks)
 
 
-class Lane(NamedTuple):
-    """One run of a group: its problem, its seed and the record ``_train`` fills."""
-
-    problem: Problem
-    seed: int
-    record: RunRecord
+def _worst(losses: np.ndarray) -> float:
+    """The largest of the lanes' losses, or NaN if any lane's is not finite."""
+    return float(losses.max()) if np.isfinite(losses).all() else math.nan
 
 
-def _lane_views(point: dict, lanes: int) -> list[dict]:
-    """Each lane's row of every array of ``point``, in lane order."""
-    return [{name: values[i] for name, values in point.items()} for i in range(lanes)]
+def _train(problem: Problem, seed, records: list[RunRecord], blocks, engine, schedule: ScheduleSpec,
+           clip: float | None, log_every: int) -> None:
+    """Step ``engine`` for ``schedule.total_steps`` steps, filling ``records``; see the module docstring.
 
-
-def _stack(lane_arrays: list[dict]) -> dict:
-    """Each name's arrays of every lane stacked on a new first axis, in lane order."""
-    return {name: np.array([arrays[name] for arrays in lane_arrays]) for name in lane_arrays[0]}
-
-
-def _train(lanes: list[Lane], blocks, engine, schedule: ScheduleSpec, clip: float | None, log_every: int) -> None:
-    """Step ``engine`` for ``schedule.total_steps`` steps, filling each lane's record; see the module docstring.
-
-    ``engine.lanes`` is 0 for one run: ``lanes`` then holds that run alone,
-    its arrays carry no lane axis, and each step calls its problem directly.
-    In a group, a ``PoisonedStateError`` in any lane propagates, for the
-    caller to discard the group. Each problem is told its run's seed and
-    length first, so its per-step streams are drawn in blocks sized to the
+    ``engine.lanes`` is 0 for one run: ``seed`` is then its run seed,
+    ``records`` holds its record alone and no array has a lane axis. For a
+    lane group ``problem`` is lane-stacked, ``seed`` holds one run seed per
+    lane and ``records`` one record per lane; a ``PoisonedStateError`` in any
+    lane propagates, for the caller to discard the group. Either way each step
+    calls ``problem.loss_and_grad`` once. The problem is told the run's seed
+    and length first, so its per-step streams are drawn in blocks sized to the
     run (``Problem.draw_ahead``).
     """
-    total, stacked, count = schedule.total_steps, engine.lanes, len(lanes)
-    for lane in lanes:
-        lane.problem.draw_ahead(lane.seed, total)
-    problem, seed, record = lanes[0]
+    total, stacked = schedule.total_steps, engine.lanes
+    problem.draw_ahead(seed, total)
     # bound once per run; clip_gradients, lr_at and global_norm stay module lookups, which profilers patch
-    evaluate, estimate = problem.loss_and_grad, problem.gnb_grad
-    if stacked:
-        losses: list[float] = []  # each lane's loss at this step
-
-        def evaluate(point, batch_seed):
-            """Every lane's own loss and gradient at its row of ``point``; the loss is the worst lane's."""
-            views = _lane_views(point, count)
-            outs = [lane.problem.loss_and_grad(view, (lane.seed, batch_seed[1])) for lane, view in zip(lanes, views)]
-            losses[:] = [loss for loss, _ in outs]
-            worst = max(losses) if all(map(math.isfinite, losses)) else math.nan
-            return worst, _stack([grads for _, grads in outs])
-
-        def estimate(point, batch_seed):
-            views = _lane_views(point, count)
-            return _stack([lane.problem.gnb_grad(view, (lane.seed, batch_seed[1])) for lane, view in zip(lanes, views)])
+    evaluate, estimate, record = problem.loss_and_grad, problem.gnb_grad, records[0]
     eval_point, step, clock = engine.eval_point, engine.step, time.perf_counter_ns
-    threshold, batch_size = math.inf if clip is None else float(clip), problem.batch.batch_size
+    threshold, batch_size, count = math.inf if clip is None else float(clip), problem.batch.batch_size, len(records)
     times: list[int] = []
     for t in range(1, total + 1):
         point = eval_point()
         loss, grads = evaluate(point, (seed, t))
         try:
-            if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+            worst = _worst(loss) if stacked else loss
+            if not math.isfinite(worst) or worst > DIVERGENCE_LOSS:
                 raise PoisonedStateError("loss diverged")
             grads, pre_norm = clip_gradients(grads, threshold, stacked)
             lr_t = lr_at(schedule, t)
@@ -251,11 +229,11 @@ def _train(lanes: list[Lane], blocks, engine, schedule: ScheduleSpec, clip: floa
         if t % log_every == 0 or t == total:
             param_norm = global_norm((b.values for b in blocks), stacked)
             if stacked:
-                for lane, loss, grad_norm, update_norm, norm in zip(
-                    lanes, losses, pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist()
+                for lane, lane_loss, grad_norm, update_norm, norm in zip(
+                    records, loss.tolist(), pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist()
                 ):
-                    lane.record.rows.append(
-                        RunRow(t, loss, grad_norm, update_norm, norm, lr_t, info.effective_lr, info.d, elapsed)
+                    lane.rows.append(
+                        RunRow(t, lane_loss, grad_norm, update_norm, norm, lr_t, info.effective_lr, info.d, elapsed)
                     )
             else:
                 record.rows.append(
@@ -263,15 +241,15 @@ def _train(lanes: list[Lane], blocks, engine, schedule: ScheduleSpec, clip: floa
                 )
     if times:
         mean = float(statistics.fmean(times))
-        for lane in lanes:
-            lane.record.mean_step_time_ns = mean
+        for lane in records:
+            lane.mean_step_time_ns = mean
 
 
 def run(config: dict) -> RunRecord:
     """Execute one deterministic run; see the module docstring for the loop."""
     cfg, problem, blocks, engine, schedule = setup_run(config)
     record = RunRecord(config=cfg)
-    _train([Lane(problem, cfg["run.seed"], record)], blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
+    _train(problem, cfg["run.seed"], [record], blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
     if not record.diverged:
         record.final_loss = problem.full_loss({b.name: b.values for b in blocks})
     return record
@@ -280,26 +258,31 @@ def run(config: dict) -> RunRecord:
 def run_lanes(configs: list[dict]) -> list[RunRecord]:
     """The records of ``configs``, replicates of one cell, stepped as one lane group; see the module docstring.
 
-    The configs may differ only in ``run.seed``, and the engine they build
-    must be lane-safe; ``ContractViolationError`` otherwise. If any lane
-    diverges (``PoisonedStateError``, a diverged loss included), the group is
-    discarded and each config runs alone through ``run``, so every record
-    equals its run's, ``failure`` included.
+    The configs may differ only in ``run.seed``, there must be at least one,
+    and the engine they build must be lane-safe; ``ContractViolationError``
+    otherwise. If any lane diverges (``PoisonedStateError``, a diverged loss
+    included), the group is discarded and each config runs alone through
+    ``run``, so every record equals its run's, ``failure`` included.
     """
-    built = [_build_problem(cfg) for cfg in configs]
-    cfg, problem, _ = built[0]
-    if any({**other, "run.seed": None} != {**cfg, "run.seed": None} for other, _, _ in built):
+    if not configs:
+        raise ContractViolationError("a lane group needs at least one config")
+    cfgs = [resolve(cfg) for cfg in configs]
+    cfg = cfgs[0]
+    if any({**other, "run.seed": None} != {**cfg, "run.seed": None} for other in cfgs):
         raise ContractViolationError("the configs of a lane group may differ only in run.seed")
-    blocks = stack_lanes([lane_blocks for _, _, lane_blocks in built])
+    seeds = tuple(lane_cfg["run.seed"] for lane_cfg in cfgs)
+    problem = _build_problem(cfg, seeds)
+    blocks = problem.init_blocks(0)
     engine, schedule = build_engine(cfg, problem, blocks)
-    lanes = [Lane(lane_problem, lane_cfg["run.seed"], RunRecord(lane_cfg)) for lane_cfg, lane_problem, _ in built]
+    records = [RunRecord(lane_cfg) for lane_cfg in cfgs]
     try:
-        _train(lanes, blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
+        _train(problem, seeds, records, blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
     except PoisonedStateError:
         return [run(config) for config in configs]
-    for i, lane in enumerate(lanes):
-        lane.record.final_loss = lane.problem.full_loss({b.name: b.values[i] for b in blocks})
-    return [lane.record for lane in lanes]
+    final = problem.full_loss({b.name: b.values for b in blocks}).tolist()
+    for record, loss in zip(records, final):
+        record.final_loss = loss
+    return records
 
 
 @dataclass(frozen=True)
@@ -335,7 +318,7 @@ def time_optimizer(
         check_estimator(engine, problem)
         schedule = ScheduleSpec("constant", engine.lr, steps)
         record = RunRecord(config={})
-        _train([Lane(problem, stable_hash(seed, optimizer_name, rep), record)], blocks, engine, schedule, None, steps)
+        _train(problem, stable_hash(seed, optimizer_name, rep), [record], blocks, engine, schedule, None, steps)
         if record.diverged:
             raise PoisonedStateError(
                 f"optimizer {optimizer_name!r} diverged in repeat {rep} at step {record.divergence_step}"

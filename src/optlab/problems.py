@@ -6,11 +6,19 @@ per-step stream, and gradient noise uses its own stream, so two evaluations
 with the same arguments agree bit for bit. The MLP problem additionally
 supports the label-resampling gradient needed by the Gauss-Newton-Bartlett
 estimator.
+
+``build_problem`` with a sequence of seeds builds one lane-stacked problem
+for the replicate runs of those seeds (``Problem.lanes``): one build draws
+every lane's streams, each step draws every lane's noise or batch at once,
+and one ``loss_and_grad`` call evaluates every lane, giving each lane the
+bytes of its own problem.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,33 +66,43 @@ class _StepDraws:
     step gets a read-only view of its row. A miss has one of two policies.
     After ``plan(run_seed, last_step)`` a miss at a step of that run up to
     ``last_step`` draws every step from it to ``last_step``, at most
-    ``_PREFETCH_VALUES`` values per block, so a T-step run makes
+    ``_PREFETCH_VALUES`` values per lane and block, so a T-step run makes
     ceil(T / max_block) draws and none past its plan. Any other miss draws
     the asked step alone, so unplanned callers (finite differences, checks)
     draw no more than the scalar stream would.
+
+    With ``lanes`` the run seed is a tuple of one seed per lane: one draw
+    (``draw`` with one seed per key) fills a ``(lanes, steps, width)`` block,
+    and a step gets its ``(lanes, width)`` view, row ``i`` of lane ``i``'s stream.
     """
 
-    def __init__(self, purpose: str, width: int, draw: Callable):
+    def __init__(self, purpose: str, width: int, draw: Callable, lanes: int = 0):
         self.purpose = purpose
         self.draw = draw
+        self.lanes = lanes
         self.max_block = max(1, _PREFETCH_VALUES // max(1, width))
         self.run_seed = self.plan_seed = None
-        self.first = self.plan_last = 0
-        self.rows = np.empty((0, width))
+        self.first = self.plan_last = self.steps = 0
+        self.rows = None
 
-    def plan(self, run_seed: int, last_step: int) -> None:
+    def plan(self, run_seed, last_step: int) -> None:
         """Let later misses of run ``run_seed`` draw ahead up to ``last_step``; draws nothing now."""
         self.plan_seed, self.plan_last = run_seed, last_step
 
-    def __call__(self, run_seed: int, step: int) -> np.ndarray:
+    def __call__(self, run_seed, step: int) -> np.ndarray:
         i = step - self.first
-        if run_seed != self.run_seed or not 0 <= i < len(self.rows):
+        if run_seed != self.run_seed or not 0 <= i < self.steps:
             block = 1
             if run_seed == self.plan_seed and step <= self.plan_last:
                 block = min(self.plan_last - step + 1, self.max_block)
-            self.rows = self.draw(run_seed, [f"{self.purpose}/{s}" for s in range(step, step + block)])
+            keys = [f"{self.purpose}/{s}" for s in range(step, step + block)]
+            if self.lanes:  # lane-major, as drawn; row i of the step-major view is step i of every lane
+                rows = self.draw([seed for seed in run_seed for _ in keys], keys * self.lanes)
+                self.rows = rows.reshape(self.lanes, block, -1).swapaxes(0, 1)
+            else:
+                self.rows = self.draw(run_seed, keys)
             self.rows.setflags(write=False)  # callers get views of its rows
-            self.run_seed, self.first, i = run_seed, step, 0
+            self.run_seed, self.first, self.steps, i = run_seed, step, block, 0
         return self.rows[i]
 
 
@@ -98,6 +116,13 @@ class Problem:
     recomputes the gradient with labels drawn from the model's own softmax.
     ``step_draws`` are the problem's per-step streams, which ``draw_ahead``
     sizes to a run.
+
+    ``lanes`` is 0 for one run's problem. A lane-stacked problem
+    (``build_problem`` with a sequence of seeds) holds ``lanes`` runs: its
+    blocks, points and gradients carry a leading lane axis, a batch seed is
+    ``(seeds, step)`` with one run seed per lane, and each loss is one float64
+    per lane. Lane ``i``'s values are, bit for bit, those of the problem built
+    at seed ``i`` alone.
     """
 
     name: str
@@ -109,13 +134,15 @@ class Problem:
     minimizer: dict | None = None
     optimal_value: float | None = None
     step_draws: tuple[_StepDraws, ...] = ()
+    lanes: int = 0
 
     @property
     def supports_gnb(self) -> bool:
         return self.resampled_grad is not None
 
-    def draw_ahead(self, run_seed: int, last_step: int) -> None:
-        """Tell the per-step streams that run ``run_seed`` will ask for steps up to ``last_step``."""
+    def draw_ahead(self, run_seed, last_step: int) -> None:
+        """Tell the per-step streams that run ``run_seed`` (a tuple of lane seeds if stacked) will ask for steps up to
+        ``last_step``."""
         for draws in self.step_draws:
             draws.plan(run_seed, last_step)
 
@@ -125,6 +152,18 @@ class Problem:
                 f"problem {self.name!r} has no categorical output; GNB estimator unsupported"
             )
         return self.resampled_grad(params, batch_seed)
+
+
+def _lanes_of(seed) -> int:
+    """0 for one run's seed (an int), else the number of lane seeds."""
+    return 0 if isinstance(seed, int) else len(seed)
+
+
+def _normals(seed, key: str, n: int) -> np.ndarray:
+    """``Rng(seed, key).normal(n)`` for one run's seed; for a tuple of lane seeds, that row of each lane."""
+    if isinstance(seed, int):
+        return Rng(seed, key).normal(n)
+    return normal_streams(seed, [key] * len(seed), n)
 
 
 def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = BatchSpec()) -> Problem:
@@ -139,45 +178,71 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
     term (noise * xi) . (x - x*) so finite differences with a shared batch
     seed reproduce the noisy gradient exactly.
     """
+    return _quadratic(dim, condition, batch, rng.seed, rng.normal)
+
+
+def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, normal: Callable) -> Problem:
+    """``quadratic_problem`` of ``seed``, or the lane-stacked one of a tuple of seeds.
+
+    ``normal(n)`` gives the problem stream's first ``n`` normals, one row per
+    lane if stacked: the basis matrix, ``x*`` and ``x0``'s offset, in that
+    order, so an odd ``dim`` carries the Box-Muller spare across them as the
+    scalar stream does. Each lane keeps its own QR; a stacked point is
+    evaluated with ``np.matmul`` over the lane axis, which calls the same
+    gemv and ddot per lane as ``a.dot(x)`` does for one run.
+    """
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
     if not (math.isfinite(condition) and condition >= 1.0):
         raise ContractViolationError(f"condition must be finite and >= 1, got {condition!r}")
+    lanes = _lanes_of(seed)
     eigvals = np.logspace(0.0, math.log10(condition), dim) if dim > 1 else np.ones(1)
-    if dim > 1:
-        basis = qr_orthonormal(rng.normal_matrix(dim, dim))
-        a = (basis * eigvals) @ basis.T
-        a = (a + a.T) / 2.0
-    else:
-        a = np.array([[eigvals[0]]])
-    x_star = rng.normal(dim)
-    b = a @ x_star
-    x0 = x_star + 2.0 * rng.normal(dim)
+    square = dim * dim if dim > 1 else 0
+
+    def bowl(row: np.ndarray):
+        if dim > 1:
+            basis = qr_orthonormal(row[:square].reshape(dim, dim))
+            a = (basis * eigvals) @ basis.T
+            a = (a + a.T) / 2.0
+        else:
+            a = np.array([[eigvals[0]]])
+        x_star = row[square : square + dim]
+        return a, a @ x_star, x_star, x_star + 2.0 * row[square + dim :]
+
+    bowls = [bowl(row) for row in normal(square + 2 * dim).reshape(max(lanes, 1), -1)]
+    a, b, x_star, x0 = (np.stack(parts) if lanes else parts[0] for parts in zip(*bowls))
     sigma_eff = batch.noise_scale / math.sqrt(batch.batch_size)
-    seed = rng.seed
-    noise = _StepDraws("noise", dim, lambda run_seed, keys: normal_streams(run_seed, keys, dim))
+    noise = _StepDraws("noise", dim, lambda run_seed, keys: normal_streams(run_seed, keys, dim), lanes)
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
         if variant == 0:
             values = x0.copy()
         else:
-            values = x_star + 2.0 * Rng(seed, f"quadratic/init/{variant}").normal(dim)
-        return [ParamBlock("x", values, role="vector")]
+            values = x_star + 2.0 * _normals(seed, f"quadratic/init/{variant}", dim)
+        return [ParamBlock("x", values, role="vector", lanes=lanes)]
+
+    def lane_losses(dx: np.ndarray) -> np.ndarray:
+        """Every lane's 0.5 dx^T a dx, through the gemv and ddot that one run's ``.dot`` form calls."""
+        return np.matmul(np.matmul((0.5 * dx)[:, None, :], a), dx[:, :, None])[:, 0, 0]
 
     def loss_and_grad(params: dict, batch_seed: BatchSeed):
         x = params["x"]
         dx = x - x_star
-        grad = a.dot(x) - b
-        loss = float((0.5 * dx).dot(a).dot(dx))
+        if lanes:
+            grad = np.matmul(a, x[:, :, None])[:, :, 0] - b
+            loss = lane_losses(dx)
+        else:
+            grad = a.dot(x) - b
+            loss = float((0.5 * dx).dot(a).dot(dx))
         if sigma_eff > 0.0:
             scaled = sigma_eff * noise(*batch_seed)
             grad = grad + scaled
-            loss += float(scaled.dot(dx))
+            loss += np.matmul(scaled[:, None, :], dx[:, :, None])[:, 0, 0] if lanes else float(scaled.dot(dx))
         return loss, {"x": grad}
 
-    def full_loss(params: dict) -> float:
+    def full_loss(params: dict):
         dx = params["x"] - x_star
-        return float((0.5 * dx).dot(a).dot(dx))
+        return lane_losses(dx) if lanes else float((0.5 * dx).dot(a).dot(dx))
 
     return Problem(
         name="quadratic",
@@ -188,11 +253,17 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
         minimizer={"x": x_star},
         optimal_value=0.0,
         step_draws=(noise,),
+        lanes=lanes,
     )
 
 
-def rosenbrock_problem(dim: int) -> Problem:
-    """Chained pairwise Rosenbrock: sum over pairs of 100 (x2 - x1^2)^2 + (1 - x1)^2."""
+def rosenbrock_problem(dim: int, lanes: int = 0) -> Problem:
+    """Chained pairwise Rosenbrock: sum over pairs of 100 (x2 - x1^2)^2 + (1 - x1)^2.
+
+    It draws nothing from a run seed, so its ``lanes``-stacked form (``lanes``
+    > 0) holds the same problem in every lane; one expression evaluates both
+    layouts.
+    """
     if dim < 2 or dim % 2 != 0:
         raise ContractViolationError("dim must be even and >= 2")
     x0 = np.tile([-1.2, 1.0], dim // 2)
@@ -202,20 +273,20 @@ def rosenbrock_problem(dim: int) -> Problem:
             values = x0.copy()
         else:
             values = x0 + 0.1 * Rng(variant, "rosenbrock/init").normal(dim)
-        return [ParamBlock("x", values, role="vector")]
+        return [ParamBlock("x", np.tile(values, (lanes, 1)) if lanes else values, role="vector", lanes=lanes)]
 
     def loss_and_grad(params: dict, batch_seed: BatchSeed):
         x = params["x"]
-        first = x[0::2]
-        second = x[1::2]
+        first = x[..., 0::2]
+        second = x[..., 1::2]
         resid = second - first**2
-        loss = float(np.sum(100.0 * resid**2 + (1.0 - first) ** 2))
+        loss = np.sum(100.0 * resid**2 + (1.0 - first) ** 2, axis=-1)
         grad = np.empty_like(x)
-        grad[0::2] = -400.0 * first * resid - 2.0 * (1.0 - first)
-        grad[1::2] = 200.0 * resid
-        return loss, {"x": grad}
+        grad[..., 0::2] = -400.0 * first * resid - 2.0 * (1.0 - first)
+        grad[..., 1::2] = 200.0 * resid
+        return loss if lanes else float(loss), {"x": grad}
 
-    def full_loss(params: dict) -> float:
+    def full_loss(params: dict):
         return loss_and_grad(params, (0, 0))[0]
 
     return Problem(
@@ -224,8 +295,9 @@ def rosenbrock_problem(dim: int) -> Problem:
         init_blocks=init_blocks,
         loss_and_grad=loss_and_grad,
         full_loss=full_loss,
-        minimizer={"x": np.ones(dim)},
+        minimizer={"x": np.ones((lanes, dim) if lanes else dim)},
         optimal_value=0.0,
+        lanes=lanes,
     )
 
 
@@ -243,27 +315,51 @@ def mlp_classification_problem(
     keeps the objective smooth so finite-difference checks hold tightly.
     Supports the GNB estimator: labels resampled from the current softmax.
     """
+    return _mlp(in_dim, hidden, classes, n_samples, batch, rng.seed, rng.normal)
+
+
+def _at(y: np.ndarray) -> tuple:
+    """The index of entry ``y[..., j]`` on the last axis of an array shaped ``y.shape + (classes,)``."""
+    return (*np.indices(y.shape, sparse=True), y)
+
+
+def _mlp(in_dim: int, hidden: int, classes: int, n_samples: int, batch: BatchSpec, seed, normal: Callable) -> Problem:
+    """``mlp_classification_problem`` of ``seed``, or the lane-stacked one of a tuple of seeds.
+
+    ``normal(n)`` gives the problem stream's first ``n`` normals (the class
+    means, then the samples' offsets), one row per lane if stacked. Each lane
+    keeps its own data and batch indices; the forward and backward pass is one
+    form for both layouts (``...`` indexing, ``swapaxes(-1, -2)``,
+    ``b[..., None, :]``), whose stacked products call the same gemm per lane.
+    """
     for name, v in (("in_dim", in_dim), ("hidden", hidden), ("classes", classes), ("n_samples", n_samples)):
         if v < 1:
             raise ContractViolationError(f"{name} must be >= 1")
-    seed = rng.seed
-    means = 2.0 * rng.normal_matrix(classes, in_dim)
+    lanes = _lanes_of(seed)
+    lead = (lanes,) if lanes else ()
+    head = classes * in_dim
+    normals = normal(head + n_samples * in_dim)
+    means = 2.0 * normals[..., :head].reshape(*lead, classes, in_dim)
     labels = np.arange(n_samples, dtype=np.int64) % classes
-    data = means[labels] + rng.normal_matrix(n_samples, in_dim)
+    data = means[..., labels, :] + normals[..., head:].reshape(*lead, n_samples, in_dim)
+    all_labels = np.broadcast_to(labels, data.shape[:-1])
+    lane_rows = (np.arange(lanes)[:, None],) if lanes else ()  # each lane gathers from its own data
 
     batches = _StepDraws(
-        "batch", batch.batch_size, lambda run_seed, keys: indices_streams(run_seed, keys, n_samples, batch.batch_size)
+        "batch", batch.batch_size,
+        lambda run_seed, keys: indices_streams(run_seed, keys, n_samples, batch.batch_size), lanes,
     )
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
-        r = Rng(seed, f"mlp/init/{variant}")
-        w1 = r.normal_matrix(in_dim, hidden) / math.sqrt(in_dim)
-        w2 = 0.1 * r.normal_matrix(hidden, classes) / math.sqrt(hidden)
+        first = in_dim * hidden
+        normals = _normals(seed, f"mlp/init/{variant}", first + hidden * classes)
+        w1 = normals[..., :first].reshape(*lead, in_dim, hidden) / math.sqrt(in_dim)
+        w2 = 0.1 * normals[..., first:].reshape(*lead, hidden, classes) / math.sqrt(hidden)
         return [
-            ParamBlock("w1", w1, role="matrix"),
-            ParamBlock("b1", np.zeros(hidden), role="vector"),
-            ParamBlock("w2", w2, role="output_head"),
-            ParamBlock("b2", np.zeros(classes), role="vector"),
+            ParamBlock("w1", w1, role="matrix", lanes=lanes),
+            ParamBlock("b1", np.zeros((*lead, hidden)), role="vector", lanes=lanes),
+            ParamBlock("w2", w2, role="output_head", lanes=lanes),
+            ParamBlock("b2", np.zeros((*lead, classes)), role="vector", lanes=lanes),
         ]
 
     def _forward(params: dict, x: np.ndarray):
@@ -272,41 +368,42 @@ def mlp_classification_problem(
         Each step after a product works in place on the array that product made.
         """
         h = x @ params["w1"]
-        h += params["b1"]
+        h += params["b1"][..., None, :]
         np.tanh(h, out=h)
         logits = h @ params["w2"]
-        logits += params["b2"]
-        logits -= logits.max(axis=1, keepdims=True)
+        logits += params["b2"][..., None, :]
+        logits -= logits.max(axis=-1, keepdims=True)
         return h, logits
 
     def _softmax(shifted: np.ndarray) -> np.ndarray:
         expl = np.exp(shifted)
-        expl /= expl.sum(axis=1, keepdims=True)
+        expl /= expl.sum(axis=-1, keepdims=True)
         return expl
 
-    def _loss(shifted: np.ndarray, y: np.ndarray) -> float:
-        logz = np.log(np.sum(np.exp(shifted), axis=1))
-        return float(np.mean(logz - shifted[np.arange(len(y)), y]))
+    def _loss(shifted: np.ndarray, y: np.ndarray):
+        logz = np.log(np.sum(np.exp(shifted), axis=-1))
+        loss = np.mean(logz - shifted[_at(y)], axis=-1)
+        return loss if lanes else float(loss)
 
     def _grads(params: dict, x: np.ndarray, y: np.ndarray, h: np.ndarray, probs: np.ndarray) -> dict:
         """The batch gradient; ``probs`` becomes the logits' gradient in place, ``h`` is only read."""
-        n = x.shape[0]
+        n = x.shape[-2]
         dlogits = probs
-        dlogits[np.arange(n), y] -= 1.0
+        dlogits[_at(y)] -= 1.0
         dlogits /= n
-        gw2 = h.T @ dlogits
-        gb2 = dlogits.sum(axis=0)
-        dz1 = dlogits @ params["w2"].T
+        gw2 = h.swapaxes(-1, -2) @ dlogits
+        gb2 = dlogits.sum(axis=-2)
+        dz1 = dlogits @ params["w2"].swapaxes(-1, -2)
         dtanh = h * h
         np.subtract(1.0, dtanh, out=dtanh)
         dz1 *= dtanh
-        gw1 = x.T @ dz1
-        gb1 = dz1.sum(axis=0)
+        gw1 = x.swapaxes(-1, -2) @ dz1
+        gb1 = dz1.sum(axis=-2)
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
     def _batch(batch_seed: BatchSeed):
         idx = batches(*batch_seed)
-        return data[idx], labels[idx]
+        return data[(*lane_rows, idx)], labels[idx]
 
     def loss_and_grad(params: dict, batch_seed: BatchSeed):
         x, y = _batch(batch_seed)
@@ -314,19 +411,19 @@ def mlp_classification_problem(
         return _loss(shifted, y), _grads(params, x, y, h, _softmax(shifted))
 
     def resampled_grad(params: dict, batch_seed: BatchSeed):
-        x, _ = _batch(batch_seed)
+        x, y = _batch(batch_seed)
         h, shifted = _forward(params, x)
         probs = _softmax(shifted)
         run_seed, step = batch_seed
-        r = Rng(run_seed, f"gnb/{step}")
-        cdf = np.cumsum(probs, axis=1)
-        draws = np.array([r.uniform() for _ in range(x.shape[0])])
-        sampled = (draws[:, None] > cdf).sum(axis=1)
+        streams = [Rng(s, f"gnb/{step}") for s in (run_seed if lanes else (run_seed,))]
+        cdf = np.cumsum(probs, axis=-1)
+        draws = np.array([[r.uniform() for _ in range(y.shape[-1])] for r in streams]).reshape(y.shape)
+        sampled = (draws[..., None] > cdf).sum(axis=-1)
         sampled = np.minimum(sampled, classes - 1).astype(np.int64)
         return _grads(params, x, sampled, h, probs)
 
-    def full_loss(params: dict) -> float:
-        return _loss(_forward(params, data)[1], labels)  # no softmax, no backward
+    def full_loss(params: dict):
+        return _loss(_forward(params, data)[1], all_labels)  # no softmax, no backward
 
     return Problem(
         name="mlp",
@@ -336,6 +433,7 @@ def mlp_classification_problem(
         full_loss=full_loss,
         resampled_grad=resampled_grad,
         step_draws=(batches,),
+        lanes=lanes,
     )
 
 
@@ -365,8 +463,14 @@ def finite_difference_gradient(problem: Problem, params: dict, batch_seed: Batch
     return grads
 
 
-def build_problem(kind: str, seed: int, **params) -> Problem:
-    """Build ``kind`` from ``DEFAULTS`` updated by ``params``, checked as a run config's keys are."""
+def build_problem(kind: str, seed: int | Sequence[int], **params) -> Problem:
+    """Build ``kind`` from ``DEFAULTS`` updated by ``params``, checked as a run config's keys are.
+
+    ``seed`` is one run's seed, or a sequence of run seeds for the
+    lane-stacked problem of those runs (``Problem.lanes``): its build draws
+    every lane's ``Rng(seed, "problem")`` stream in one call, and lane ``i``
+    holds the arrays of ``build_problem(kind, seed[i], **params)``.
+    """
     from .config import validate_keys  # config derives its problem keys from this module
 
     if kind not in KINDS:
@@ -374,9 +478,16 @@ def build_problem(kind: str, seed: int, **params) -> Problem:
     validate_keys(params, DEFAULTS, DEFAULTS, source="build_problem")
     p = {**DEFAULTS, **params}
     batch = BatchSpec(batch_size=p["batch_size"], noise_scale=p["noise"])
-    rng = Rng(seed, "problem")
+    if isinstance(seed, Sequence):
+        seed = tuple(seed)
+        if not seed:
+            raise ContractViolationError("a lane-stacked problem needs at least one seed")
+        normal = functools.partial(_normals, seed, "problem")
+    else:
+        rng = Rng(seed, "problem")
+        seed, normal = rng.seed, rng.normal
     if kind == "quadratic":
-        return quadratic_problem(p["dim"], p["condition"], rng, batch)
+        return _quadratic(p["dim"], p["condition"], batch, seed, normal)
     if kind == "rosenbrock":
-        return rosenbrock_problem(p["dim"])
-    return mlp_classification_problem(p["in_dim"], p["hidden"], p["classes"], p["samples"], rng, batch)
+        return rosenbrock_problem(p["dim"], _lanes_of(seed))
+    return _mlp(p["in_dim"], p["hidden"], p["classes"], p["samples"], batch, seed, normal)

@@ -17,6 +17,10 @@ split into lanes of ``_JUMP`` steps; the state update is linear over GF(2), so a
 log2(lanes) rounds of table jumps, and all lanes then run at once in numpy ``uint64`` arithmetic, bit for bit.
 A single stream (``Rng._raw``) and batched rows of many keys (``_raw_streams``) take the engine from
 ``_MIN_JUMP_DRAWS`` raw draws in all on; shorter draws run the scalar loop, which costs less there.
+
+The batched draws (``normal_streams``, ``indices_streams``) take one seed for all keys, or one seed per key, so
+the streams of several runs (the lanes of a replicate group) come from one call; row ``i`` is then
+``Rng(seed[i], keys[i])``'s.
 """
 
 from __future__ import annotations
@@ -213,19 +217,36 @@ def _libm(name: str):
     return _choose(_reversed(getattr(np, name)), _per_value(getattr(math, name)), _probe(name))
 
 
-def _lane_states(seed: int, keys) -> list[np.ndarray]:
+def _seeds(seed, count: int):
+    """``seed`` itself if it is an int, else its one seed per key as a list, checked to hold ``count`` seeds."""
+    if isinstance(seed, int):
+        return seed
+    seeds = list(seed)
+    if len(seeds) != count:
+        raise ValueError(f"need one seed per key, got {len(seeds)} seeds for {count} keys")
+    return seeds
+
+
+def _seed_of(seed, i: int) -> int:
+    """The seed of key ``i``: ``seed`` if it is an int, else its entry ``i``."""
+    return seed if isinstance(seed, int) else seed[i]
+
+
+def _lane_states(seed, keys) -> list[np.ndarray]:
     """The xoshiro256++ state of ``Rng(seed, key)`` for every key, one ``uint64`` lane per key.
 
-    ``fnv1a64`` runs over all keys at once, a byte column at a time; a key's hash stops moving past its length.
+    ``seed`` is one int for every key or one seed per key. ``fnv1a64`` runs over all keys at once, a byte column
+    at a time; a key's hash stops moving past its length.
     """
     data = [str(key).encode("utf-8") for key in keys]
+    seed = _seeds(seed, len(data))
     lengths = np.fromiter(map(len, data), np.intp, len(data))
     width = int(lengths.max(initial=0))
     columns = np.frombuffer(b"".join(d.ljust(width, b"\0") for d in data), np.uint8).reshape(len(data), width).T
     sm = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
     for j, column in enumerate(columns.astype(np.uint64)):
         np.copyto(sm, (sm ^ column) * _U[_FNV_PRIME], where=j < lengths)
-    sm ^= np.uint64(seed & _MASK)
+    sm ^= np.uint64(seed & _MASK) if isinstance(seed, int) else np.array([s & _MASK for s in seed], np.uint64)
     state = [_mix64(sm + np.uint64(k * _GOLDEN & _MASK)) for k in range(1, 5)]
     state[0][(state[0] | state[1] | state[2] | state[3]) == 0] = _U[_GOLDEN]
     return state
@@ -305,41 +326,48 @@ def _xoshiro_streams(state, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return out.reshape(streams, segments * _JUMP)[:, :n], [s[len(s) - streams :] for s in lanes]
 
 
-def _raw_streams(seed: int, keys, n: int) -> np.ndarray:
-    """Row ``i`` is ``Rng(seed, keys[i])._raw(n)``: scalar rows below ``_MIN_JUMP_DRAWS`` draws in all, else lanes."""
+def _raw_streams(seed, keys, n: int) -> np.ndarray:
+    """Row ``i`` is ``Rng(seed, keys[i])._raw(n)`` (``seed[i]`` for one seed per key): scalar rows below
+    ``_MIN_JUMP_DRAWS`` draws in all, else lanes."""
     if len(keys) * n < _MIN_JUMP_DRAWS:
-        return np.array([Rng(seed, key)._raw(n) for key in keys], dtype=np.uint64).reshape(len(keys), n)
+        rows = [Rng(_seed_of(seed, i), key)._raw(n) for i, key in enumerate(keys)]
+        return np.array(rows, dtype=np.uint64).reshape(len(keys), n)
     return _xoshiro_streams(_lane_states(seed, keys), n)[0]
 
 
-def normal_streams(seed: int, keys, n: int) -> np.ndarray:
+def normal_streams(seed, keys, n: int) -> np.ndarray:
     """Row ``i`` is ``Rng(seed, keys[i]).normal(n)``, bit for bit; shape ``(len(keys), n)``.
 
-    The raw draws come from ``_raw_streams``, a bounded block of keys at a time.
+    ``seed`` is one int for every key or a sequence of one seed per key, when row ``i`` is
+    ``Rng(seed[i], keys[i])``'s. The raw draws come from ``_raw_streams``, a bounded block of keys at a time.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     keys, pairs = list(keys), (n + 1) // 2
+    seed = _seeds(seed, len(keys))
     out = np.empty((len(keys), n))
     block = max(1, _NORMAL_BLOCK // max(1, pairs))  # keys at a time: as in Rng.normal, few temporaries
     for i in range(0, len(keys), block):
-        raw = _raw_streams(seed, keys[i : i + block], 2 * pairs)
+        part = seed if isinstance(seed, int) else seed[i : i + block]
+        raw = _raw_streams(part, keys[i : i + block], 2 * pairs)
         out[i : i + block] = _box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n]
     return out
 
 
-def indices_streams(seed: int, keys, bound: int, size: int) -> np.ndarray:
+def indices_streams(seed, keys, bound: int, size: int) -> np.ndarray:
     """Row ``i`` is ``Rng(seed, keys[i]).indices(bound, size)``, bit for bit; shape ``(len(keys), size)``.
 
-    The raw draws come from ``_raw_streams``; a row holding a draw at or above ``below``'s rejection limit would
-    have drawn again, so it is recomputed with the scalar stream.
+    ``seed`` is one int or one seed per key, as for ``normal_streams``. The raw draws come from
+    ``_raw_streams``; a row holding a draw at or above ``below``'s rejection limit would have drawn again, so it
+    is recomputed with the scalar stream of its own seed and key.
     """
     _check_bound(bound, 63, size)
     keys = list(keys)
+    seed = _seeds(seed, len(keys))
     raw = _raw_streams(seed, keys, size)
     rows = (raw % np.uint64(bound)).astype(np.int64)
     limit = (1 << 64) - ((1 << 64) % bound)
     if limit <= _MASK:
         for lane in np.flatnonzero((raw >= np.uint64(limit)).any(axis=1)):
-            rows[lane] = Rng(seed, keys[lane]).indices(bound, size)
+            rows[lane] = Rng(_seed_of(seed, lane), keys[lane]).indices(bound, size)
     return rows

@@ -533,6 +533,19 @@ def test_bench_rejects_zero_seeds(tmp_path, capsys):
     assert "suite.seeds must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        "suite.optimizers = adamw\nsuite.budgets = 10\nsuite.seeds = 1\n"
+        "problem.kind = quadratic\nschedule.family = constant\n"
+    )
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(suite), "--out", str(out), "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_bench_checks_every_rules_keys_before_running(tmp_path, capsys):
     # adamw takes no momentum: caught at parse time, before the signum cells run
     suite = tmp_path / "suite.cfg"

@@ -1,7 +1,8 @@
 """Replicate lanes: a lane group gives every lane the bytes of its own run.
 
 ``harness.run_lanes`` steps the replicates of one cell (configs that differ
-only in ``run.seed``) as one engine over lane-stacked blocks. Each lane's
+only in ``run.seed``) as one engine over the blocks of one lane-stacked
+problem, which evaluates every lane in one call. Each lane's
 ``record.csv`` (without ``step_time_ns``), ``final_loss`` and ``summary.json``
 (without ``mean_step_time_ns``) must equal its ``run``'s, for every lane-safe
 rule on every problem, and a group in which a lane diverges is discarded for
@@ -101,6 +102,17 @@ def test_a_group_of_a_rule_that_is_not_lane_safe_raises_naming_it(problem, rule)
         run_lanes(configs)
 
 
+def test_an_empty_group_raises():
+    with pytest.raises(ContractViolationError, match="^a lane group needs at least one config$"):
+        run_lanes([])
+
+
+def test_a_group_of_one_lane_writes_the_bytes_of_its_own_run(monkeypatch):
+    (config, *_) = _configs("mlp", "sophia", 0.05, 1, "cosine")
+    (lane,), single = _grouped(monkeypatch, [config]), run(config)
+    assert lane.final_loss == single.final_loss and _artifacts(lane) == _artifacts(single)
+
+
 def test_a_group_of_configs_that_differ_beyond_the_seed_raises():
     configs = _configs("quadratic", "adamw", None, 1, "cosine")
     configs[1] = {**configs[1], "optimizer.lr": 0.5}
@@ -138,22 +150,44 @@ FAULT_STEP = 5
 
 
 def _fault_in_lane(monkeypatch, seed: int, attr: str, fault):
-    """Build the problem of run ``seed`` with its ``attr`` callable replaced by ``fault(real)`` from FAULT_STEP on."""
+    """Build the problems of run ``seed`` with their ``attr`` callable's part of that run replaced by ``fault`` of it
+    from FAULT_STEP on: the whole output of the run's own problem, and that lane's part of a lane-stacked one."""
     build = harness.build_problem
 
     def built(kind, run_seed, **params):
         problem = build(kind, run_seed, **params)
-        if run_seed == seed:
-            real = getattr(problem, attr)
+        seeds = [run_seed] if isinstance(run_seed, int) else list(run_seed)
+        if seed in seeds:
+            real, lane = getattr(problem, attr), seeds.index(seed)
 
             def faulty(params, batch_seed):
                 out = real(params, batch_seed)
-                return fault(out) if batch_seed[1] >= FAULT_STEP else out
+                if batch_seed[1] < FAULT_STEP:
+                    return out
+                return fault(out) if problem.lanes == 0 else _faulty_lane(out, lane, fault)
 
             setattr(problem, attr, faulty)
         return problem
 
     monkeypatch.setattr(harness, "build_problem", built)
+
+
+def _faulty_lane(out, lane: int, fault):
+    """A lane-stacked ``(losses, grads)`` or ``grads`` output with lane ``lane``'s part replaced by ``fault`` of it."""
+    def row(grads):
+        return {name: g[lane] for name, g in grads.items()}
+
+    def put(grads, lane_grads):
+        grads = {name: g.copy() for name, g in grads.items()}
+        for name, g in lane_grads.items():
+            grads[name][lane] = g
+        return grads
+
+    if isinstance(out, dict):
+        return put(out, fault(row(out)))
+    losses, grads = out[0].copy(), out[1]
+    losses[lane], lane_grads = fault((float(losses[lane]), row(grads)))
+    return losses, put(grads, lane_grads)
 
 
 def _assert_fallback_equals_singles(monkeypatch, configs, failed_seed, message):
@@ -176,6 +210,13 @@ def _assert_fallback_equals_singles(monkeypatch, configs, failed_seed, message):
 def test_a_lane_whose_loss_goes_non_finite_sends_every_lane_to_its_own_run(monkeypatch):
     _fault_in_lane(monkeypatch, SEEDS[1], "loss_and_grad", lambda out: (float("nan"), out[1]))
     _assert_fallback_equals_singles(monkeypatch, _configs("quadratic", "adamw", 0.05, 1, "cosine"), SEEDS[1],
+                                    "loss diverged")
+
+
+def test_a_lane_whose_loss_goes_to_minus_infinity_sends_every_lane_to_its_own_run(monkeypatch):
+    # the other lanes' losses are finite, so the largest loss alone would pass the check
+    _fault_in_lane(monkeypatch, SEEDS[2], "loss_and_grad", lambda out: (float("-inf"), out[1]))
+    _assert_fallback_equals_singles(monkeypatch, _configs("quadratic", "signum", None, 1, "cosine"), SEEDS[2],
                                     "loss diverged")
 
 

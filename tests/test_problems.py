@@ -371,3 +371,94 @@ def test_noise_rows_are_read_only_views_of_the_scalar_stream(planned):
         assert row.tobytes() == Rng(21, f"noise/{t}").normal(12).tobytes()
         with pytest.raises(ValueError):
             row[0] = 0.0
+
+
+# -- lane-stacked problems: lane i is the problem built at seed i alone, bit for bit ---------------------------
+
+#: Build seeds (one at 2**64 + 3, masked as the scalar stream masks it) and the run seeds the steps draw from.
+LANE_SEEDS = (5, 2**64 + 3, 11)
+RUN_SEEDS = (21, 2**64 + 22, 23)
+
+#: Odd dims carry the Box-Muller spare from the basis matrix into x* and from x* into x0's offset; the MLP's
+#: 5 x 3 class means carry it into the samples' offsets.
+STACKED = {
+    "quadratic-1": ("quadratic", {"dim": 1, "noise": 1.0}),
+    "quadratic-2": ("quadratic", {"dim": 2, "condition": 5.0, "noise": 0.5, "batch_size": 3}),
+    "quadratic-7": ("quadratic", {"dim": 7, "condition": 50.0, "noise": 1.0}),
+    "quadratic-32": ("quadratic", {"dim": 32, "condition": 30.0, "noise": 2.0, "batch_size": 4}),
+    "quadratic-32-noiseless": ("quadratic", {"dim": 32}),
+    "rosenbrock": ("rosenbrock", {"dim": 6}),
+    "mlp": ("mlp", {"in_dim": 5, "hidden": 7, "classes": 3, "samples": 61, "batch_size": 9}),
+}
+
+
+def _same(stacked_value, single_value) -> bool:
+    """Lane value and single value hold the same bytes (floats compared by their hex form)."""
+    if isinstance(single_value, float):
+        return float(stacked_value).hex() == single_value.hex()
+    return stacked_value.tobytes() == single_value.tobytes()
+
+
+@pytest.mark.parametrize("case", list(STACKED))
+def test_each_lane_of_a_stacked_problem_is_its_own_problem_bit_for_bit(case):
+    kind, params = STACKED[case]
+    stacked = build_problem(kind, LANE_SEEDS, **params)
+    singles = [build_problem(kind, seed, **params) for seed in LANE_SEEDS]
+    lanes = len(LANE_SEEDS)
+    assert stacked.lanes == lanes and {single.lanes for single in singles} == {0}
+    assert stacked.supports_gnb == singles[0].supports_gnb
+    for variant in (0, 2):
+        blocks = stacked.init_blocks(variant)
+        for i, single in enumerate(singles):
+            alone = single.init_blocks(variant)
+            assert [(b.name, b.role, b.lanes) for b in blocks] == [(b.name, b.role, lanes) for b in alone]
+            assert all(_same(b.values[i], a.values) for b, a in zip(blocks, alone))
+    for i, single in enumerate(singles):
+        for name, values in (single.minimizer or {}).items():
+            assert _same(stacked.minimizer[name][i], values)
+    stacked.draw_ahead(RUN_SEEDS, 5)  # steps 1-5 from one planned block, 6 unplanned; the singles draw step by step
+    point = {b.name: b.values for b in stacked.init_blocks(0)}
+    gen = np.random.default_rng(len(case))
+    for step in range(1, 7):
+        losses, grads = stacked.loss_and_grad(point, (RUN_SEEDS, step))
+        assert losses.shape == (lanes,) and losses.dtype == np.float64
+        full = stacked.full_loss(point)
+        resampled = stacked.gnb_grad(point, (RUN_SEEDS, step)) if stacked.supports_gnb else None
+        for i, single in enumerate(singles):
+            row = {name: values[i] for name, values in point.items()}
+            loss, lane_grads = single.loss_and_grad(row, (RUN_SEEDS[i], step))
+            assert _same(losses[i], loss) and _same(full[i], single.full_loss(row))
+            assert all(_same(grads[name][i], g) for name, g in lane_grads.items())
+            if resampled is not None:
+                alone = single.gnb_grad(row, (RUN_SEEDS[i], step))
+                assert all(_same(resampled[name][i], g) for name, g in alone.items())
+        # every lane moves on by its own step
+        point = {name: values - 0.05 * np.tanh(g) for (name, values), g in zip(point.items(), grads.values())}
+        point = {name: values + 0.01 * gen.standard_normal(values.shape) for name, values in point.items()}
+
+
+def test_a_stacked_problem_of_one_lane_and_of_no_lane():
+    one = build_problem("quadratic", [7], dim=3, noise=1.0)
+    alone = build_problem("quadratic", 7, dim=3, noise=1.0)
+    (block,) = one.init_blocks(0)
+    assert one.lanes == 1 and block.shape == (1, 3) and _same(block.values[0], alone.init_blocks(0)[0].values)
+    losses, grads = one.loss_and_grad({"x": block.values}, ((7,), 1))
+    loss, single = alone.loss_and_grad({"x": block.values[0]}, (7, 1))
+    assert _same(losses[0], loss) and _same(grads["x"][0], single["x"])
+    with pytest.raises(ContractViolationError, match="a lane-stacked problem needs at least one seed"):
+        build_problem("quadratic", [], dim=3)
+
+
+def test_stacked_step_draws_hand_each_step_every_lanes_row():
+    asked = []
+
+    def draw(seeds, keys):
+        asked.append((seeds, keys))
+        return np.array([[float(s), float(k.split("/")[1])] for s, k in zip(seeds, keys)])
+
+    draws = _StepDraws("noise", 2, draw, lanes=2)
+    draws.plan((4, 9), 3)
+    views = [draws((4, 9), t) for t in (1, 2, 3, 4)]
+    assert asked == [([4, 4, 4, 9, 9, 9], ["noise/1", "noise/2", "noise/3"] * 2), ([4, 9], ["noise/4"] * 2)]
+    for t, view in enumerate(views, start=1):
+        assert view.tolist() == [[4.0, t], [9.0, t]] and not view.flags.writeable

@@ -459,3 +459,85 @@ def test_chosen_libm_functions_hold_on_held_out_draws():
     for name, x in inputs.items():
         assert len(x) == 2**16 and not np.isin(x, rng_module._probe(name)).any()
         assert rng_module._libm(name)(x).tobytes() == _math_bytes(name, x), name
+
+
+# -- one seed per key: row i is Rng(seeds[i], keys[i])'s ---------------------------------------------------------
+
+
+def _seeds_per_key(gen, count):
+    """``count`` seeds: random, with one at or above 2**64 (masked as ``Rng`` masks it) and a repeated one."""
+    seeds = [int(gen.integers(0, 2**63)) for _ in range(count)]
+    seeds[0] += 2**64
+    if count > 2:
+        seeds[2] = seeds[1]
+    return seeds
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 32, 449, 4097])
+@pytest.mark.parametrize("count", [1, 3, 40])
+def test_normal_streams_with_a_seed_per_key_are_each_keys_own_stream(n, count):
+    # 4097 values take 2049 pairs, so 40 keys go through _raw_streams a few keys at a time
+    gen = np.random.default_rng(n * 10 + count)
+    seeds, keys = _seeds_per_key(gen, count), _random_keys(gen, count)
+    keys[-1] = keys[0]  # one key under two seeds
+    rows = normal_streams(seeds, keys, n)
+    assert rows.shape == (count, n) and rows.dtype == np.float64
+    for seed, key, row in zip(seeds, keys, rows):
+        assert row.tobytes() == Rng(seed, key).normal(n).tobytes()
+    assert normal_streams(tuple(seeds), keys, n).tobytes() == rows.tobytes()
+    # an int seed is the same seed for every key
+    assert normal_streams(seeds[-1], keys, n).tobytes() == normal_streams([seeds[-1]] * count, keys, n).tobytes()
+
+
+def test_a_seed_at_or_above_2_64_is_masked_per_key():
+    keys = ["noise/1", "noise/1", "batch/3"]
+    for n in (5, 600):  # the scalar rows and the lanes
+        assert normal_streams([2**64 + 9, 9, 2**65 + 9], keys, n).tobytes() == normal_streams(9, keys, n).tobytes()
+        assert (indices_streams([2**64 + 9, 9, 2**65 + 9], keys, 1000, n) == indices_streams(9, keys, 1000, n)).all()
+    state = _lane_states([2**64 + 9, 4], ["a", "a"])
+    for lane, seed in enumerate((9, 4)):
+        r = Rng(seed, "a")
+        assert [int(s[lane]) for s in state] == [r._s0, r._s1, r._s2, r._s3]
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, 64, 300])
+@pytest.mark.parametrize("bound", [13, 1000, 3 * 2**61])
+def test_indices_streams_with_a_seed_per_key_are_each_keys_own_stream(size, bound):
+    gen = np.random.default_rng(size + bound % 101)
+    seeds = _seeds_per_key(gen, 30)
+    keys = [f"batch/{t % 7}" for t in range(30)]  # each key under several seeds
+    rows = indices_streams(seeds, keys, bound, size)
+    assert rows.shape == (30, size) and rows.dtype == np.int64
+    for seed, key, row in zip(seeds, keys, rows):
+        assert row.tolist() == Rng(seed, key).indices(bound, size).tolist()
+
+
+def test_a_rejected_row_is_recomputed_with_its_own_seed():
+    # at 3 * 2**61 a quarter of the raw draws lie at or above the rejection limit
+    bound, size, keys = 3 * 2**61, 8, ["batch/1"] * 6
+    seeds = [3, 2**64 + 3, 11, 16, 40, 41]
+    limit = (1 << 64) - ((1 << 64) % bound)
+    raw = rng_module._raw_streams(seeds, keys, size)
+    rejected = (raw >= np.uint64(limit)).any(axis=1)
+    assert rejected[2:].any() and not rejected.all()  # some row past the first seeds is recomputed, some is not
+    rows = indices_streams(seeds, keys, bound, size)
+    for seed, row in zip(seeds, rows):
+        assert row.tolist() == Rng(seed, "batch/1").indices(bound, size).tolist()
+    assert rows[2:].tolist() != [rows[0].tolist()] * 4
+
+
+def test_lane_states_with_a_seed_per_key_match_scalar_seeding():
+    keys = ["", 17, "noise/9", "noise/9"]
+    seeds = [1, 2**63 + 11, 5, 6]
+    state = _lane_states(seeds, keys)
+    for lane, (seed, key) in enumerate(zip(seeds, keys)):
+        r = Rng(seed, key)
+        assert [int(s[lane]) for s in state] == [r._s0, r._s1, r._s2, r._s3], key
+
+
+def test_a_seed_list_must_hold_one_seed_per_key():
+    for call in (lambda: normal_streams([1, 2], ["a"], 3), lambda: indices_streams([1], ["a", "b"], 5, 3),
+                 lambda: _lane_states([1, 2, 3], ["a", "b"])):
+        with pytest.raises(ValueError, match="need one seed per key"):
+            call()
+    assert normal_streams([], [], 3).shape == (0, 3)
