@@ -23,7 +23,8 @@ class ParamBlock:
 
     ``lanes`` describes the layout of ``values``: 0 for one run's block, or the
     number of replicate runs whose values lie stacked on a leading lane axis
-    (:func:`stack_lanes`). Row ``i`` of such a block is lane ``i``'s block.
+    (a lane-stacked problem's ``init_blocks``). Row ``i`` of such a block is
+    lane ``i``'s block.
     """
 
     name: str
@@ -70,15 +71,6 @@ class CommonHyper:
             raise ContractViolationError("lam must be finite and >= 0")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ContractViolationError("eps must be finite and > 0")
-
-
-def stack_lanes(lane_blocks: list[list[ParamBlock]]) -> list[ParamBlock]:
-    """Each block of the replicate runs' ``lane_blocks`` as one block, the lanes stacked in order on a first axis."""
-    lanes = len(lane_blocks)
-    return [
-        ParamBlock(first.name, np.stack([blocks[j].values for blocks in lane_blocks]), first.role, lanes)
-        for j, first in enumerate(lane_blocks[0])
-    ]
 
 
 def global_norm(arrays, lanes: int = 0):

@@ -21,7 +21,7 @@ SOAP and the MARS family) send ``matrix`` blocks down it and run every other
 block as AdamW with the rule's 1-D values.
 
 An engine steps one run, or the replicate runs of one cell as a lane group:
-blocks built by :func:`optlab.blocks.stack_lanes` hold every lane's values on
+blocks of ``lanes`` > 0 (a lane-stacked problem's) hold every lane's values on
 a leading axis, the step's gradients stack the same way, and ``update_norm``
 is then one norm per lane. Only a rule whose step is element-wise, with
 scalars that every lane shares, keeps each lane's bytes that way; ``lane_safe``

@@ -217,19 +217,15 @@ def _libm(name: str):
     return _choose(_reversed(getattr(np, name)), _per_value(getattr(math, name)), _probe(name))
 
 
-def _seeds(seed, count: int):
-    """``seed`` itself if it is an int, else its one seed per key as a list, checked to hold ``count`` seeds."""
+def _seeds(seed, count: int) -> list:
+    """One seed per key: ``seed`` repeated ``count`` times if it is an int, else its entries, checked to number
+    ``count``."""
     if isinstance(seed, int):
-        return seed
+        return [seed] * count
     seeds = list(seed)
     if len(seeds) != count:
         raise ValueError(f"need one seed per key, got {len(seeds)} seeds for {count} keys")
     return seeds
-
-
-def _seed_of(seed, i: int) -> int:
-    """The seed of key ``i``: ``seed`` if it is an int, else its entry ``i``."""
-    return seed if isinstance(seed, int) else seed[i]
 
 
 def _lane_states(seed, keys) -> list[np.ndarray]:
@@ -239,14 +235,14 @@ def _lane_states(seed, keys) -> list[np.ndarray]:
     at a time; a key's hash stops moving past its length.
     """
     data = [str(key).encode("utf-8") for key in keys]
-    seed = _seeds(seed, len(data))
+    seeds = _seeds(seed, len(data))
     lengths = np.fromiter(map(len, data), np.intp, len(data))
     width = int(lengths.max(initial=0))
     columns = np.frombuffer(b"".join(d.ljust(width, b"\0") for d in data), np.uint8).reshape(len(data), width).T
     sm = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
     for j, column in enumerate(columns.astype(np.uint64)):
         np.copyto(sm, (sm ^ column) * _U[_FNV_PRIME], where=j < lengths)
-    sm ^= np.uint64(seed & _MASK) if isinstance(seed, int) else np.array([s & _MASK for s in seed], np.uint64)
+    sm ^= np.array([s & _MASK for s in seeds], np.uint64)
     state = [_mix64(sm + np.uint64(k * _GOLDEN & _MASK)) for k in range(1, 5)]
     state[0][(state[0] | state[1] | state[2] | state[3]) == 0] = _U[_GOLDEN]
     return state
@@ -326,13 +322,13 @@ def _xoshiro_streams(state, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return out.reshape(streams, segments * _JUMP)[:, :n], [s[len(s) - streams :] for s in lanes]
 
 
-def _raw_streams(seed, keys, n: int) -> np.ndarray:
-    """Row ``i`` is ``Rng(seed, keys[i])._raw(n)`` (``seed[i]`` for one seed per key): scalar rows below
-    ``_MIN_JUMP_DRAWS`` draws in all, else lanes."""
+def _raw_streams(seeds: list, keys, n: int) -> np.ndarray:
+    """Row ``i`` is ``Rng(seeds[i], keys[i])._raw(n)``: scalar rows below ``_MIN_JUMP_DRAWS`` draws in all, else
+    lanes."""
     if len(keys) * n < _MIN_JUMP_DRAWS:
-        rows = [Rng(_seed_of(seed, i), key)._raw(n) for i, key in enumerate(keys)]
+        rows = [Rng(s, key)._raw(n) for s, key in zip(seeds, keys)]
         return np.array(rows, dtype=np.uint64).reshape(len(keys), n)
-    return _xoshiro_streams(_lane_states(seed, keys), n)[0]
+    return _xoshiro_streams(_lane_states(seeds, keys), n)[0]
 
 
 def normal_streams(seed, keys, n: int) -> np.ndarray:
@@ -344,12 +340,11 @@ def normal_streams(seed, keys, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     keys, pairs = list(keys), (n + 1) // 2
-    seed = _seeds(seed, len(keys))
+    seeds = _seeds(seed, len(keys))
     out = np.empty((len(keys), n))
     block = max(1, _NORMAL_BLOCK // max(1, pairs))  # keys at a time: as in Rng.normal, few temporaries
     for i in range(0, len(keys), block):
-        part = seed if isinstance(seed, int) else seed[i : i + block]
-        raw = _raw_streams(part, keys[i : i + block], 2 * pairs)
+        raw = _raw_streams(seeds[i : i + block], keys[i : i + block], 2 * pairs)
         out[i : i + block] = _box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n]
     return out
 
@@ -363,11 +358,11 @@ def indices_streams(seed, keys, bound: int, size: int) -> np.ndarray:
     """
     _check_bound(bound, 63, size)
     keys = list(keys)
-    seed = _seeds(seed, len(keys))
-    raw = _raw_streams(seed, keys, size)
+    seeds = _seeds(seed, len(keys))
+    raw = _raw_streams(seeds, keys, size)
     rows = (raw % np.uint64(bound)).astype(np.int64)
     limit = (1 << 64) - ((1 << 64) % bound)
     if limit <= _MASK:
         for lane in np.flatnonzero((raw >= np.uint64(limit)).any(axis=1)):
-            rows[lane] = Rng(_seed_of(seed, lane), keys[lane]).indices(bound, size)
+            rows[lane] = Rng(seeds[lane], keys[lane]).indices(bound, size)
     return rows

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from optlab import harness
-from optlab.blocks import ParamBlock, global_norm, stack_lanes
+from optlab.blocks import ParamBlock, global_norm
 from optlab.errors import ContractViolationError
 from optlab.harness import run, run_lanes, setup_run
 from optlab.optimizers import OPTIMIZER_NAMES
@@ -133,9 +133,8 @@ def test_each_lane_norm_is_its_own_global_norm_bit_for_bit(shape):
 
 
 def test_a_lane_block_counts_its_lane_axis():
-    lane_blocks = [[ParamBlock("w", np.full((4, 5), float(i)), "matrix"), ParamBlock("b", np.zeros(5))]
-                   for i in range(3)]
-    w, b = stack_lanes(lane_blocks)
+    w = ParamBlock("w", np.stack([np.full((4, 5), float(i)) for i in range(3)]), "matrix", 3)
+    b = ParamBlock("b", np.zeros((3, 5)), lanes=3)
     assert (w.shape, w.lanes, w.role, b.shape, b.lanes) == ((3, 4, 5), 3, "matrix", (3, 5), 3)
     assert [float(w.values[i, 0, 0]) for i in range(3)] == [0.0, 1.0, 2.0]
     with pytest.raises(ContractViolationError, match="needs exactly 2 dimensions, got 1"):

@@ -445,6 +445,7 @@ def test_a_stacked_problem_of_one_lane_and_of_no_lane():
     losses, grads = one.loss_and_grad({"x": block.values}, ((7,), 1))
     loss, single = alone.loss_and_grad({"x": block.values[0]}, (7, 1))
     assert _same(losses[0], loss) and _same(grads["x"][0], single["x"])
+    assert alone.minimizer["x"].base is None  # its own values, not a view that keeps the problem stream alive
     with pytest.raises(ContractViolationError, match="a lane-stacked problem needs at least one seed"):
         build_problem("quadratic", [], dim=3)
 
