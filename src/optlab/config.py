@@ -18,6 +18,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from . import problems
 from .errors import ConfigurationError
 from .optimizers import OPTIMIZERS
@@ -154,12 +156,15 @@ def resolve(*layers: dict | None) -> dict:
     builds or steps from it: the problem (``problems.build_problem``), the
     engine and schedule (``harness.build_engine``), ``run.clip`` by
     ``harness.clip_gradients``, or a rule's step. ``bench.plan_cells`` runs
-    all of them before a suite or sweep runs any cell. Resolving a resolved
-    config gives it back unchanged.
+    all of them before a suite or sweep runs any cell. A numpy scalar is
+    stored as the Python value it holds (``.item()``), so it writes, hashes
+    and runs as that value does. Resolving a resolved config gives it back
+    unchanged.
     """
     merged: dict = {}
     for layer in layers:
         merged.update(layer or {})
+    merged = {key: value.item() if isinstance(value, np.generic) else value for key, value in merged.items()}
     cfg = dict(DEFAULTS)
     tag = merged.get("optimizer.preset")
     if tag:

@@ -308,7 +308,11 @@ def time_optimizer(
     Each repeat is ``run``'s loop from ``problem.init_blocks(repeat)`` at a
     constant lr, unclipped; its mean is the loop's ``mean_step_time_ns`` (only
     ``engine.step`` is timed). A diverging repeat raises ``PoisonedStateError``.
+    It times one run's step, so a lane-stacked problem raises
+    ``ContractViolationError``.
     """
+    if problem.lanes:
+        raise ContractViolationError(f"time_optimizer times one run's problem, got one of {problem.lanes} lanes")
     if steps < 1 or repeats < 1:
         raise ConfigurationError("steps and repeats must be >= 1")
     repeat_means = []

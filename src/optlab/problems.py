@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -154,16 +155,9 @@ class Problem:
         return self.resampled_grad(params, batch_seed)
 
 
-def _lanes_of(seed) -> int:
-    """0 for one run's seed (an int), else the number of lane seeds."""
-    return 0 if isinstance(seed, int) else len(seed)
-
-
-def _normals(seed, key: str, n: int) -> np.ndarray:
-    """``Rng(seed, key).normal(n)`` for one run's seed; for a tuple of lane seeds, that row of each lane."""
-    if isinstance(seed, int):
-        return Rng(seed, key).normal(n)
-    return normal_streams(seed, [key] * len(seed), n)
+def _normals(seed, lanes: int, key: str, n: int) -> np.ndarray:
+    """``Rng(seed, key).normal(n)`` for one run (``lanes`` 0); for ``lanes`` lane seeds, that row of each lane."""
+    return normal_streams(seed, [key] * lanes, n) if lanes else Rng(seed, key).normal(n)
 
 
 def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = BatchSpec()) -> Problem:
@@ -178,25 +172,24 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
     term (noise * xi) . (x - x*) so finite differences with a shared batch
     seed reproduce the noisy gradient exactly.
     """
-    return _quadratic(dim, condition, batch, rng.seed, rng.normal)
+    return _quadratic(dim, condition, batch, rng.seed, 0, rng.normal)
 
 
-def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, normal: Callable) -> Problem:
-    """``quadratic_problem`` of ``seed``, or the lane-stacked one of a tuple of seeds.
+def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, lanes: int, normal: Callable) -> Problem:
+    """``quadratic_problem`` of ``seed`` (``lanes`` 0), or the lane-stacked one of a tuple of ``lanes`` seeds.
 
     ``normal(n)`` gives the problem stream's first ``n`` normals, one row per
     lane if stacked: the basis matrix, ``x*`` and ``x0``'s offset, in that
     order, so an odd ``dim`` carries the Box-Muller spare across them as the
     scalar stream does. Each lane keeps its own QR. One expression evaluates
-    both layouts, through products picked by layout: ``np.dot`` for one run,
-    ``np.matmul`` over the lane axis, which calls the same gemv and ddot per
-    lane.
+    both layouts through numpy's ``np.matvec``, ``np.vecmat`` and
+    ``np.vecdot``, which broadcast over the lane axis and call the same gemv
+    and ddot per lane as for one run, so each lane gets its own run's bytes.
     """
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
     if not (math.isfinite(condition) and condition >= 1.0):
         raise ContractViolationError(f"condition must be finite and >= 1, got {condition!r}")
-    lanes = _lanes_of(seed)
     eigvals = np.logspace(0.0, math.log10(condition), dim) if dim > 1 else np.ones(1)
     square = dim * dim if dim > 1 else 0
 
@@ -219,44 +212,24 @@ def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, normal: Calla
         if variant == 0:
             values = x0.copy()
         else:
-            values = x_star + 2.0 * _normals(seed, f"quadratic/init/{variant}", dim)
+            values = x_star + 2.0 * _normals(seed, lanes, f"quadratic/init/{variant}", dim)
         return [ParamBlock("x", values, role="vector", lanes=lanes)]
-
-    # The products, picked by layout. np.matmul over a lane axis calls the gemv and ddot that np.dot calls for one
-    # run, but on one run's vectors it costs more per call: a single-form quadratic read 13% fewer quad-elementwise
-    # steps per second (2-vCPU Xeon, numpy 2.4).
-    if lanes:
-        def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return np.matmul(m, v[..., None])[..., 0]
-
-        def vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-            return np.matmul(v[..., None, :], m)[..., 0, :]
-
-        def vecdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
-    else:  # the ndarray.dot method: np.dot's dispatch costs more per call
-        def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return u.dot(v)
-
-        matvec = vecmat = dot
-
-        def vecdot(u: np.ndarray, v: np.ndarray) -> float:
-            return float(u.dot(v))
 
     def loss_and_grad(params: dict, batch_seed: BatchSeed):
         x = params["x"]
         dx = x - x_star
-        grad = matvec(a, x) - b
-        loss = vecdot(vecmat(0.5 * dx, a), dx)
+        grad = np.matvec(a, x) - b
+        loss = np.vecdot(np.vecmat(0.5 * dx, a), dx)
         if sigma_eff > 0.0:
             scaled = sigma_eff * noise(*batch_seed)
             grad = grad + scaled
-            loss += vecdot(scaled, dx)
-        return loss, {"x": grad}
+            loss += np.vecdot(scaled, dx)
+        return loss if lanes else float(loss), {"x": grad}
 
     def full_loss(params: dict):
         dx = params["x"] - x_star
-        return vecdot(vecmat(0.5 * dx, a), dx)
+        loss = np.vecdot(np.vecmat(0.5 * dx, a), dx)
+        return loss if lanes else float(loss)
 
     return Problem(
         name="quadratic",
@@ -333,7 +306,7 @@ def mlp_classification_problem(
     keeps the objective smooth so finite-difference checks hold tightly.
     Supports the GNB estimator: labels resampled from the current softmax.
     """
-    return _mlp(in_dim, hidden, classes, n_samples, batch, rng.seed, rng.normal)
+    return _mlp(in_dim, hidden, classes, n_samples, batch, rng.seed, 0, rng.normal)
 
 
 def _at(y: np.ndarray) -> tuple:
@@ -341,8 +314,10 @@ def _at(y: np.ndarray) -> tuple:
     return (*np.indices(y.shape, sparse=True), y)
 
 
-def _mlp(in_dim: int, hidden: int, classes: int, n_samples: int, batch: BatchSpec, seed, normal: Callable) -> Problem:
-    """``mlp_classification_problem`` of ``seed``, or the lane-stacked one of a tuple of seeds.
+def _mlp(
+    in_dim: int, hidden: int, classes: int, n_samples: int, batch: BatchSpec, seed, lanes: int, normal: Callable
+) -> Problem:
+    """``mlp_classification_problem`` of ``seed`` (``lanes`` 0), or the lane-stacked one of a tuple of ``lanes`` seeds.
 
     ``normal(n)`` gives the problem stream's first ``n`` normals (the class
     means, then the samples' offsets), one row per lane if stacked. Each lane
@@ -353,7 +328,6 @@ def _mlp(in_dim: int, hidden: int, classes: int, n_samples: int, batch: BatchSpe
     for name, v in (("in_dim", in_dim), ("hidden", hidden), ("classes", classes), ("n_samples", n_samples)):
         if v < 1:
             raise ContractViolationError(f"{name} must be >= 1")
-    lanes = _lanes_of(seed)
     lead = (lanes,) if lanes else ()
     head = classes * in_dim
     normals = normal(head + n_samples * in_dim)
@@ -370,7 +344,7 @@ def _mlp(in_dim: int, hidden: int, classes: int, n_samples: int, batch: BatchSpe
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
         first = in_dim * hidden
-        normals = _normals(seed, f"mlp/init/{variant}", first + hidden * classes)
+        normals = _normals(seed, lanes, f"mlp/init/{variant}", first + hidden * classes)
         w1 = normals[..., :first].reshape(*lead, in_dim, hidden) / math.sqrt(in_dim)
         w2 = 0.1 * normals[..., first:].reshape(*lead, hidden, classes) / math.sqrt(hidden)
         return [
@@ -484,10 +458,11 @@ def finite_difference_gradient(problem: Problem, params: dict, batch_seed: Batch
 def build_problem(kind: str, seed: int | Sequence[int], **params) -> Problem:
     """Build ``kind`` from ``DEFAULTS`` updated by ``params``, checked as a run config's keys are.
 
-    ``seed`` is one run's seed, or a sequence of run seeds for the
+    ``seed`` is one run's seed, or a non-empty sequence of run seeds for the
     lane-stacked problem of those runs (``Problem.lanes``): its build draws
     every lane's ``Rng(seed, "problem")`` stream in one call, and lane ``i``
-    holds the arrays of ``build_problem(kind, seed[i], **params)``.
+    holds the arrays of ``build_problem(kind, seed[i], **params)``. Any other
+    seed raises ``ContractViolationError``.
     """
     from .config import validate_keys  # config derives its problem keys from this module
 
@@ -496,16 +471,22 @@ def build_problem(kind: str, seed: int | Sequence[int], **params) -> Problem:
     validate_keys(params, DEFAULTS, DEFAULTS, source="build_problem")
     p = {**DEFAULTS, **params}
     batch = BatchSpec(batch_size=p["batch_size"], noise_scale=p["noise"])
-    if isinstance(seed, Sequence):
-        seed = tuple(seed)
-        if not seed:
-            raise ContractViolationError("a lane-stacked problem needs at least one seed")
-        normal = functools.partial(_normals, seed, "problem")
-    else:
-        rng = Rng(seed, "problem")
-        seed, normal = rng.seed, rng.normal
+    stacked = isinstance(seed, Sequence) and not isinstance(seed, (str, bytes))
+    seeds = tuple(seed) if stacked else (seed,)
+    try:
+        if any(isinstance(s, bool) for s in seeds):
+            raise TypeError("a bool is not a seed")
+        seeds = tuple(map(operator.index, seeds))  # Python and numpy integers, as rng takes them
+    except TypeError:
+        raise ContractViolationError(
+            f"a problem seed is an integer or a non-empty sequence of integers, got {seed!r}"
+        ) from None
+    if not seeds:
+        raise ContractViolationError("a lane-stacked problem needs at least one seed")
+    seed, lanes = (seeds, len(seeds)) if stacked else (seeds[0], 0)
+    normal = functools.partial(_normals, seed, lanes, "problem")
     if kind == "quadratic":
-        return _quadratic(p["dim"], p["condition"], batch, seed, normal)
+        return _quadratic(p["dim"], p["condition"], batch, seed, lanes, normal)
     if kind == "rosenbrock":
-        return _rosenbrock(p["dim"], _lanes_of(seed))
-    return _mlp(p["in_dim"], p["hidden"], p["classes"], p["samples"], batch, seed, normal)
+        return _rosenbrock(p["dim"], lanes)
+    return _mlp(p["in_dim"], p["hidden"], p["classes"], p["samples"], batch, seed, lanes, normal)

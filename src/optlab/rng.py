@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class Rng:
     """A single-owner xoshiro256++ stream.
 
     Args:
-        seed: 64-bit base seed shared by all streams of one run.
+        seed: 64-bit base seed shared by all streams of one run, a Python or numpy integer.
         key: stream identifier; the convention is "purpose/detail", e.g.
             "init/w1" or "batch/203". The same (seed, key) pair always
             reproduces the same stream.
@@ -69,7 +70,7 @@ class Rng:
     __slots__ = ("seed", "key", "_s0", "_s1", "_s2", "_s3", "_spare")
 
     def __init__(self, seed: int, key: str | int = 0):
-        self.seed = seed & _MASK
+        self.seed = operator.index(seed) & _MASK
         self.key = key
         sm = self.seed ^ fnv1a64(str(key).encode("utf-8"))
         state = [_mix64((sm + k * _GOLDEN) & _MASK) for k in range(1, 5)]  # SplitMix64's first four outputs
@@ -217,12 +218,13 @@ def _libm(name: str):
     return _choose(_reversed(getattr(np, name)), _per_value(getattr(math, name)), _probe(name))
 
 
-def _seeds(seed, count: int) -> list:
-    """One seed per key: ``seed`` repeated ``count`` times if it is an int, else its entries, checked to number
-    ``count``."""
-    if isinstance(seed, int):
-        return [seed] * count
-    seeds = list(seed)
+def _seeds(seed, count: int) -> list[int]:
+    """One Python int seed per key: ``seed`` repeated ``count`` times if it is an integer (a Python or numpy one),
+    else its entries, checked to number ``count``."""
+    try:
+        return [operator.index(seed)] * count
+    except TypeError:  # not one integer: a sequence of them
+        seeds = list(map(operator.index, seed))
     if len(seeds) != count:
         raise ValueError(f"need one seed per key, got {len(seeds)} seeds for {count} keys")
     return seeds

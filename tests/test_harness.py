@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from optlab import harness, problems
+from optlab.config import config_hash
 from optlab.errors import ConfigurationError, ContractViolationError, PoisonedStateError
 from optlab.harness import clip_gradients, run, sweep, time_optimizer
 from optlab.problems import _PREFETCH_VALUES, build_problem
@@ -228,6 +229,32 @@ class TestTimeOptimizer:
         problem = build_problem("quadratic", 1, dim=10, condition=5.0)
         with pytest.raises(PoisonedStateError, match=r"'adamw' diverged in repeat 0 at step \d+"):
             time_optimizer("adamw", {"lr": 1e4}, problem, steps=5, repeats=2)
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_a_lane_stacked_problem_is_rejected_before_any_engine_is_built(self, noise, monkeypatch):
+        problem = build_problem("quadratic", (1, 2), dim=4, noise=noise)
+        monkeypatch.setattr(harness, "make_optimizer", lambda *args: pytest.fail("an engine was built"))
+        with pytest.raises(ContractViolationError, match="one run's problem, got one of 2 lanes"):
+            time_optimizer("adamw", {"lr": 0.01}, problem, steps=3, repeats=2)
+
+
+@pytest.mark.parametrize("key, numpy_value, value", [
+    ("run.seed", np.int64(5), 5),
+    ("optimizer.lr", np.float64(0.01), 0.01),
+    ("problem.dim", np.int32(7), 7),
+    ("run.coupled_wd_demo", np.False_, False),
+])
+def test_a_numpy_scalar_in_a_config_runs_as_the_equal_python_value(tmp_path, key, numpy_value, value):
+    records = [run(quad_config(**{"run.steps": 5, key: v})) for v in (numpy_value, value)]
+    assert type(records[0].config[key]) is type(value) and records[0].config == records[1].config
+    assert config_hash(records[0].config) == config_hash(records[1].config)
+    untimed = [[line.rsplit(",", 1)[0] for line in r.csv_text().splitlines()] for r in records]  # no step_time_ns
+    assert untimed[0] == untimed[1]
+    summaries = [write_run_artifacts(r, tmp_path / str(i)) / "summary.json" for i, r in enumerate(records)]
+    texts = [json.loads(path.read_text(encoding="utf-8")) for path in summaries]
+    for text in texts:
+        del text["mean_step_time_ns"]
+    assert texts[0] == texts[1]
 
 
 def test_run_and_time_optimizer_share_the_patchable_loop(monkeypatch):

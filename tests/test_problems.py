@@ -387,6 +387,7 @@ STACKED = {
     "quadratic-7": ("quadratic", {"dim": 7, "condition": 50.0, "noise": 1.0}),
     "quadratic-32": ("quadratic", {"dim": 32, "condition": 30.0, "noise": 2.0, "batch_size": 4}),
     "quadratic-32-noiseless": ("quadratic", {"dim": 32}),
+    "quadratic-64": ("quadratic", {"dim": 64, "condition": 100.0, "noise": 1.0}),  # the quad-elementwise shape
     "rosenbrock": ("rosenbrock", {"dim": 6}),
     "mlp": ("mlp", {"in_dim": 5, "hidden": 7, "classes": 3, "samples": 61, "batch_size": 9}),
 }
@@ -427,7 +428,9 @@ def test_each_lane_of_a_stacked_problem_is_its_own_problem_bit_for_bit(case):
         for i, single in enumerate(singles):
             row = {name: values[i] for name, values in point.items()}
             loss, lane_grads = single.loss_and_grad(row, (RUN_SEEDS[i], step))
-            assert _same(losses[i], loss) and _same(full[i], single.full_loss(row))
+            single_full = single.full_loss(row)
+            assert type(loss) is float and type(single_full) is float  # a numpy scalar writes its repr to record.csv
+            assert _same(losses[i], loss) and _same(full[i], single_full)
             assert all(_same(grads[name][i], g) for name, g in lane_grads.items())
             if resampled is not None:
                 alone = single.gnb_grad(row, (RUN_SEEDS[i], step))
@@ -448,6 +451,29 @@ def test_a_stacked_problem_of_one_lane_and_of_no_lane():
     assert alone.minimizer["x"].base is None  # its own values, not a view that keeps the problem stream alive
     with pytest.raises(ContractViolationError, match="a lane-stacked problem needs at least one seed"):
         build_problem("quadratic", [], dim=3)
+
+
+@pytest.mark.parametrize(
+    "seed", ["12", "", 1.0, 2.5, True, None, [1, "2"], [1.0], (3, None), b"12", {1, 2}], ids=repr
+)
+def test_a_seed_that_is_neither_an_integer_nor_a_sequence_of_integers_is_rejected(seed):
+    for kind in KINDS:
+        with pytest.raises(ContractViolationError, match="an integer or a non-empty sequence of integers, got "):
+            build_problem(kind, seed)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_numpy_integer_seeds_build_the_problem_of_the_equal_python_seeds(kind):
+    for numpy_seed, seed in ((np.int64(5), 5), ((np.int64(5), np.uint32(9)), (5, 9))):
+        built, expected = build_problem(kind, numpy_seed), build_problem(kind, seed)
+        blocks = built.init_blocks(1)
+        assert built.lanes == expected.lanes
+        assert all(_same(b.values, e.values) for b, e in zip(blocks, expected.init_blocks(1)))
+        point = {b.name: b.values for b in blocks}
+        loss, grads = built.loss_and_grad(point, (numpy_seed, 3))
+        expected_loss, expected_grads = expected.loss_and_grad(point, (seed, 3))
+        assert _same(np.asarray(loss), np.asarray(expected_loss))
+        assert all(_same(grads[name], g) for name, g in expected_grads.items())
 
 
 def test_stacked_step_draws_hand_each_step_every_lanes_row():

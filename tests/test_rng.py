@@ -541,3 +541,15 @@ def test_a_seed_list_must_hold_one_seed_per_key():
         with pytest.raises(ValueError, match="need one seed per key"):
             call()
     assert normal_streams([], [], 3).shape == (0, 3)
+
+
+def test_numpy_integer_seeds_draw_the_equal_python_seeds_streams():
+    for numpy_seed, seed in ((np.int64(5), 5), (np.uint64(2**64 - 3), 2**64 - 3), (np.int32(-4), -4)):
+        r, expected = Rng(numpy_seed, "a"), Rng(seed, "a")
+        assert type(r.seed) is int and r.seed == expected.seed
+        assert r.normal(7).tobytes() == expected.normal(7).tobytes()
+        for n in (3, 600):  # the scalar rows and the lanes
+            assert normal_streams(numpy_seed, ["a"], n).tobytes() == normal_streams(seed, ["a"], n).tobytes()
+            pair = normal_streams([numpy_seed, np.int16(2)], ["a", "b"], n)
+            assert pair.tobytes() == normal_streams([seed, 2], ["a", "b"], n).tobytes()
+            assert (indices_streams(numpy_seed, ["a", "b"], 50, n) == indices_streams(seed, ["a", "b"], 50, n)).all()
