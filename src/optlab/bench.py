@@ -206,7 +206,7 @@ def _plan_cells(base_config: dict, base_seed: int, cells) -> tuple[list[dict], l
         blocks = problem.init_blocks(0)
         engine, _ = build_engine(cfg, problem, blocks)
         lane_safe[key] = engine.lane_safe
-        _train(problem, 0, [RunRecord({})], blocks, engine, ScheduleSpec("constant", engine.lr, 1), cfg["run.clip"], 1)
+        _train(problem, 0, [RunRecord({})], engine, ScheduleSpec("constant", engine.lr, 1), cfg["run.clip"], 1)
     return configs, [lane_safe[key] for key in keys]
 
 
@@ -229,12 +229,12 @@ def _cell_config(suite: SuiteSpec) -> tuple[dict[tuple[str, int, int], dict], se
     return dict(zip(labels, configs)), grouped
 
 
-def _run_cell(args: tuple[dict, str]) -> tuple[float | None, bool]:
-    """Run one cell, write its artifacts, and return its ``(final_loss, diverged)``."""
+def _run_cell(args: tuple[dict, str]) -> list[tuple[float | None, bool]]:
+    """Run one cell, write its artifacts, and return its outcome ``(final_loss, diverged)``, as a list of one."""
     cfg, run_dir = args
     record = run(cfg)
     write_run_artifacts(record, run_dir)
-    return record.final_loss, record.diverged
+    return [(record.final_loss, record.diverged)]
 
 
 def _run_lanes(args: tuple[list[dict], list[str]]) -> list[tuple[float | None, bool]]:
@@ -270,9 +270,8 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
             results = [future.result() for future in [pool.submit(fn, args) for _, fn, args in tasks]]
     else:
         results = [fn(args) for _, fn, args in tasks]
-    by_cell = {}
-    for (labels, fn, _), result in zip(tasks, results):
-        by_cell.update(zip(labels, result if fn is _run_lanes else [result]))
+    by_cell = {label: outcome for (labels, _, _), result in zip(tasks, results)
+               for label, outcome in zip(labels, result)}
     table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, next(iter(configs.values()))["problem.kind"])
     for budget in suite.budgets:
         rows = []

@@ -187,8 +187,8 @@ def _worst(losses: np.ndarray) -> float:
     return float(losses.max()) if np.isfinite(losses).all() else math.nan
 
 
-def _train(problem: Problem, seed, records: list[RunRecord], blocks, engine, schedule: ScheduleSpec,
-           clip: float | None, log_every: int) -> None:
+def _train(problem: Problem, seed, records: list[RunRecord], engine, schedule: ScheduleSpec, clip: float | None,
+           log_every: int) -> None:
     """Step ``engine`` for ``schedule.total_steps`` steps, filling ``records``; see the module docstring.
 
     ``engine.lanes`` is 0 for one run: ``seed`` is then its run seed,
@@ -227,7 +227,7 @@ def _train(problem: Problem, seed, records: list[RunRecord], blocks, engine, sch
             break
         times.append(elapsed)
         if t % log_every == 0 or t == total:
-            param_norm = global_norm((b.values for b in blocks), stacked)
+            param_norm = global_norm((b.values for b in engine.blocks), stacked)
             if stacked:
                 for lane, lane_loss, grad_norm, update_norm, norm in zip(
                     records, loss.tolist(), pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist()
@@ -249,7 +249,7 @@ def run(config: dict) -> RunRecord:
     """Execute one deterministic run; see the module docstring for the loop."""
     cfg, problem, blocks, engine, schedule = setup_run(config)
     record = RunRecord(config=cfg)
-    _train(problem, cfg["run.seed"], [record], blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
+    _train(problem, cfg["run.seed"], [record], engine, schedule, cfg["run.clip"], cfg["run.log_every"])
     if not record.diverged:
         record.final_loss = problem.full_loss({b.name: b.values for b in blocks})
     return record
@@ -276,7 +276,7 @@ def run_lanes(configs: list[dict]) -> list[RunRecord]:
     engine, schedule = build_engine(cfg, problem, blocks)
     records = [RunRecord(lane_cfg) for lane_cfg in cfgs]
     try:
-        _train(problem, seeds, records, blocks, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
+        _train(problem, seeds, records, engine, schedule, cfg["run.clip"], cfg["run.log_every"])
     except PoisonedStateError:
         return [run(config) for config in configs]
     final = problem.full_loss({b.name: b.values for b in blocks}).tolist()
@@ -322,7 +322,7 @@ def time_optimizer(
         check_estimator(engine, problem)
         schedule = ScheduleSpec("constant", engine.lr, steps)
         record = RunRecord(config={})
-        _train(problem, stable_hash(seed, optimizer_name, rep), [record], blocks, engine, schedule, None, steps)
+        _train(problem, stable_hash(seed, optimizer_name, rep), [record], engine, schedule, None, steps)
         if record.diverged:
             raise PoisonedStateError(
                 f"optimizer {optimizer_name!r} diverged in repeat {rep} at step {record.divergence_step}"

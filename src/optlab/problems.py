@@ -7,18 +7,20 @@ with the same arguments agree bit for bit. The MLP problem additionally
 supports the label-resampling gradient needed by the Gauss-Newton-Bartlett
 estimator.
 
-``build_problem`` with a sequence of seeds builds one lane-stacked problem
-for the replicate runs of those seeds (``Problem.lanes``): one build draws
-every lane's streams, each step draws every lane's noise or batch at once,
-and one ``loss_and_grad`` call evaluates every lane, giving each lane the
-bytes of its own problem.
+``build_problem`` reads its seed by ``rng.lane_seeds``, the rule every
+stream of the library follows: with a sequence of seeds it builds one
+lane-stacked problem for the replicate runs of those seeds
+(``Problem.lanes``). One build draws every lane's streams, each step draws
+every lane's noise or batch at once, and one ``loss_and_grad`` call
+evaluates every lane, giving each lane the bytes of its own problem. A run
+and a lane group draw through the same calls: the seed alone says how many
+lanes a draw has.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +30,7 @@ import numpy as np
 from .blocks import ParamBlock
 from .errors import ContractViolationError, UnsupportedEstimatorError
 from .linalg import qr_orthonormal
-from .rng import Rng, indices_streams, normal_streams
+from .rng import Rng, indices_streams, lane_seeds, normal_streams
 
 BatchSeed = tuple[int, int]
 
@@ -62,19 +64,18 @@ class BatchSpec:
 class _StepDraws:
     """Row ``step`` of the per-step streams ``f"{purpose}/{step}"``, drawn a block of steps ahead.
 
-    ``draw(run_seed, keys)`` returns one row per key, each what the scalar
-    ``Rng(run_seed, key)`` would give, so the block never changes a value; a
-    step gets a read-only view of its row. A miss has one of two policies.
+    ``draw(run_seed, keys)`` returns one row per key (per lane and key for a
+    tuple of lane seeds), each what the scalar ``Rng(seed, key)`` would give,
+    so the block never changes a value; a step gets a read-only view of its
+    row, of every lane's row if stacked. A miss has one of two policies.
     After ``plan(run_seed, last_step)`` a miss at a step of that run up to
     ``last_step`` draws every step from it to ``last_step``, at most
     ``_PREFETCH_VALUES`` values per lane and block, so a T-step run makes
     ceil(T / max_block) draws and none past its plan. Any other miss draws
     the asked step alone, so unplanned callers (finite differences, checks)
-    draw no more than the scalar stream would.
-
-    With ``lanes`` the run seed is a tuple of one seed per lane: one draw
-    (``draw`` with one seed per key) fills a ``(lanes, steps, width)`` block,
-    and a step gets its ``(lanes, width)`` view, row ``i`` of lane ``i``'s stream.
+    draw no more than the scalar stream would. Every miss checks that the run
+    seed has ``lanes`` lanes (0: one integer seed), as ``rng.lane_seeds``
+    counts them, and raises ``ContractViolationError`` if not.
     """
 
     def __init__(self, purpose: str, width: int, draw: Callable, lanes: int = 0):
@@ -93,15 +94,13 @@ class _StepDraws:
     def __call__(self, run_seed, step: int) -> np.ndarray:
         i = step - self.first
         if run_seed != self.run_seed or not 0 <= i < self.steps:
+            if (lanes := lane_seeds(run_seed)[1]) != self.lanes:
+                raise ContractViolationError(f"a problem of {self.lanes} lanes (0: one run) got {lanes}: {run_seed!r}")
             block = 1
             if run_seed == self.plan_seed and step <= self.plan_last:
                 block = min(self.plan_last - step + 1, self.max_block)
             keys = [f"{self.purpose}/{s}" for s in range(step, step + block)]
-            if self.lanes:  # lane-major, as drawn; row i of the step-major view is step i of every lane
-                rows = self.draw([seed for seed in run_seed for _ in keys], keys * self.lanes)
-                self.rows = rows.reshape(self.lanes, block, -1).swapaxes(0, 1)
-            else:
-                self.rows = self.draw(run_seed, keys)
+            self.rows = self.draw(run_seed, keys).swapaxes(0, -2)  # step-major: row i is step i of every lane
             self.rows.setflags(write=False)  # callers get views of its rows
             self.run_seed, self.first, self.steps, i = run_seed, step, block, 0
         return self.rows[i]
@@ -153,11 +152,6 @@ class Problem:
                 f"problem {self.name!r} has no categorical output; GNB estimator unsupported"
             )
         return self.resampled_grad(params, batch_seed)
-
-
-def _normals(seed, lanes: int, key: str, n: int) -> np.ndarray:
-    """``Rng(seed, key).normal(n)`` for one run (``lanes`` 0); for ``lanes`` lane seeds, that row of each lane."""
-    return normal_streams(seed, [key] * lanes, n) if lanes else Rng(seed, key).normal(n)
 
 
 def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = BatchSpec()) -> Problem:
@@ -212,7 +206,7 @@ def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, lanes: int, n
         if variant == 0:
             values = x0.copy()
         else:
-            values = x_star + 2.0 * _normals(seed, lanes, f"quadratic/init/{variant}", dim)
+            values = x_star + 2.0 * normal_streams(seed, [f"quadratic/init/{variant}"], dim)[..., 0, :]
         return [ParamBlock("x", values, role="vector", lanes=lanes)]
 
     def loss_and_grad(params: dict, batch_seed: BatchSeed):
@@ -344,7 +338,7 @@ def _mlp(
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
         first = in_dim * hidden
-        normals = _normals(seed, lanes, f"mlp/init/{variant}", first + hidden * classes)
+        normals = normal_streams(seed, [f"mlp/init/{variant}"], first + hidden * classes)[..., 0, :]
         w1 = normals[..., :first].reshape(*lead, in_dim, hidden) / math.sqrt(in_dim)
         w2 = 0.1 * normals[..., first:].reshape(*lead, hidden, classes) / math.sqrt(hidden)
         return [
@@ -407,7 +401,7 @@ def _mlp(
         h, shifted = _forward(params, x)
         probs = _softmax(shifted)
         run_seed, step = batch_seed
-        streams = [Rng(s, f"gnb/{step}") for s in (run_seed if lanes else (run_seed,))]
+        streams = [Rng(s, f"gnb/{step}") for s in lane_seeds(run_seed)[0]]
         cdf = np.cumsum(probs, axis=-1)
         draws = np.array([[r.uniform() for _ in range(y.shape[-1])] for r in streams]).reshape(y.shape)
         sampled = (draws[..., None] > cdf).sum(axis=-1)
@@ -462,7 +456,7 @@ def build_problem(kind: str, seed: int | Sequence[int], **params) -> Problem:
     lane-stacked problem of those runs (``Problem.lanes``): its build draws
     every lane's ``Rng(seed, "problem")`` stream in one call, and lane ``i``
     holds the arrays of ``build_problem(kind, seed[i], **params)``. Any other
-    seed raises ``ContractViolationError``.
+    seed raises ``ContractViolationError``: ``rng.lane_seeds`` is the rule.
     """
     from .config import validate_keys  # config derives its problem keys from this module
 
@@ -471,20 +465,9 @@ def build_problem(kind: str, seed: int | Sequence[int], **params) -> Problem:
     validate_keys(params, DEFAULTS, DEFAULTS, source="build_problem")
     p = {**DEFAULTS, **params}
     batch = BatchSpec(batch_size=p["batch_size"], noise_scale=p["noise"])
-    stacked = isinstance(seed, Sequence) and not isinstance(seed, (str, bytes))
-    seeds = tuple(seed) if stacked else (seed,)
-    try:
-        if any(isinstance(s, bool) for s in seeds):
-            raise TypeError("a bool is not a seed")
-        seeds = tuple(map(operator.index, seeds))  # Python and numpy integers, as rng takes them
-    except TypeError:
-        raise ContractViolationError(
-            f"a problem seed is an integer or a non-empty sequence of integers, got {seed!r}"
-        ) from None
-    if not seeds:
-        raise ContractViolationError("a lane-stacked problem needs at least one seed")
-    seed, lanes = (seeds, len(seeds)) if stacked else (seeds[0], 0)
-    normal = functools.partial(_normals, seed, lanes, "problem")
+    seeds, lanes = lane_seeds(seed)
+    seed = seeds if lanes else seeds[0]
+    normal = functools.partial(normal_streams, seed, ["problem"])  # (lanes, 1, n), or (1, n) for one run
     if kind == "quadratic":
         return _quadratic(p["dim"], p["condition"], batch, seed, lanes, normal)
     if kind == "rosenbrock":

@@ -18,9 +18,9 @@ log2(lanes) rounds of table jumps, and all lanes then run at once in numpy ``uin
 A single stream (``Rng._raw``) and batched rows of many keys (``_raw_streams``) take the engine from
 ``_MIN_JUMP_DRAWS`` raw draws in all on; shorter draws run the scalar loop, which costs less there.
 
-The batched draws (``normal_streams``, ``indices_streams``) take one seed for all keys, or one seed per key, so
-the streams of several runs (the lanes of a replicate group) come from one call; row ``i`` is then
-``Rng(seed[i], keys[i])``'s.
+One rule, ``lane_seeds``, reads every seed: an integer is one run, a sequence of them one lane per entry. The
+batched draws (``normal_streams``, ``indices_streams``) take either, so the streams of several runs (the lanes of a
+replicate group) come from one call; entry ``[i, k]`` is then ``Rng(seeds[i], keys[k])``'s.
 """
 
 from __future__ import annotations
@@ -28,8 +28,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Sequence
 
 import numpy as np
+
+from .errors import ContractViolationError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -57,11 +60,32 @@ def stable_hash(*parts) -> int:
     return fnv1a64("|".join(str(p) for p in parts).encode("utf-8")) >> 1
 
 
+def lane_seeds(seed) -> tuple[tuple[int, ...], int]:
+    """The one seed rule: ``seed``'s run seeds, each a Python int taken modulo ``2**64``, and its lane count.
+
+    An integer (a Python or numpy one, not a bool) is one run, of 0 lanes. A non-empty sequence of them, not ``str``,
+    ``bytes`` or ``bytearray``, has one lane per entry. Anything else raises ``ContractViolationError``.
+    """
+    stacked = isinstance(seed, Sequence) and not isinstance(seed, (str, bytes, bytearray))
+    values = tuple(seed) if stacked else (seed,)
+    try:
+        if any(isinstance(value, bool) for value in values):
+            raise TypeError("a bool is not a seed")
+        seeds = tuple(operator.index(value) & _MASK for value in values)
+    except TypeError:
+        raise ContractViolationError(
+            f"a problem seed is an integer or a non-empty sequence of integers, got {seed!r}"
+        ) from None
+    if not seeds:
+        raise ContractViolationError("a lane-stacked problem needs at least one seed")
+    return seeds, len(seeds) if stacked else 0
+
+
 class Rng:
     """A single-owner xoshiro256++ stream.
 
     Args:
-        seed: 64-bit base seed shared by all streams of one run, a Python or numpy integer.
+        seed: 64-bit base seed shared by all streams of one run, a Python or numpy integer (``lane_seeds``).
         key: stream identifier; the convention is "purpose/detail", e.g.
             "init/w1" or "batch/203". The same (seed, key) pair always
             reproduces the same stream.
@@ -70,7 +94,10 @@ class Rng:
     __slots__ = ("seed", "key", "_s0", "_s1", "_s2", "_s3", "_spare")
 
     def __init__(self, seed: int, key: str | int = 0):
-        self.seed = operator.index(seed) & _MASK
+        seeds, lanes = lane_seeds(seed)
+        if lanes:
+            raise ContractViolationError(f"an Rng takes one run's integer seed, got {seed!r}")
+        self.seed = seeds[0]
         self.key = key
         sm = self.seed ^ fnv1a64(str(key).encode("utf-8"))
         state = [_mix64((sm + k * _GOLDEN) & _MASK) for k in range(1, 5)]  # SplitMix64's first four outputs
@@ -218,33 +245,20 @@ def _libm(name: str):
     return _choose(_reversed(getattr(np, name)), _per_value(getattr(math, name)), _probe(name))
 
 
-def _seeds(seed, count: int) -> list[int]:
-    """One Python int seed per key: ``seed`` repeated ``count`` times if it is an integer (a Python or numpy one),
-    else its entries, checked to number ``count``."""
-    try:
-        return [operator.index(seed)] * count
-    except TypeError:  # not one integer: a sequence of them
-        seeds = list(map(operator.index, seed))
-    if len(seeds) != count:
-        raise ValueError(f"need one seed per key, got {len(seeds)} seeds for {count} keys")
-    return seeds
-
-
 def _lane_states(seed, keys) -> list[np.ndarray]:
-    """The xoshiro256++ state of ``Rng(seed, key)`` for every key, one ``uint64`` lane per key.
-
-    ``seed`` is one int for every key or one seed per key. ``fnv1a64`` runs over all keys at once, a byte column
-    at a time; a key's hash stops moving past its length.
+    """Lane ``i * len(keys) + k`` is the xoshiro256++ state of ``Rng(seeds[i], keys[k])``, ``seeds`` as ``lane_seeds``
+    reads ``seed``. ``fnv1a64`` runs once over all keys at once, a byte column at a time (a key's hash stops moving
+    past its length); each seed is then XORed into every key's hash.
     """
+    seeds, _ = lane_seeds(seed)
     data = [str(key).encode("utf-8") for key in keys]
-    seeds = _seeds(seed, len(data))
     lengths = np.fromiter(map(len, data), np.intp, len(data))
     width = int(lengths.max(initial=0))
     columns = np.frombuffer(b"".join(d.ljust(width, b"\0") for d in data), np.uint8).reshape(len(data), width).T
-    sm = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    hashes = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
     for j, column in enumerate(columns.astype(np.uint64)):
-        np.copyto(sm, (sm ^ column) * _U[_FNV_PRIME], where=j < lengths)
-    sm ^= np.array([s & _MASK for s in seeds], np.uint64)
+        np.copyto(hashes, (hashes ^ column) * _U[_FNV_PRIME], where=j < lengths)
+    sm = (np.array(seeds, np.uint64)[:, None] ^ hashes).ravel()
     state = [_mix64(sm + np.uint64(k * _GOLDEN & _MASK)) for k in range(1, 5)]
     state[0][(state[0] | state[1] | state[2] | state[3]) == 0] = _U[_GOLDEN]
     return state
@@ -324,47 +338,50 @@ def _xoshiro_streams(state, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return out.reshape(streams, segments * _JUMP)[:, :n], [s[len(s) - streams :] for s in lanes]
 
 
-def _raw_streams(seeds: list, keys, n: int) -> np.ndarray:
-    """Row ``i`` is ``Rng(seeds[i], keys[i])._raw(n)``: scalar rows below ``_MIN_JUMP_DRAWS`` draws in all, else
-    lanes."""
-    if len(keys) * n < _MIN_JUMP_DRAWS:
-        rows = [Rng(s, key)._raw(n) for s, key in zip(seeds, keys)]
-        return np.array(rows, dtype=np.uint64).reshape(len(keys), n)
-    return _xoshiro_streams(_lane_states(seeds, keys), n)[0]
+def _raw_streams(seeds: tuple, keys: list, n: int, block: int):
+    """Row ``i * len(keys) + k`` is ``Rng(seeds[i], keys[k])._raw(n)``, yielded in order: below ``_MIN_JUMP_DRAWS``
+    draws in all, scalar rows in one block; else lanes from ``_lane_states``, ``block`` rows at a time."""
+    count = len(seeds) * len(keys)
+    if count * n < _MIN_JUMP_DRAWS:
+        yield np.array([Rng(s, key)._raw(n) for s in seeds for key in keys], dtype=np.uint64).reshape(count, n)
+        return
+    state = _lane_states(seeds, keys)
+    for i in range(0, count, block):
+        yield _xoshiro_streams([word[i : i + block] for word in state], n)[0]
 
 
 def normal_streams(seed, keys, n: int) -> np.ndarray:
-    """Row ``i`` is ``Rng(seed, keys[i]).normal(n)``, bit for bit; shape ``(len(keys), n)``.
-
-    ``seed`` is one int for every key or a sequence of one seed per key, when row ``i`` is
-    ``Rng(seed[i], keys[i])``'s. The raw draws come from ``_raw_streams``, a bounded block of keys at a time.
+    """Entry ``[i, k]`` is ``Rng(seeds[i], keys[k]).normal(n)``, bit for bit, for ``seeds, lanes = lane_seeds(seed)``;
+    shape ``(lanes, len(keys), n)``, or ``(len(keys), n)`` for one integer seed. The raw draws come from
+    ``_raw_streams``, a bounded block of rows at a time.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    seeds, lanes = lane_seeds(seed)
     keys, pairs = list(keys), (n + 1) // 2
-    seeds = _seeds(seed, len(keys))
-    out = np.empty((len(keys), n))
-    block = max(1, _NORMAL_BLOCK // max(1, pairs))  # keys at a time: as in Rng.normal, few temporaries
-    for i in range(0, len(keys), block):
-        raw = _raw_streams(seeds[i : i + block], keys[i : i + block], 2 * pairs)
-        out[i : i + block] = _box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n]
-    return out
+    out = np.empty((len(seeds), len(keys), n))
+    rows, i = out.reshape(len(seeds) * len(keys), n), 0
+    for raw in _raw_streams(seeds, keys, 2 * pairs, max(1, _NORMAL_BLOCK // max(1, pairs))):  # as in Rng.normal
+        rows[i : i + len(raw)] = _box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n]
+        i += len(raw)
+    return out if lanes else out[0]
 
 
 def indices_streams(seed, keys, bound: int, size: int) -> np.ndarray:
-    """Row ``i`` is ``Rng(seed, keys[i]).indices(bound, size)``, bit for bit; shape ``(len(keys), size)``.
+    """Entry ``[i, k]`` is ``Rng(seeds[i], keys[k]).indices(bound, size)``, bit for bit, shaped as ``normal_streams``'.
 
-    ``seed`` is one int or one seed per key, as for ``normal_streams``. The raw draws come from
-    ``_raw_streams``; a row holding a draw at or above ``below``'s rejection limit would have drawn again, so it
-    is recomputed with the scalar stream of its own seed and key.
+    The raw draws come from ``_raw_streams``; a row holding a draw at or above ``below``'s rejection limit would
+    have drawn again, so it is recomputed with the scalar stream of its own seed and key.
     """
     _check_bound(bound, 63, size)
+    seeds, lanes = lane_seeds(seed)
     keys = list(keys)
-    seeds = _seeds(seed, len(keys))
-    raw = _raw_streams(seeds, keys, size)
+    (raw,) = _raw_streams(seeds, keys, size, max(1, len(seeds) * len(keys)))  # every row in one block
     rows = (raw % np.uint64(bound)).astype(np.int64)
     limit = (1 << 64) - ((1 << 64) % bound)
     if limit <= _MASK:
-        for lane in np.flatnonzero((raw >= np.uint64(limit)).any(axis=1)):
-            rows[lane] = Rng(seeds[lane], keys[lane]).indices(bound, size)
-    return rows
+        for row in np.flatnonzero((raw >= np.uint64(limit)).any(axis=1)):
+            lane, k = divmod(int(row), len(keys))
+            rows[row] = Rng(seeds[lane], keys[k]).indices(bound, size)
+    out = rows.reshape(len(seeds), len(keys), size)
+    return out if lanes else out[0]

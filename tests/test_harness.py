@@ -321,8 +321,10 @@ def test_a_run_draws_its_noise_in_blocks_sized_to_the_run(monkeypatch, steps, di
     asked = _count_stream_draws(monkeypatch, "normal_streams")
     run(quad_config(**{"run.steps": steps, "problem.dim": dim, "problem.noise": 2.0, "problem.batch_size": 4}))
     max_block = _PREFETCH_VALUES // dim
-    assert len(asked) == blocks == math.ceil(steps / max_block)
-    assert [k for keys in asked for k in keys] == [f"noise/{t}" for t in range(1, steps + 1)]
+    # the build draws the problem stream first, through the same call
+    assert asked[0] == ["problem"] and len(asked) - 1 == blocks == math.ceil(steps / max_block)
+    noise = [f"noise/{t}" for t in range(1, steps + 1)]
+    assert asked[1:] == [noise[i : i + max_block] for i in range(0, steps, max_block)]
 
 
 def test_an_mlp_run_draws_its_batches_in_one_block(monkeypatch):
@@ -336,15 +338,16 @@ def test_a_diverged_run_draws_no_step_past_its_plan(monkeypatch):
     asked = _count_stream_draws(monkeypatch, "normal_streams")
     record = run(quad_config(**{"optimizer.lr": 1e4, "run.steps": 60, "problem.noise": 1.0}))
     assert record.diverged
-    assert asked == [[f"noise/{t}" for t in range(1, 61)]]
+    assert asked == [["problem"], [f"noise/{t}" for t in range(1, 61)]]
 
 
 def test_time_optimizer_plans_each_repeat(monkeypatch):
     asked = _count_stream_draws(monkeypatch, "normal_streams")
     problem = build_problem("quadratic", 1, dim=8, condition=2.0, noise=1.0)
     time_optimizer("adamw", {"lr": 0.01}, problem, steps=40, repeats=3, seed=5)
-    assert len(asked) == 3  # each repeat runs its own seed; an unplanned repeat would draw 40 single steps
-    assert all(keys == [f"noise/{t}" for t in range(1, 41)] for keys in asked)
+    # each repeat runs its own seed, from its own start; an unplanned repeat would draw 40 single steps
+    noise = [f"noise/{t}" for t in range(1, 41)]
+    assert asked == [["problem"], noise, ["quadratic/init/1"], noise, ["quadratic/init/2"], noise]
 
 
 class TestFailure:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -479,13 +480,31 @@ def test_numpy_integer_seeds_build_the_problem_of_the_equal_python_seeds(kind):
 def test_stacked_step_draws_hand_each_step_every_lanes_row():
     asked = []
 
-    def draw(seeds, keys):
+    def draw(seeds, keys):  # rng's grid: entry [i, k] for seed i and key k
         asked.append((seeds, keys))
-        return np.array([[float(s), float(k.split("/")[1])] for s, k in zip(seeds, keys)])
+        return np.array([[[float(s), float(k.split("/")[1])] for k in keys] for s in seeds])
 
     draws = _StepDraws("noise", 2, draw, lanes=2)
     draws.plan((4, 9), 3)
     views = [draws((4, 9), t) for t in (1, 2, 3, 4)]
-    assert asked == [([4, 4, 4, 9, 9, 9], ["noise/1", "noise/2", "noise/3"] * 2), ([4, 9], ["noise/4"] * 2)]
+    assert asked == [((4, 9), ["noise/1", "noise/2", "noise/3"]), ((4, 9), ["noise/4"])]
     for t, view in enumerate(views, start=1):
         assert view.tolist() == [[4.0, t], [9.0, t]] and not view.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "kind,params", [("quadratic", {"dim": 4, "noise": 1.0}), ("mlp", {"samples": 16, "batch_size": 4})], ids=str
+)
+def test_a_batch_seed_must_have_the_problems_lane_count(kind, params):
+    # a lane-stacked problem handed one int, or too many seeds, and a one-run problem handed a tuple
+    for seeds, run_seed, given in (((1, 2), 1, 0), ((1, 2), (1, 2, 3), 3), (1, (1, 2), 2), ((5,), 5, 0)):
+        problem = build_problem(kind, seeds, **params)
+        point = {b.name: b.values for b in problem.init_blocks(0)}
+        message = f"a problem of {problem.lanes} lanes (0: one run) got {given}: {run_seed!r}"
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            problem.loss_and_grad(point, (run_seed, 1))
+        problem.draw_ahead(run_seed, 5)  # a planned miss checks as well
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            problem.loss_and_grad(point, (run_seed, 2))
+        # the right seed still draws, after the rejected ones
+        problem.loss_and_grad(point, (seeds, 1))

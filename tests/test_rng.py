@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import optlab
 from optlab import rng as rng_module
 from optlab import verify
+from optlab.errors import ContractViolationError
 from optlab.verify import _scalar_normal
 from optlab.rng import (
     _JUMP,
@@ -22,6 +24,7 @@ from optlab.rng import (
     _xoshiro_streams,
     fnv1a64,
     indices_streams,
+    lane_seeds,
     normal_streams,
     stable_hash,
 )
@@ -461,10 +464,10 @@ def test_chosen_libm_functions_hold_on_held_out_draws():
         assert rng_module._libm(name)(x).tobytes() == _math_bytes(name, x), name
 
 
-# -- one seed per key: row i is Rng(seeds[i], keys[i])'s ---------------------------------------------------------
+# -- a sequence of seeds is a lane axis: entry [i, k] is Rng(seeds[i], keys[k])'s ----------------------------------
 
 
-def _seeds_per_key(gen, count):
+def _lane_seed_list(gen, count):
     """``count`` seeds: random, with one at or above 2**64 (masked as ``Rng`` masks it) and a repeated one."""
     seeds = [int(gen.integers(0, 2**63)) for _ in range(count)]
     seeds[0] += 2**64
@@ -475,72 +478,100 @@ def _seeds_per_key(gen, count):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 32, 449, 4097])
 @pytest.mark.parametrize("count", [1, 3, 40])
-def test_normal_streams_with_a_seed_per_key_are_each_keys_own_stream(n, count):
-    # 4097 values take 2049 pairs, so 40 keys go through _raw_streams a few keys at a time
+def test_normal_streams_of_lane_seeds_are_each_seed_and_keys_own_stream(n, count):
+    # 4097 values take 2049 pairs, so the grid goes through _raw_streams three rows at a time
     gen = np.random.default_rng(n * 10 + count)
-    seeds, keys = _seeds_per_key(gen, count), _random_keys(gen, count)
-    keys[-1] = keys[0]  # one key under two seeds
-    rows = normal_streams(seeds, keys, n)
-    assert rows.shape == (count, n) and rows.dtype == np.float64
-    for seed, key, row in zip(seeds, keys, rows):
-        assert row.tobytes() == Rng(seed, key).normal(n).tobytes()
-    assert normal_streams(tuple(seeds), keys, n).tobytes() == rows.tobytes()
-    # an int seed is the same seed for every key
-    assert normal_streams(seeds[-1], keys, n).tobytes() == normal_streams([seeds[-1]] * count, keys, n).tobytes()
+    seeds, keys = _lane_seed_list(gen, 3), _random_keys(gen, count)
+    keys[-1] = keys[0]  # one key twice
+    grid = normal_streams(seeds, keys, n)
+    assert grid.shape == (3, count, n) and grid.dtype == np.float64
+    for seed, rows in zip(seeds, grid):
+        for key, row in zip(keys, rows):
+            assert row.tobytes() == Rng(seed, key).normal(n).tobytes()
+    assert normal_streams(tuple(seeds), keys, n).tobytes() == grid.tobytes()
+    # an int seed is one lane's rows, without the lane axis
+    assert normal_streams(seeds[1], keys, n).tobytes() == grid[1].tobytes()
+    assert normal_streams([seeds[1]], keys, n).shape == (1, count, n)
 
 
-def test_a_seed_at_or_above_2_64_is_masked_per_key():
+def test_a_lane_seed_at_or_above_2_64_is_masked():
     keys = ["noise/1", "noise/1", "batch/3"]
     for n in (5, 600):  # the scalar rows and the lanes
-        assert normal_streams([2**64 + 9, 9, 2**65 + 9], keys, n).tobytes() == normal_streams(9, keys, n).tobytes()
-        assert (indices_streams([2**64 + 9, 9, 2**65 + 9], keys, 1000, n) == indices_streams(9, keys, 1000, n)).all()
-    state = _lane_states([2**64 + 9, 4], ["a", "a"])
-    for lane, seed in enumerate((9, 4)):
-        r = Rng(seed, "a")
-        assert [int(s[lane]) for s in state] == [r._s0, r._s1, r._s2, r._s3]
+        alone = normal_streams(9, keys, n)
+        assert normal_streams([2**64 + 9, 9, 2**65 + 9], keys, n).tobytes() == np.stack([alone] * 3).tobytes()
+        grid = indices_streams([2**64 + 9, 9, 2**65 + 9], keys, 1000, n)
+        assert (grid == indices_streams(9, keys, 1000, n)).all()
+    state = _lane_states([2**64 + 9, 4], ["a", "b"])
+    for row, (seed, key) in enumerate((s, k) for s in (9, 4) for k in ("a", "b")):
+        r = Rng(seed, key)
+        assert [int(s[row]) for s in state] == [r._s0, r._s1, r._s2, r._s3]
 
 
 @pytest.mark.parametrize("size", [0, 1, 5, 64, 300])
 @pytest.mark.parametrize("bound", [13, 1000, 3 * 2**61])
-def test_indices_streams_with_a_seed_per_key_are_each_keys_own_stream(size, bound):
+def test_indices_streams_of_lane_seeds_are_each_seed_and_keys_own_stream(size, bound):
     gen = np.random.default_rng(size + bound % 101)
-    seeds = _seeds_per_key(gen, 30)
-    keys = [f"batch/{t % 7}" for t in range(30)]  # each key under several seeds
-    rows = indices_streams(seeds, keys, bound, size)
-    assert rows.shape == (30, size) and rows.dtype == np.int64
-    for seed, key, row in zip(seeds, keys, rows):
-        assert row.tolist() == Rng(seed, key).indices(bound, size).tolist()
+    seeds = _lane_seed_list(gen, 4)
+    keys = [f"batch/{t % 7}" for t in range(10)]  # some keys twice
+    grid = indices_streams(seeds, keys, bound, size)
+    assert grid.shape == (4, 10, size) and grid.dtype == np.int64
+    for seed, rows in zip(seeds, grid):
+        for key, row in zip(keys, rows):
+            assert row.tolist() == Rng(seed, key).indices(bound, size).tolist()
 
 
-def test_a_rejected_row_is_recomputed_with_its_own_seed():
+def test_a_rejected_row_is_recomputed_with_its_own_seed_and_key():
     # at 3 * 2**61 a quarter of the raw draws lie at or above the rejection limit
-    bound, size, keys = 3 * 2**61, 8, ["batch/1"] * 6
+    bound, size, keys = 3 * 2**61, 8, ["batch/1", "batch/2"]
     seeds = [3, 2**64 + 3, 11, 16, 40, 41]
     limit = (1 << 64) - ((1 << 64) % bound)
-    raw = rng_module._raw_streams(seeds, keys, size)
-    rejected = (raw >= np.uint64(limit)).any(axis=1)
+    (raw,) = rng_module._raw_streams(seeds, keys, size, len(seeds) * len(keys))
+    rejected = (raw >= np.uint64(limit)).any(axis=1).reshape(len(seeds), len(keys))
     assert rejected[2:].any() and not rejected.all()  # some row past the first seeds is recomputed, some is not
-    rows = indices_streams(seeds, keys, bound, size)
-    for seed, row in zip(seeds, rows):
-        assert row.tolist() == Rng(seed, "batch/1").indices(bound, size).tolist()
-    assert rows[2:].tolist() != [rows[0].tolist()] * 4
+    grid = indices_streams(seeds, keys, bound, size)
+    for seed, rows in zip(seeds, grid):
+        for key, row in zip(keys, rows):
+            assert row.tolist() == Rng(seed, key).indices(bound, size).tolist()
+    assert grid[2:, 0].tolist() != [grid[0, 0].tolist()] * 4
 
 
-def test_lane_states_with_a_seed_per_key_match_scalar_seeding():
+def test_lane_states_are_each_seed_and_keys_state():
     keys = ["", 17, "noise/9", "noise/9"]
     seeds = [1, 2**63 + 11, 5, 6]
     state = _lane_states(seeds, keys)
-    for lane, (seed, key) in enumerate(zip(seeds, keys)):
-        r = Rng(seed, key)
-        assert [int(s[lane]) for s in state] == [r._s0, r._s1, r._s2, r._s3], key
+    assert [s.shape for s in state] == [(16,)] * 4
+    for i, seed in enumerate(seeds):
+        for k, key in enumerate(keys):
+            r = Rng(seed, key)
+            assert [int(s[i * len(keys) + k]) for s in state] == [r._s0, r._s1, r._s2, r._s3], (seed, key)
 
 
-def test_a_seed_list_must_hold_one_seed_per_key():
-    for call in (lambda: normal_streams([1, 2], ["a"], 3), lambda: indices_streams([1], ["a", "b"], 5, 3),
-                 lambda: _lane_states([1, 2, 3], ["a", "b"])):
-        with pytest.raises(ValueError, match="need one seed per key"):
-            call()
-    assert normal_streams([], [], 3).shape == (0, 3)
+@pytest.mark.parametrize(
+    "seed", [True, False, np.True_, b"12", bytearray(b"12"), {1, 2}, frozenset({3}), "7", 1.0, None, [1, True]],
+    ids=repr,
+)
+def test_every_stream_takes_only_what_the_seed_rule_takes(seed):
+    # a bool used to draw as seed 1 or 0, bytes as one seed per byte and a set in set order
+    message = "an integer or a non-empty sequence of integers, got " + re.escape(repr(seed))
+    for draw in (lambda: Rng(seed, "a"), lambda: normal_streams(seed, ["a", "b"], 3),
+                 lambda: indices_streams(seed, ["a", "b"], 5, 3), lambda: lane_seeds(seed)):
+        with pytest.raises(ContractViolationError, match=message):
+            draw()
+
+
+def test_the_seed_rule_reads_integers_and_sequences_of_them():
+    assert lane_seeds(5) == ((5,), 0)
+    assert lane_seeds(np.int32(-4)) == ((2**64 - 4,), 0)
+    assert lane_seeds([2**64 + 9, np.uint64(3)]) == ((9, 3), 2)
+    assert lane_seeds((7,)) == ((7,), 1) and lane_seeds(range(2)) == ((0, 1), 2)
+    assert all(type(s) is int for s in lane_seeds((np.int64(5), np.uint32(9)))[0])
+    for draw in (lambda: normal_streams([], ["a"], 3), lambda: indices_streams((), ["a"], 5, 3)):
+        with pytest.raises(ContractViolationError, match="needs at least one seed"):
+            draw()
+    # an Rng is one run's stream: a sequence of seeds, even of one, is a lane group
+    for seed in ((7,), [1, 2]):
+        with pytest.raises(ContractViolationError, match="one run's integer seed"):
+            Rng(seed, "a")
 
 
 def test_numpy_integer_seeds_draw_the_equal_python_seeds_streams():
@@ -551,5 +582,8 @@ def test_numpy_integer_seeds_draw_the_equal_python_seeds_streams():
         for n in (3, 600):  # the scalar rows and the lanes
             assert normal_streams(numpy_seed, ["a"], n).tobytes() == normal_streams(seed, ["a"], n).tobytes()
             pair = normal_streams([numpy_seed, np.int16(2)], ["a", "b"], n)
-            assert pair.tobytes() == normal_streams([seed, 2], ["a", "b"], n).tobytes()
+            assert pair.shape == (2, 2, n) and pair.tobytes() == normal_streams([seed, 2], ["a", "b"], n).tobytes()
+            assert pair[1, 0].tobytes() == Rng(2, "a").normal(n).tobytes()
             assert (indices_streams(numpy_seed, ["a", "b"], 50, n) == indices_streams(seed, ["a", "b"], 50, n)).all()
+            lanes = indices_streams([numpy_seed, np.int16(2)], ["a", "b"], 50, n)
+            assert (lanes == indices_streams([seed, 2], ["a", "b"], 50, n)).all()
