@@ -11,7 +11,10 @@ A suite file uses the flat config grammar with a ``suite.`` section::
 
 ``config.validate_keys`` checks the ``suite.*`` keys against
 ``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
->= 1, and the name, an output directory's, holds no path separator.
+>= 1, and the name, an output directory's, holds no path separator. The
+suite sets each cell's ``run.seed``, ``run.steps`` and ``optimizer.name``
+from ``suite.base_seed``, ``suite.budgets`` and ``suite.optimizers``, so a
+file that sets one of them, in its base or a rule's section, is rejected.
 ``plan_cells``, the cell planner of ``run_suite`` and ``harness.sweep``,
 builds each distinct cell as its run will and runs its first step before any
 cell runs, so the problem, the engine and the rule's own step checks judge
@@ -24,15 +27,17 @@ Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
 diverged seed is flagged and ranked behind all clean aggregates.
 
-The ``suite.seeds`` replicates of an (optimizer, budget) cell whose engine
-the planner finds lane-safe (``Optimizer.lane_safe``) run as one task, a lane
-group (``harness.run_lanes``), which writes each replicate's own run
-directory with the bytes its own run would write. Every other cell runs as
-one task per replicate (``_run_cell``). Tasks go out longest budget first.
+``plan_cells`` returns each cell's config and whether its engine is lane-safe
+(``Optimizer.lane_safe``); ``run_suite`` groups the planned labels by
+(optimizer, budget). A group of more than one lane-safe replicate runs as one
+task, a lane group (``harness.run_lanes``) that writes each replicate's run
+directory with its own run's bytes; any other group runs as one task per
+replicate (``_run_cell``). Tasks go out longest run first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -40,9 +45,9 @@ from pathlib import Path
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError, ContractViolationError
-from .harness import RunRecord, _section, _train, build_engine, run, run_lanes
+from .harness import RunRecord, _build_problem, _section, _train, build_engine, run, run_lanes
 from .optimizers.engine import wrong_kind
-from .problems import Problem, build_problem
+from .problems import Problem
 from .rng import stable_hash
 from .runio import write_run_artifacts
 from .schedules import ScheduleSpec
@@ -52,6 +57,8 @@ from .schedules import ScheduleSpec
 #: ``suite.budgets`` are required comma-separated lists.
 SUITE_DEFAULTS = {"suite.name": "bench", "suite.seeds": 3, "suite.base_seed": 1}
 SUITE_KEYS = frozenset([*SUITE_DEFAULTS, "suite.optimizers", "suite.budgets"])
+#: The run keys a suite sets for every cell, and the ``suite.*`` key each comes from; a suite file may not set them.
+_SET_BY_SUITE = {"run.seed": "suite.base_seed", "run.steps": "suite.budgets", "optimizer.name": "suite.optimizers"}
 
 
 @dataclass(frozen=True)
@@ -152,10 +159,10 @@ def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
         if key.startswith("suite."):
             continue
         owner = next((o for o in optimizers if key.startswith(o + ".")), None)
-        if owner is None:
-            base_config[key] = value
-        else:
-            overrides.setdefault(owner, {})[key[len(owner) + 1 :]] = value
+        run_key = key if owner is None else key[len(owner) + 1 :]
+        if (by := _SET_BY_SUITE.get(run_key)) is not None:
+            raise ConfigurationError(f"{source}: {key} is never read; {by} sets each cell's {run_key}")
+        (base_config if owner is None else overrides.setdefault(owner, {}))[run_key] = value
     return SuiteSpec(meta["suite.name"], tuple(optimizers), tuple(budgets), meta["suite.seeds"],
                      meta["suite.base_seed"], base_config, overrides)
 
@@ -171,62 +178,52 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
     return items
 
 
-def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
-    """The resolved run config of each ``(label, layer, assignment)`` cell, checked by running its first step.
-
-    See ``_plan_cells``.
-    """
-    return _plan_cells(base_config, base_seed, cells)[0]
-
-
-def _plan_cells(base_config: dict, base_seed: int, cells) -> tuple[list[dict], list[bool]]:
-    """``plan_cells``'s configs, and for each cell whether its engine is lane-safe.
+def plan_cells(base_config: dict, base_seed: int, cells) -> list[tuple[dict, bool]]:
+    """Each ``(label, layer, assignment)`` cell's resolved run config, checked by running its first step, and whether
+    its engine is lane-safe (``Optimizer.lane_safe``), planned in the order given.
 
     A cell resolves ``base_config < layer < {"run.seed": stable_hash(base_seed,
     *label)} < assignment``. Each distinct cell (by ``config_hash``, which
     leaves out ``run.seed``) builds its engine and schedule
     (``harness.build_engine``) on fresh ``init_blocks(0)`` of its problem, and
     ``harness._train`` runs one step of it at the engine's lr with the cell's
-    ``run.clip``. Each distinct ``problem.*`` section is built once, at seed 0.
-    A step that diverges is the run's outcome, not an error, and passes.
+    ``run.clip``. Each distinct ``problem.*`` section is built once, at seed 0,
+    as a run builds it (``harness._build_problem``). A step that diverges is
+    the run's outcome, not an error, and passes.
     """
     problems: dict[tuple, Problem] = {}
     lane_safe: dict[str, bool] = {}
-    configs, keys = [], []
+    planned = []
     for label, layer, assignment in cells:
         cfg = resolve(base_config, layer, {"run.seed": stable_hash(base_seed, *label)}, assignment)
-        configs.append(cfg)
-        keys.append(key := config_hash(cfg))
-        if key in lane_safe:
-            continue
-        section = _section(cfg, "problem")
-        if (shape := tuple(section.items())) not in problems:
-            problems[shape] = build_problem(section.pop("kind"), 0, **section)
-        problem = problems[shape]
-        blocks = problem.init_blocks(0)
-        engine, _ = build_engine(cfg, problem, blocks)
-        lane_safe[key] = engine.lane_safe
-        _train(problem, 0, [RunRecord({})], engine, ScheduleSpec("constant", engine.lr, 1), cfg["run.clip"], 1)
-    return configs, [lane_safe[key] for key in keys]
+        if (key := config_hash(cfg)) not in lane_safe:
+            if (shape := tuple(_section(cfg, "problem").items())) not in problems:
+                problems[shape] = _build_problem(cfg, 0)
+            problem = problems[shape]
+            blocks = problem.init_blocks(0)
+            engine, _ = build_engine(cfg, problem, blocks)
+            lane_safe[key] = engine.lane_safe
+            _train(problem, 0, [RunRecord({})], engine, ScheduleSpec("constant", engine.lr, 1), cfg["run.clip"], 1)
+        planned.append((cfg, lane_safe[key]))
+    return planned
 
 
-def _cell_config(suite: SuiteSpec) -> tuple[dict[tuple[str, int, int], dict], set[tuple[str, int]]]:
-    """Every cell's checked run config by (optimizer, budget, replicate), and the lane-safe (optimizer, budget) pairs.
+def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int, int], tuple[dict, bool]]:
+    """Every cell's checked run config and whether it is lane-safe (``plan_cells``), by (optimizer, budget, replicate).
 
     Each error names the suite.
     """
     labels = [(o, b, r) for o in suite.optimizers for b in suite.budgets for r in range(suite.seeds)]
     cells = [((o, b, r), suite.overrides.get(o), {"optimizer.name": o, "run.steps": b}) for o, b, r in labels]
     try:
-        configs, lane_safe = _plan_cells(suite.base_config, suite.base_seed, cells)
-        kinds = {o: cfg["problem.kind"] for (o, _, _), cfg in zip(labels, configs)}
+        planned = dict(zip(labels, plan_cells(suite.base_config, suite.base_seed, cells)))
+        kinds = {o: cfg["problem.kind"] for (o, _, _), (cfg, _) in planned.items()}
         if len(set(kinds.values())) > 1:
             listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
             raise ConfigurationError(f"every rule must run the same problem.kind, got {listed}")
     except (ConfigurationError, ContractViolationError) as exc:
         raise ConfigurationError(f"suite {suite.name!r}: {exc}") from None
-    grouped = {(o, b) for (o, b, _), safe in zip(labels, lane_safe) if safe and suite.seeds > 1}
-    return dict(zip(labels, configs)), grouped
+    return planned
 
 
 def _run_cell(args: tuple[dict, str]) -> list[tuple[float | None, bool]]:
@@ -254,17 +251,17 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
-    configs, grouped = _cell_config(suite)
-    tasks = []  # (labels, task function, its argument), the longest budget first
-    for budget in sorted(suite.budgets, reverse=True):
-        for optimizer in suite.optimizers:
-            labels = [(optimizer, budget, rep) for rep in range(suite.seeds)]
-            cfgs = [configs[label] for label in labels]
-            run_dirs = [str(out_dir / "runs" / f"{optimizer}-b{budget}-r{rep}") for rep in range(suite.seeds)]
-            if (optimizer, budget) in grouped:
-                tasks.append((labels, _run_lanes, (cfgs, run_dirs)))
-            else:
-                tasks.extend(([label], _run_cell, cell) for label, cell in zip(labels, zip(cfgs, run_dirs)))
+    planned = _cell_config(suite)
+    # (optimizer, budget) -> its replicates' labels, which the planner returns adjacent
+    groups = {cell: list(labels) for cell, labels in itertools.groupby(planned, key=lambda label: label[:-1])}
+    tasks = []  # (labels, task function, its argument), the longest run first
+    for labels in sorted(groups.values(), key=lambda labels: -planned[labels[0]][0]["run.steps"]):
+        cfgs = [planned[label][0] for label in labels]
+        run_dirs = [str(out_dir / "runs" / "{}-b{}-r{}".format(*label)) for label in labels]
+        if len(labels) > 1 and all(planned[label][1] for label in labels):
+            tasks.append((labels, _run_lanes, (cfgs, run_dirs)))
+        else:
+            tasks.extend(([label], _run_cell, cell) for label, cell in zip(labels, zip(cfgs, run_dirs)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = [future.result() for future in [pool.submit(fn, args) for _, fn, args in tasks]]
@@ -272,18 +269,19 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
         results = [fn(args) for _, fn, args in tasks]
     by_cell = {label: outcome for (labels, _, _), result in zip(tasks, results)
                for label, outcome in zip(labels, result)}
-    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, next(iter(configs.values()))["problem.kind"])
-    for budget in suite.budgets:
-        rows = []
-        for optimizer in suite.optimizers:
-            losses, diverged = zip(*(by_cell[(optimizer, budget, rep)] for rep in range(suite.seeds)))
-            clean = [loss for loss in losses if loss is not None]
-            mean = sum(clean) / len(clean) if clean else None
-            rows.append(ReportRow(optimizer, budget, list(losses), mean, any(diverged)))
-        rows.sort(key=lambda r: (r.diverged, math.inf if r.mean_final_loss is None else r.mean_final_loss, r.optimizer))
-        for rank, row in enumerate(rows, start=1):
+    rows = []
+    for (optimizer, budget), labels in groups.items():
+        losses, diverged = zip(*(by_cell[label] for label in labels))
+        clean = [loss for loss in losses if loss is not None]
+        mean = sum(clean) / len(clean) if clean else None
+        rows.append(ReportRow(optimizer, budget, list(losses), mean, any(diverged)))
+    rows.sort(key=lambda r: (r.budget, r.diverged, math.inf if r.mean_final_loss is None else r.mean_final_loss,
+                             r.optimizer))
+    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, next(iter(planned.values()))[0]["problem.kind"])
+    for _, ranked in itertools.groupby(rows, key=lambda r: r.budget):
+        for rank, row in enumerate(ranked, start=1):
             row.rank = rank
-            table.rows[(row.optimizer, budget)] = row
+            table.rows[(row.optimizer, row.budget)] = row
     return table
 
 

@@ -340,14 +340,16 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     and the cell index, so cells are comparable but not correlated; a grid
     over ``run.seed`` runs the seeds it names instead. ``bench.plan_cells``
     resolves every cell's config, builds its problem, engine and schedule and
-    runs each distinct cell's first step before any cell runs, as it does for
-    a suite, so a misspelt grid key or a value the run would reject (a
-    ``problem.dim`` of 0, a lion ``beta1`` of 1.5) raises before the first run.
+    runs each distinct cell's first step before any cell runs, as for a suite,
+    so a misspelt grid key or a value the run would reject (a ``problem.dim``
+    of 0, a lion ``beta1`` of 1.5) raises before the first run. Each cell then
+    runs alone the config planned for it; the grid's cells are not replicates,
+    so the planner's lane-safety flag goes unread.
     """
     if not grid:
         return [({}, run(base_config))]
     from .bench import plan_cells  # bench imports this module
 
     points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
-    configs = plan_cells(base_config, resolve(base_config)["run.seed"], [((i,), None, p) for i, p in enumerate(points)])
-    return [(point, run(cfg)) for point, cfg in zip(points, configs)]
+    planned = plan_cells(base_config, resolve(base_config)["run.seed"], [((i,), None, p) for i, p in enumerate(points)])
+    return [(point, run(cfg)) for point, (cfg, _) in zip(points, planned)]

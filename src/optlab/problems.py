@@ -11,10 +11,10 @@ estimator.
 stream of the library follows: with a sequence of seeds it builds one
 lane-stacked problem for the replicate runs of those seeds
 (``Problem.lanes``). One build draws every lane's streams, each step draws
-every lane's noise or batch at once, and one ``loss_and_grad`` call
-evaluates every lane, giving each lane the bytes of its own problem. A run
-and a lane group draw through the same calls: the seed alone says how many
-lanes a draw has.
+every lane's noise, batch or GNB resample uniforms at once, and one
+``loss_and_grad`` call evaluates every lane, giving each lane the bytes of
+its own problem. A run and a lane group draw through the same calls: the
+seed alone says how many lanes a draw has.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .blocks import ParamBlock
 from .errors import ContractViolationError, UnsupportedEstimatorError
 from .linalg import qr_orthonormal
-from .rng import Rng, indices_streams, lane_seeds, normal_streams
+from .rng import Rng, indices_streams, lane_seeds, normal_streams, uniform_streams
 
 BatchSeed = tuple[int, int]
 
@@ -335,6 +335,9 @@ def _mlp(
         "batch", batch.batch_size,
         lambda run_seed, keys: indices_streams(run_seed, keys, n_samples, batch.batch_size), lanes,
     )
+    resamples = _StepDraws(
+        "gnb", batch.batch_size, lambda run_seed, keys: uniform_streams(run_seed, keys, batch.batch_size), lanes
+    )
 
     def init_blocks(variant: int = 0) -> list[ParamBlock]:
         first = in_dim * hidden
@@ -397,14 +400,11 @@ def _mlp(
         return _loss(shifted, y), _grads(params, x, y, h, _softmax(shifted))
 
     def resampled_grad(params: dict, batch_seed: BatchSeed):
-        x, y = _batch(batch_seed)
+        x, _ = _batch(batch_seed)
         h, shifted = _forward(params, x)
         probs = _softmax(shifted)
-        run_seed, step = batch_seed
-        streams = [Rng(s, f"gnb/{step}") for s in lane_seeds(run_seed)[0]]
         cdf = np.cumsum(probs, axis=-1)
-        draws = np.array([[r.uniform() for _ in range(y.shape[-1])] for r in streams]).reshape(y.shape)
-        sampled = (draws[..., None] > cdf).sum(axis=-1)
+        sampled = (resamples(*batch_seed)[..., None] > cdf).sum(axis=-1)
         sampled = np.minimum(sampled, classes - 1).astype(np.int64)
         return _grads(params, x, sampled, h, probs)
 
@@ -418,7 +418,7 @@ def _mlp(
         loss_and_grad=loss_and_grad,
         full_loss=full_loss,
         resampled_grad=resampled_grad,
-        step_draws=(batches,),
+        step_draws=(batches, resamples),
         lanes=lanes,
     )
 

@@ -19,8 +19,8 @@ A single stream (``Rng._raw``) and batched rows of many keys (``_raw_streams``) 
 ``_MIN_JUMP_DRAWS`` raw draws in all on; shorter draws run the scalar loop, which costs less there.
 
 One rule, ``lane_seeds``, reads every seed: an integer is one run, a sequence of them one lane per entry. The
-batched draws (``normal_streams``, ``indices_streams``) take either, so the streams of several runs (the lanes of a
-replicate group) come from one call; entry ``[i, k]`` is then ``Rng(seeds[i], keys[k])``'s.
+batched draws (``normal_streams``, ``uniform_streams``, ``indices_streams``) take either, so the streams of several
+runs (the lanes of a replicate group) come from one call; entry ``[i, k]`` is then ``Rng(seeds[i], keys[k])``'s.
 """
 
 from __future__ import annotations
@@ -364,6 +364,19 @@ def normal_streams(seed, keys, n: int) -> np.ndarray:
     for raw in _raw_streams(seeds, keys, 2 * pairs, max(1, _NORMAL_BLOCK // max(1, pairs))):  # as in Rng.normal
         rows[i : i + len(raw)] = _box_muller(raw[:, 0::2], raw[:, 1::2])[:, :n]
         i += len(raw)
+    return out if lanes else out[0]
+
+
+def uniform_streams(seed, keys, n: int) -> np.ndarray:
+    """Entry ``[i, k]`` is ``n`` calls of ``Rng(seeds[i], keys[k]).uniform()``, bit for bit, shaped as
+    ``normal_streams``'. The raw draws come from ``_raw_streams``, every row in one block.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    seeds, lanes = lane_seeds(seed)
+    keys = list(keys)
+    (raw,) = _raw_streams(seeds, keys, n, max(1, len(seeds) * len(keys)))
+    out = ((raw >> _U[11]) * 2.0**-53).reshape(len(seeds), len(keys), n)
     return out if lanes else out[0]
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +188,32 @@ def test_suite_cells_are_named_and_seeded_by_rule_budget_and_replicate(tmp_path)
         cfg = json.loads((tmp_path / "runs" / f"{rule}-b{budget}-r{rep}" / "summary.json").read_text())["config"]
         assert cfg["run.seed"] == stable_hash(7, rule, budget, rep)
         assert (cfg["run.steps"], cfg["optimizer.name"]) == (budget, rule)
+
+
+def _recorded_tasks(monkeypatch) -> list:
+    """Each task ``run_suite`` runs, in order: (task function, the names of its run directories)."""
+    tasks = []
+    for name, run_dirs in (("_run_cell", lambda args: [args[1]]), ("_run_lanes", lambda args: args[1])):
+        def task(args, name=name, real=getattr(bench, name), run_dirs=run_dirs):
+            tasks.append((name, [Path(run_dir).name for run_dir in run_dirs(args)]))
+            return real(args)
+
+        monkeypatch.setattr(bench, name, task)
+    return tasks
+
+
+@pytest.mark.parametrize("seeds", [2, 1])
+def test_suite_tasks_go_out_longest_budget_first_in_rule_order(tmp_path, monkeypatch, seeds):
+    # adamw and signum are lane-safe, prodigy is not; a group of one replicate is one cell
+    tasks = _recorded_tasks(monkeypatch)
+    run_suite(SuiteSpec("x", ("adamw", "signum", "prodigy"), (10, 25), seeds, 1, dict(BASE), {}), tmp_path, jobs=1)
+    if seeds == 1:
+        expected = [("_run_cell", [f"{rule}-b{b}-r0"]) for b in (25, 10) for rule in ("adamw", "signum", "prodigy")]
+    else:
+        expected = [task for b in (25, 10) for task in [
+            ("_run_lanes", [f"adamw-b{b}-r0", f"adamw-b{b}-r1"]),
+            ("_run_lanes", [f"signum-b{b}-r0", f"signum-b{b}-r1"]),
+            ("_run_cell", [f"prodigy-b{b}-r0"]),
+            ("_run_cell", [f"prodigy-b{b}-r1"]),
+        ]]
+    assert tasks == expected

@@ -482,8 +482,10 @@ class TestOutputRootAndJobs:
             "adamw.optimizer.lr = 0.03\n"
             "signum.optimizer.lr = 0.01\n"
         )
-        _, grouped = bench._cell_config(bench.parse_suite(load_config_file(suite)))
-        assert grouped == {(rule, budget) for rule in ("adamw", "signum") for budget in (25, 10)}
+        planned = bench._cell_config(bench.parse_suite(load_config_file(suite)))
+        assert {(rule, budget) for (rule, budget, _), (_, safe) in planned.items() if safe} == {
+            (rule, budget) for rule in ("adamw", "signum") for budget in (25, 10)
+        }
         reports, runs = [], []
         for jobs, label in ((1, "serial"), (2, "parallel")):
             out = tmp_path / label
@@ -611,6 +613,25 @@ def test_bench_rejects_bad_suite_values_before_running(tmp_path, capsys, key, va
     assert main(["bench", "--config", str(suite), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not list(out.rglob("runs"))
+
+
+@pytest.mark.parametrize("given", ["file", "--set"])
+@pytest.mark.parametrize("prefix", ["", "adamw."])
+@pytest.mark.parametrize(
+    "key,value,by",
+    [("run.seed", "7", "suite.base_seed"), ("run.steps", "50", "suite.budgets"),
+     ("optimizer.name", "lion", "suite.optimizers")],
+)
+def test_bench_rejects_run_keys_that_the_suite_sets(tmp_path, capsys, given, prefix, key, value, by):
+    # the suite sets these for every cell: accepted, each would only rename bench-<name>-<hash>
+    suite = tmp_path / "suite.cfg"
+    text = "suite.optimizers = adamw, signum\nsuite.budgets = 6\nsuite.seeds = 1\nproblem.kind = quadratic\n"
+    suite.write_text(text + (f"{prefix}{key} = {value}\n" if given == "file" else ""))
+    out = tmp_path / "o"
+    extra = ["--set", f"{prefix}{key}={value}"] if given == "--set" else []
+    assert main(["bench", "--config", str(suite), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {suite}: {prefix}{key} is never read; {by} sets each cell's {key}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["x/../../escaped", "x\\..\\escaped"])

@@ -24,8 +24,8 @@ def test_shipped_config_passes_its_pre_flight(path, monkeypatch):
     flat = load_config_file(path)
     if any(key.startswith("suite.") for key in flat):
         suite = bench.parse_suite(flat, source=str(path))
-        configs, _ = bench._cell_config(suite)
-        assert len(configs) == len(suite.optimizers) * len(suite.budgets) * suite.seeds
+        planned = bench._cell_config(suite)
+        assert len(planned) == len(suite.optimizers) * len(suite.budgets) * suite.seeds
     else:
         cfg, _, _, engine, schedule = harness.setup_run(flat)
         assert (engine.name, schedule.total_steps) == (cfg["optimizer.name"], cfg["run.steps"])

@@ -261,10 +261,18 @@ ACCESS_PATTERNS = {
     "second_run_seed": [(11, t) for t in range(1, 30)] + [(12, t) for t in range(1, 30)] + [(11, 3)],
 }
 
-# each problem's per-step stream and the scalar draw that row ``t`` of run ``seed`` must equal
+def _uniforms(rng: Rng, n: int) -> np.ndarray:
+    """``n`` calls of ``rng.uniform()``."""
+    return np.array([rng.uniform() for _ in range(n)])
+
+
+# each problem's per-step streams, by purpose, and the scalar draw that row ``t`` of run ``seed`` must equal
 SCALAR_ROWS = {
-    "quadratic": lambda seed, t: Rng(seed, f"noise/{t}").normal(16),
-    "mlp": lambda seed, t: Rng(seed, f"batch/{t}").indices(50, 7),
+    "quadratic": {"noise": lambda seed, t: Rng(seed, f"noise/{t}").normal(16)},
+    "mlp": {
+        "batch": lambda seed, t: Rng(seed, f"batch/{t}").indices(50, 7),
+        "gnb": lambda seed, t: _uniforms(Rng(seed, f"gnb/{t}"), 7),
+    },
 }
 
 
@@ -326,9 +334,10 @@ def test_planned_draws_are_the_scalar_rows_in_any_access_order(kind, pattern, pl
     last = max(t for _, t in calls)
     problem = PREFETCH_PROBLEMS[kind]()
     problem.draw_ahead(11, last if planned == "whole" else last // 2)  # steps past a plan are drawn one at a time
-    (draws,) = problem.step_draws
+    assert [draws.purpose for draws in problem.step_draws] == list(SCALAR_ROWS[kind])
     for seed, t in calls:
-        assert np.array_equal(draws(seed, t), SCALAR_ROWS[kind](seed, t))
+        for draws in problem.step_draws:
+            assert draws(seed, t).tobytes() == SCALAR_ROWS[kind][draws.purpose](seed, t).tobytes()
 
 
 def test_planned_blocks_cover_the_run_and_stop_at_its_last_step():

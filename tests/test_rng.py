@@ -27,6 +27,7 @@ from optlab.rng import (
     lane_seeds,
     normal_streams,
     stable_hash,
+    uniform_streams,
 )
 
 
@@ -155,6 +156,8 @@ def test_indices_streams_rows_equal_scalar_draws(bound, size):
 def test_streams_reject_bad_arguments():
     with pytest.raises(ValueError):
         normal_streams(1, ["a"] * 9, -1)
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        uniform_streams(1, ["a"] * 9, -1)
     with pytest.raises(ValueError):
         indices_streams(1, ["a"] * 9, 0, 3)
     for count in (1, 9):
@@ -280,6 +283,7 @@ def test_engine_handles_empty_draws():
     assert raw.shape == (1, 0) and [int(s[0]) for s in end] == list(state)
     assert normal_streams(5, [], 3).shape == (0, 3)
     assert indices_streams(5, [], 7, 3).shape == (0, 3)
+    assert uniform_streams(5, [], 3).shape == (0, 3)
     assert normal_streams(5, ["a", "b"], 0).shape == (2, 0)
 
 
@@ -494,6 +498,26 @@ def test_normal_streams_of_lane_seeds_are_each_seed_and_keys_own_stream(n, count
     assert normal_streams([seeds[1]], keys, n).shape == (1, count, n)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, _MIN_JUMP_DRAWS + 1])
+@pytest.mark.parametrize("count", [1, 3, 40])
+def test_uniform_streams_are_each_seed_and_keys_own_uniform_calls(n, count):
+    # one row of 449 draws is the shortest a lone row takes the lanes at; 3 x 40 x 7 take them too
+    gen = np.random.default_rng(n * 10 + count + 1)
+    seeds, keys = _lane_seed_list(gen, 3), _random_keys(gen, count)
+    keys[-1] = keys[0]  # one key twice
+    grid = uniform_streams(seeds, keys, n)
+    assert grid.shape == (3, count, n) and grid.dtype == np.float64
+    for seed, rows in zip(seeds, grid):
+        for key, row in zip(keys, rows):
+            r = Rng(seed, key)
+            assert row.tobytes() == np.array([r.uniform() for _ in range(n)], dtype=np.float64).tobytes()
+    # one int seed, here at or above 2**64, is one lane's rows, without the lane axis
+    assert seeds[0] >= 2**64
+    assert uniform_streams(seeds[0], keys, n).tobytes() == grid[0].tobytes()
+    assert uniform_streams(seeds[0] - 2**64, keys, n).shape == (count, n)
+    assert uniform_streams([seeds[1]], keys, n).shape == (1, count, n)
+
+
 def test_a_lane_seed_at_or_above_2_64_is_masked():
     keys = ["noise/1", "noise/1", "batch/3"]
     for n in (5, 600):  # the scalar rows and the lanes
@@ -554,7 +578,8 @@ def test_every_stream_takes_only_what_the_seed_rule_takes(seed):
     # a bool used to draw as seed 1 or 0, bytes as one seed per byte and a set in set order
     message = "an integer or a non-empty sequence of integers, got " + re.escape(repr(seed))
     for draw in (lambda: Rng(seed, "a"), lambda: normal_streams(seed, ["a", "b"], 3),
-                 lambda: indices_streams(seed, ["a", "b"], 5, 3), lambda: lane_seeds(seed)):
+                 lambda: uniform_streams(seed, ["a", "b"], 3), lambda: indices_streams(seed, ["a", "b"], 5, 3),
+                 lambda: lane_seeds(seed)):
         with pytest.raises(ContractViolationError, match=message):
             draw()
 
