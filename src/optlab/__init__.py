@@ -19,15 +19,7 @@ from .errors import (
 from .harness import RunRecord, RunRow, clip_gradients, run, sweep, time_optimizer
 from .linalg import frobenius_norm, matmul, qr_orthonormal, svd_singular_values, sym_eigenbasis
 from .optimizers import OPTIMIZER_NAMES, Optimizer, make_optimizer, newton_schulz_orthogonalize
-from .problems import (
-    BatchSpec,
-    Problem,
-    build_problem,
-    finite_difference_gradient,
-    mlp_classification_problem,
-    quadratic_problem,
-    rosenbrock_problem,
-)
+from .problems import BatchSpec, Problem, build_problem, finite_difference_gradient
 from .rng import Rng, stable_hash
 from .schedules import (
     EmaScheduleSpec,
@@ -67,11 +59,8 @@ __all__ = [
     "lr_at",
     "make_optimizer",
     "matmul",
-    "mlp_classification_problem",
     "newton_schulz_orthogonalize",
     "qr_orthonormal",
-    "quadratic_problem",
-    "rosenbrock_problem",
     "run",
     "stable_hash",
     "svd_singular_values",

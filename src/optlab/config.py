@@ -108,7 +108,7 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:

@@ -1,5 +1,11 @@
 """Desk-scale stochastic objectives with analytic gradients.
 
+``build_problem(kind, seed, **params)`` is the one way to make a problem: a
+problem is a function of its kind, its run seed and the ``DEFAULTS`` keys
+its kind reads (``KINDS``), and every kind that draws its data draws it from
+the stream ``Rng(seed, "problem")``. A non-default value of a key the kind
+does not read is rejected: it would change a run's name but not the run.
+
 Each problem is deterministic given (params, batch_seed) where
 batch_seed = (run_seed, step): batches are resampled with replacement from a
 per-step stream, and gradient noise uses its own stream, so two evaluations
@@ -19,7 +25,6 @@ seed alone says how many lanes a draw has.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -40,8 +45,12 @@ DEFAULTS = {
     "in_dim": 8, "hidden": 16, "classes": 3, "samples": 512,
 }
 
-#: The problem kinds ``build_problem`` builds.
-KINDS = ("quadratic", "rosenbrock", "mlp")
+#: The problem kinds ``build_problem`` builds, each with the ``DEFAULTS`` keys it reads.
+KINDS = {
+    "quadratic": ("dim", "condition", "noise", "batch_size"),
+    "rosenbrock": ("dim",),
+    "mlp": ("in_dim", "hidden", "classes", "samples", "batch_size"),
+}
 
 #: Most values one prefetched block of per-step draws holds (steps times draws per step).
 _PREFETCH_VALUES = 16384
@@ -154,8 +163,9 @@ class Problem:
         return self.resampled_grad(params, batch_seed)
 
 
-def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = BatchSpec()) -> Problem:
-    """Quadratic bowl with eigenvalues log-spaced in [1, condition].
+def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, lanes: int) -> Problem:
+    """Quadratic bowl with eigenvalues log-spaced in [1, condition], of ``seed`` (``lanes`` 0) or stacked for a tuple
+    of ``lanes`` seeds.
 
     The gradient is A x - b with b = A x*; the loss is reported relative to
     the optimum (0.5 (x - x*)^T A (x - x*), which differs from
@@ -165,20 +175,14 @@ def quadratic_problem(dim: int, condition: float, rng: Rng, batch: BatchSpec = B
     standard normal per step; the matching stochastic loss adds the linear
     term (noise * xi) . (x - x*) so finite differences with a shared batch
     seed reproduce the noisy gradient exactly.
-    """
-    return _quadratic(dim, condition, batch, rng.seed, 0, rng.normal)
 
-
-def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, lanes: int, normal: Callable) -> Problem:
-    """``quadratic_problem`` of ``seed`` (``lanes`` 0), or the lane-stacked one of a tuple of ``lanes`` seeds.
-
-    ``normal(n)`` gives the problem stream's first ``n`` normals, one row per
-    lane if stacked: the basis matrix, ``x*`` and ``x0``'s offset, in that
-    order, so an odd ``dim`` carries the Box-Muller spare across them as the
-    scalar stream does. Each lane keeps its own QR. One expression evaluates
-    both layouts through numpy's ``np.matvec``, ``np.vecmat`` and
-    ``np.vecdot``, which broadcast over the lane axis and call the same gemv
-    and ddot per lane as for one run, so each lane gets its own run's bytes.
+    The problem stream's first normals, one row per lane if stacked, are the
+    basis matrix, ``x*`` and ``x0``'s offset, in that order, so an odd
+    ``dim`` carries the Box-Muller spare across them as the scalar stream
+    does. Each lane keeps its own QR. One expression evaluates both layouts
+    through numpy's ``np.matvec``, ``np.vecmat`` and ``np.vecdot``, which
+    broadcast over the lane axis and call the same gemv and ddot per lane as
+    for one run, so each lane gets its own run's bytes.
     """
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
@@ -197,7 +201,8 @@ def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, lanes: int, n
         x_star = row[square : square + dim].copy()  # not a view that keeps the whole stream alive
         return a, a @ x_star, x_star, x_star + 2.0 * row[square + dim :]
 
-    bowls = [bowl(row) for row in normal(square + 2 * dim).reshape(max(lanes, 1), -1)]
+    normals = normal_streams(seed, ["problem"], square + 2 * dim)[..., 0, :]
+    bowls = [bowl(row) for row in normals.reshape(max(lanes, 1), -1)]
     a, b, x_star, x0 = (np.stack(parts) if lanes else parts[0] for parts in zip(*bowls))
     sigma_eff = batch.noise_scale / math.sqrt(batch.batch_size)
     noise = _StepDraws("noise", dim, lambda run_seed, keys: normal_streams(run_seed, keys, dim), lanes)
@@ -238,13 +243,8 @@ def _quadratic(dim: int, condition: float, batch: BatchSpec, seed, lanes: int, n
     )
 
 
-def rosenbrock_problem(dim: int) -> Problem:
-    """Chained pairwise Rosenbrock: sum over pairs of 100 (x2 - x1^2)^2 + (1 - x1)^2."""
-    return _rosenbrock(dim, 0)
-
-
 def _rosenbrock(dim: int, lanes: int) -> Problem:
-    """``rosenbrock_problem``, or its ``lanes``-stacked form for ``lanes`` > 0.
+    """Chained pairwise Rosenbrock: sum over pairs of 100 (x2 - x1^2)^2 + (1 - x1)^2; stacked for ``lanes`` > 0.
 
     It draws nothing from a run seed, so every lane holds the same problem;
     one expression evaluates both layouts.
@@ -286,45 +286,31 @@ def _rosenbrock(dim: int, lanes: int) -> Problem:
     )
 
 
-def mlp_classification_problem(
-    in_dim: int,
-    hidden: int,
-    classes: int,
-    n_samples: int,
-    rng: Rng,
-    batch: BatchSpec = BatchSpec(batch_size=32),
-) -> Problem:
-    """Two-layer tanh MLP with softmax cross-entropy on Gaussian clusters.
-
-    Blocks: w1 (matrix), b1 (vector), w2 (output_head), b2 (vector). tanh
-    keeps the objective smooth so finite-difference checks hold tightly.
-    Supports the GNB estimator: labels resampled from the current softmax.
-    """
-    return _mlp(in_dim, hidden, classes, n_samples, batch, rng.seed, 0, rng.normal)
-
-
 def _at(y: np.ndarray) -> tuple:
     """The index of entry ``y[..., j]`` on the last axis of an array shaped ``y.shape + (classes,)``."""
     return (*np.indices(y.shape, sparse=True), y)
 
 
-def _mlp(
-    in_dim: int, hidden: int, classes: int, n_samples: int, batch: BatchSpec, seed, lanes: int, normal: Callable
-) -> Problem:
-    """``mlp_classification_problem`` of ``seed`` (``lanes`` 0), or the lane-stacked one of a tuple of ``lanes`` seeds.
+def _mlp(in_dim: int, hidden: int, classes: int, n_samples: int, batch: BatchSpec, seed, lanes: int) -> Problem:
+    """Two-layer tanh MLP with softmax cross-entropy on Gaussian clusters, of ``seed`` (``lanes`` 0) or stacked for a
+    tuple of ``lanes`` seeds.
 
-    ``normal(n)`` gives the problem stream's first ``n`` normals (the class
-    means, then the samples' offsets), one row per lane if stacked. Each lane
-    keeps its own data and batch indices; the forward and backward pass is one
-    form for both layouts (``...`` indexing, ``swapaxes(-1, -2)``,
-    ``b[..., None, :]``), whose stacked products call the same gemm per lane.
+    Blocks: w1 (matrix), b1 (vector), w2 (output_head), b2 (vector). tanh
+    keeps the objective smooth so finite-difference checks hold tightly.
+    Supports the GNB estimator: labels resampled from the current softmax.
+
+    The problem stream's first normals (the class means, then the samples'
+    offsets) are one row per lane if stacked. Each lane keeps its own data
+    and batch indices; the forward and backward pass is one form for both
+    layouts (``...`` indexing, ``swapaxes(-1, -2)``, ``b[..., None, :]``),
+    whose stacked products call the same gemm per lane.
     """
     for name, v in (("in_dim", in_dim), ("hidden", hidden), ("classes", classes), ("n_samples", n_samples)):
         if v < 1:
             raise ContractViolationError(f"{name} must be >= 1")
     lead = (lanes,) if lanes else ()
     head = classes * in_dim
-    normals = normal(head + n_samples * in_dim)
+    normals = normal_streams(seed, ["problem"], head + n_samples * in_dim)[..., 0, :]
     means = 2.0 * normals[..., :head].reshape(*lead, classes, in_dim)
     labels = np.arange(n_samples, dtype=np.int64) % classes
     data = means[..., labels, :] + normals[..., head:].reshape(*lead, n_samples, in_dim)
@@ -427,10 +413,16 @@ def finite_difference_gradient(problem: Problem, params: dict, batch_seed: Batch
     """Central differences of the stochastic loss, one coordinate at a time.
 
     The same batch_seed is passed to both evaluations, so with common random
-    numbers the differences converge to the stochastic gradient itself.
+    numbers the differences converge to the stochastic gradient itself. It
+    differentiates one run's problem: a lane-stacked one raises
+    ``ContractViolationError`` naming its lane count.
     """
     if not h > 0.0:  # a NaN step fails this too
         raise ContractViolationError("h must be positive")
+    if problem.lanes:
+        raise ContractViolationError(
+            f"finite_difference_gradient differentiates one run's problem, got one of {problem.lanes} lanes"
+        )
     grads = {}
     work = {name: np.array(v, dtype=np.float64, copy=True) for name, v in params.items()}
     for name, values in work.items():
@@ -452,6 +444,10 @@ def finite_difference_gradient(problem: Problem, params: dict, batch_seed: Batch
 def build_problem(kind: str, seed: int | Sequence[int], **params) -> Problem:
     """Build ``kind`` from ``DEFAULTS`` updated by ``params``, checked as a run config's keys are.
 
+    A non-default value of a key that ``kind`` does not read (``KINDS``)
+    raises ``ContractViolationError`` naming the kind and the key; a default
+    one is accepted, so every resolved run config builds.
+
     ``seed`` is one run's seed, or a non-empty sequence of run seeds for the
     lane-stacked problem of those runs (``Problem.lanes``): its build draws
     every lane's ``Rng(seed, "problem")`` stream in one call, and lane ``i``
@@ -463,13 +459,17 @@ def build_problem(kind: str, seed: int | Sequence[int], **params) -> Problem:
     if kind not in KINDS:
         raise ContractViolationError(f"unknown problem.kind {kind!r}; valid kinds: {', '.join(KINDS)}")
     validate_keys(params, DEFAULTS, DEFAULTS, source="build_problem")
+    for key, value in params.items():
+        if key not in KINDS[kind] and value != DEFAULTS[key]:
+            raise ContractViolationError(
+                f"problem.kind {kind!r} does not read problem.{key} (got {value!r}); it reads {', '.join(KINDS[kind])}"
+            )
     p = {**DEFAULTS, **params}
     batch = BatchSpec(batch_size=p["batch_size"], noise_scale=p["noise"])
     seeds, lanes = lane_seeds(seed)
     seed = seeds if lanes else seeds[0]
-    normal = functools.partial(normal_streams, seed, ["problem"])  # (lanes, 1, n), or (1, n) for one run
     if kind == "quadratic":
-        return _quadratic(p["dim"], p["condition"], batch, seed, lanes, normal)
+        return _quadratic(p["dim"], p["condition"], batch, seed, lanes)
     if kind == "rosenbrock":
         return _rosenbrock(p["dim"], lanes)
-    return _mlp(p["in_dim"], p["hidden"], p["classes"], p["samples"], batch, seed, lanes, normal)
+    return _mlp(p["in_dim"], p["hidden"], p["classes"], p["samples"], batch, seed, lanes)

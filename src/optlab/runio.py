@@ -21,13 +21,17 @@ def write_run_artifacts(record: RunRecord, run_dir: str | Path) -> Path:
 def read_record_csv(run_dir: str | Path) -> tuple[list[str], list[list[str]]]:
     """Header fields and raw string rows of a run's record.csv.
 
-    A row of another length than the header, or whose ``step`` is not a
-    whole number, is rejected with its line number.
+    A file that cannot be read or is not UTF-8 text is rejected naming its
+    path; a row of another length than the header, or whose ``step`` is not
+    a whole number, is rejected with its line number.
     """
     path = Path(run_dir) / "record.csv"
     if not path.is_file():
         raise ConfigurationError(f"{path} not found; not a run directory?")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"{path} does not carry the expected header")
     header = lines[0].split(",")

@@ -83,20 +83,29 @@ def test_built_suite_is_checked_before_any_cell_runs(tmp_path, optimizers, overr
 
 
 @pytest.mark.parametrize(
-    "key,good,bad,error,message",
+    "base,key,good,bad,error,message",
     [
-        ("problem.kind", "quadratic", "maze", ContractViolationError,
+        (BASE, "problem.kind", "quadratic", "maze", ContractViolationError,
          "unknown problem.kind 'maze'; valid kinds: quadratic, rosenbrock, mlp"),
-        ("problem.noise", 0.0, -1, ContractViolationError, "noise_scale must be finite and >= 0, got -1"),
-        ("problem.noise", 0.0, float("inf"), ContractViolationError, "noise_scale must be finite and >= 0, got inf"),
-        ("problem.condition", 10.0, 0.5, ContractViolationError, "condition must be finite and >= 1, got 0.5"),
-        ("run.coupled_wd_demo", False, True, ConfigurationError,
+        (BASE, "problem.noise", 0.0, -1, ContractViolationError, "noise_scale must be finite and >= 0, got -1"),
+        (BASE, "problem.noise", 0.0, float("inf"), ContractViolationError,
+         "noise_scale must be finite and >= 0, got inf"),
+        (BASE, "problem.condition", 10.0, 0.5, ContractViolationError, "condition must be finite and >= 1, got 0.5"),
+        (BASE, "run.coupled_wd_demo", False, True, ConfigurationError,
          "run.coupled_wd_demo is only defined for the signum optimizer"),
+        # a non-default value of a key the kind does not read; the quadratic reads batch_size and noise
+        (BASE, "problem.hidden", 16, 999, ContractViolationError,
+         "problem.kind 'quadratic' does not read problem.hidden (got 999)"),
+        ({**BASE, "problem.batch_size": 8}, "problem.kind", "quadratic", "rosenbrock", ContractViolationError,
+         "problem.kind 'rosenbrock' does not read problem.batch_size (got 8)"),
+        ({**BASE, "problem.noise": 1.0}, "problem.kind", "quadratic", "mlp", ContractViolationError,
+         "problem.kind 'mlp' does not read problem.noise (got 1.0)"),
     ],
-    ids=["kind", "noise-negative", "noise-inf", "condition", "coupled-wd-demo"],
+    ids=["kind", "noise-negative", "noise-inf", "condition", "coupled-wd-demo", "quadratic-unread",
+         "rosenbrock-unread", "mlp-unread"],
 )
 def test_every_entry_point_rejects_what_the_built_run_rejects_before_any_step(
-    tmp_path, monkeypatch, capsys, key, good, bad, error, message
+    tmp_path, monkeypatch, capsys, base, key, good, bad, error, message
 ):
     # resolve() accepts these values; the problem or engine built from them rejects them
     trained, ran = [], []
@@ -104,18 +113,18 @@ def test_every_entry_point_rejects_what_the_built_run_rejects_before_any_step(
     monkeypatch.setattr(harness, "_train", lambda *args: trained.append(args))
     monkeypatch.setattr(harness, "run", lambda cfg: ran.append(cfg))
     with pytest.raises(error, match=re.escape(message)):
-        run({**BASE, key: bad})
+        run({**base, key: bad})
     with pytest.raises(error, match=re.escape(message)):
-        harness.sweep(BASE, {key: [good, bad]})
+        harness.sweep(base, {key: [good, bad]})
     assert trained == [] and ran == []
 
-    suite = SuiteSpec("x", ("adamw", "lion"), (5,), 1, 1, dict(BASE), {"lion": {key: bad}})
+    suite = SuiteSpec("x", ("adamw", "lion"), (5,), 1, 1, dict(base), {"lion": {key: bad}})
     with pytest.raises(ConfigurationError, match="^suite 'x': " + re.escape(message)):
         run_suite(suite, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{k} = {value_to_str(v)}\n" for k, v in {**BASE, key: bad}.items()))
+    cfg.write_text("".join(f"{k} = {value_to_str(v)}\n" for k, v in {**base, key: bad}.items()))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

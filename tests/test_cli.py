@@ -515,6 +515,34 @@ class TestOutputRootAndJobs:
         assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "plotdata"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command):
+    if command == "plotdata":
+        path = tmp_path / "record.csv"
+        argv = ["plotdata", str(tmp_path), "--kind", "loss"]
+    else:
+        path = tmp_path / "bad.cfg"
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    path.write_bytes(MINIMAL.encode() + b"\xff\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {'config ' if command != 'plotdata' else ''}{path}: " in err
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "plot_loss.csv").exists()
+
+
+def test_a_record_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    record = tmp_path / "record.csv"
+    record.write_text("")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["plotdata", str(tmp_path), "--kind", "loss"]) == 2
+    assert f"cannot read {record}: [Errno 13] Permission denied" in capsys.readouterr().err
+
+
 def test_bench_suite_validation(tmp_path, capsys):
     suite = tmp_path / "suite.cfg"
     suite.write_text(

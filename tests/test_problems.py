@@ -14,29 +14,26 @@ from optlab.problems import (
     BatchSpec,
     build_problem,
     finite_difference_gradient,
-    mlp_classification_problem,
-    quadratic_problem,
-    rosenbrock_problem,
 )
 from optlab.rng import Rng
 
 
 class TestQuadratic:
     def test_gradient_is_displacement_for_identity(self):
-        problem = quadratic_problem(1, 1.0, Rng(1, "q"))
+        problem = build_problem("quadratic", 1, dim=1, condition=1.0)
         x_star = problem.minimizer["x"]
         _, grads = problem.loss_and_grad({"x": x_star + 3.0}, (1, 1))
         assert grads["x"][0] == pytest.approx(3.0, abs=1e-12)
 
     def test_minimizer_has_zero_gradient_and_loss(self):
-        problem = quadratic_problem(20, 10.0, Rng(2, "q"))
+        problem = build_problem("quadratic", 2, dim=20, condition=10.0)
         loss, grads = problem.loss_and_grad(problem.minimizer, (0, 1))
         assert np.max(np.abs(grads["x"])) <= 1e-10
         assert abs(loss - problem.optimal_value) <= 1e-12
         assert problem.optimal_value == 0.0
 
     def test_finite_differences(self):
-        problem = quadratic_problem(20, 100.0, Rng(3, "q"))
+        problem = build_problem("quadratic", 3, dim=20, condition=100.0)
         params = {"x": problem.init_blocks(0)[0].values}
         _, analytic = problem.loss_and_grad(params, (3, 1))
         numeric = finite_difference_gradient(problem, params, (3, 1), 1e-5)
@@ -44,15 +41,17 @@ class TestQuadratic:
         assert rel <= 1e-7
 
     def test_noise_shrinks_with_batch(self):
-        base = Rng(4, "q")
-        noisy = quadratic_problem(10, 10.0, base, BatchSpec(batch_size=1, noise_scale=2.0))
+        noisy = build_problem("quadratic", 4, dim=10, condition=10.0, noise=2.0, batch_size=1)
         x = noisy.minimizer["x"]
         _, g = noisy.loss_and_grad({"x": x}, (9, 1))
         # at the optimum the gradient is pure noise at scale sigma/sqrt(B)
         assert 0.1 <= float(np.std(g["x"])) * math.sqrt(10 / (10 - 1)) <= 6.0
+        batched = build_problem("quadratic", 4, dim=10, condition=10.0, noise=2.0, batch_size=4)
+        _, g4 = batched.loss_and_grad({"x": x}, (9, 1))
+        assert np.array_equal(g["x"], 2.0 * g4["x"])  # the same step's noise at half the scale
 
     def test_common_random_numbers_with_noise(self):
-        problem = quadratic_problem(6, 10.0, Rng(5, "q"), BatchSpec(batch_size=4, noise_scale=1.0))
+        problem = build_problem("quadratic", 5, dim=6, condition=10.0, noise=1.0, batch_size=4)
         params = {"x": problem.init_blocks(0)[0].values}
         _, analytic = problem.loss_and_grad(params, (5, 3))
         numeric = finite_difference_gradient(problem, params, (5, 3), 1e-5)
@@ -63,7 +62,7 @@ class TestQuadratic:
     def test_dot_forms_give_the_bytes_of_the_matmul_forms(self, dim):
         """Unkeyed, so it runs on every numpy/BLAS build: the loss and gradient
         go through ``ndarray.dot``, which must round as the ``@`` forms do."""
-        problem = quadratic_problem(dim, 100.0, Rng(dim, "q"), BatchSpec(noise_scale=1.0))
+        problem = build_problem("quadratic", dim, dim=dim, condition=100.0, noise=1.0)
         closure = inspect.getclosurevars(problem.loss_and_grad).nonlocals
         a, b, x_star = closure["a"], closure["b"], closure["x_star"]
         assert (a == a.T).all()
@@ -78,32 +77,32 @@ class TestQuadratic:
             assert problem.full_loss({"x": x}).hex() == float(0.5 * dx @ a @ dx).hex()
 
     def test_validation(self):
-        with pytest.raises(ContractViolationError):
-            quadratic_problem(0, 10.0, Rng(1, "q"))
-        with pytest.raises(ContractViolationError):
-            quadratic_problem(5, 0.5, Rng(1, "q"))
+        with pytest.raises(ContractViolationError, match="dim must be >= 1"):
+            build_problem("quadratic", 1, dim=0, condition=10.0)
+        with pytest.raises(ContractViolationError, match="condition must be finite and >= 1, got 0.5"):
+            build_problem("quadratic", 1, dim=5, condition=0.5)
 
     def test_gnb_unsupported(self):
-        problem = quadratic_problem(3, 2.0, Rng(6, "q"))
+        problem = build_problem("quadratic", 6, dim=3, condition=2.0)
         with pytest.raises(UnsupportedEstimatorError):
             problem.gnb_grad({"x": np.zeros(3)}, (0, 1))
 
 
 class TestRosenbrock:
     def test_global_minimum(self):
-        problem = rosenbrock_problem(6)
+        problem = build_problem("rosenbrock", 1, dim=6)
         loss, grads = problem.loss_and_grad({"x": np.ones(6)}, (0, 1))
         assert loss == 0.0
         assert np.all(grads["x"] == 0.0)
 
     def test_origin_dim2(self):
-        problem = rosenbrock_problem(2)
+        problem = build_problem("rosenbrock", 1, dim=2)
         loss, grads = problem.loss_and_grad({"x": np.zeros(2)}, (0, 1))
         assert loss == 1.0
         assert np.array_equal(grads["x"], np.array([-2.0, 0.0]))
 
     def test_finite_differences(self):
-        problem = rosenbrock_problem(8)
+        problem = build_problem("rosenbrock", 1, dim=8)
         r = Rng(7, "rb")
         for i in range(3):
             params = {"x": r.normal(8)}
@@ -113,13 +112,16 @@ class TestRosenbrock:
             assert rel <= 1e-7
 
     def test_odd_dim_rejected(self):
-        with pytest.raises(ContractViolationError):
-            rosenbrock_problem(5)
+        with pytest.raises(ContractViolationError, match="dim must be even and >= 2"):
+            build_problem("rosenbrock", 1, dim=5)
+
+
+MLP_PARAMS = {"in_dim": 5, "hidden": 7, "classes": 3, "samples": 60, "batch_size": 12}
 
 
 @pytest.fixture(scope="module")
 def problem():
-    return mlp_classification_problem(5, 7, 3, 60, Rng(8, "mlp"), BatchSpec(batch_size=12))
+    return build_problem("mlp", 8, **MLP_PARAMS)
 
 
 class TestMlp:
@@ -154,7 +156,7 @@ class TestMlp:
         first = problem.init_blocks(2)
         for block in first:
             block.values += 1.0
-        fresh = mlp_classification_problem(5, 7, 3, 60, Rng(8, "mlp"), BatchSpec(batch_size=12)).init_blocks(2)
+        fresh = build_problem("mlp", 8, **MLP_PARAMS).init_blocks(2)
         again = problem.init_blocks(2)
         for a, b, f in zip(again, fresh, first):
             assert np.array_equal(a.values, b.values)
@@ -200,6 +202,43 @@ def test_kinds_and_defaults_match_what_build_problem_builds(kind):
     assert [b.shape for b in problem.init_blocks(0)] == shapes[kind]
 
 
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_a_kind_rejects_a_non_default_value_of_a_key_it_does_not_read(kind):
+    unread = [key for key in DEFAULTS if key != "kind" and key not in KINDS[kind]]
+    for key in unread:
+        message = f"problem.kind '{kind}' does not read problem.{key} (got {DEFAULTS[key] + 1!r}); it reads "
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            build_problem(kind, 1, **{key: DEFAULTS[key] + 1})
+    # a default value is accepted, so every resolved run config builds, and it changes nothing
+    built, plain = build_problem(kind, 1, **{key: DEFAULTS[key] for key in unread}), build_problem(kind, 1)
+    assert all(_same(b.values, p.values) for b, p in zip(built.init_blocks(1), plain.init_blocks(1)))
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_key_a_kind_reads_changes_its_problem(kind):
+    base = {"noise": 1.0} if kind == "quadratic" else {}  # batch_size scales the quadratic's noise
+
+    def outputs(**params):
+        problem = build_problem(kind, 1, **{**base, **params})
+        point = {b.name: b.values for b in problem.init_blocks(0)}
+        loss, grads = problem.loss_and_grad(point, (1, 1))
+        return [np.asarray(loss).tobytes(), *(g.tobytes() for g in grads.values())]
+
+    assert set(KINDS[kind]) <= set(DEFAULTS)
+    for key in KINDS[kind]:
+        assert outputs(**{key: 2 * base.get(key, DEFAULTS[key])}) != outputs(), key
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_the_quadratic_draws_its_bowl_from_the_problem_stream(dim):
+    problem = build_problem("quadratic", 9, dim=dim)
+    square = dim * dim if dim > 1 else 0
+    normals = Rng(9, "problem").normal(square + 2 * dim)
+    x_star = normals[square : square + dim]
+    assert problem.minimizer["x"].tobytes() == x_star.tobytes()
+    assert problem.init_blocks(0)[0].values.tobytes() == (x_star + 2.0 * normals[square + dim :]).tobytes()
+
+
 def test_batch_spec_validation():
     with pytest.raises(ContractViolationError):
         BatchSpec(batch_size=0)
@@ -209,9 +248,17 @@ def test_batch_spec_validation():
 
 @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan])
 def test_finite_difference_step_must_be_positive(h):
-    problem = quadratic_problem(2, 1.0, Rng(1, "q"))
+    problem = build_problem("quadratic", 1, dim=2, condition=1.0)
     with pytest.raises(ContractViolationError, match="h must be positive"):
         finite_difference_gradient(problem, {"x": np.zeros(2)}, (1, 1), h)
+
+
+def test_finite_differences_reject_a_lane_stacked_problem():
+    problem = build_problem("quadratic", (1, 2), dim=3)
+    point = {"x": problem.init_blocks(0)[0].values}
+    message = "finite_difference_gradient differentiates one run's problem, got one of 2 lanes"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        finite_difference_gradient(problem, point, ((1, 2), 1), 1e-5)
 
 
 @pytest.mark.parametrize(
@@ -248,8 +295,8 @@ def test_small_lr_loss_nonincreasing_over_windows(name, lr):
 
 
 PREFETCH_PROBLEMS = {
-    "quadratic": lambda: quadratic_problem(16, 10.0, Rng(7, "q"), BatchSpec(batch_size=2, noise_scale=1.0)),
-    "mlp": lambda: mlp_classification_problem(4, 8, 3, 50, Rng(8, "m"), BatchSpec(batch_size=7)),
+    "quadratic": lambda: build_problem("quadratic", 7, dim=16, condition=10.0, noise=1.0, batch_size=2),
+    "mlp": lambda: build_problem("mlp", 8, in_dim=4, hidden=8, classes=3, samples=50, batch_size=7),
 }
 
 # the patterns a prefetch must serve exactly as a fresh problem asked step by step
@@ -365,7 +412,7 @@ def test_planned_blocks_cover_the_run_and_stop_at_its_last_step():
 
 
 def test_draw_ahead_without_step_streams_does_nothing():
-    problem = rosenbrock_problem(4)
+    problem = build_problem("rosenbrock", 1, dim=4)
     assert problem.step_draws == ()
     problem.draw_ahead(1, 100)
 
