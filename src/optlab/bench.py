@@ -31,8 +31,9 @@ diverged seed is flagged and ranked behind all clean aggregates.
 (``Optimizer.lane_safe``); ``run_suite`` groups the planned labels by
 (optimizer, budget). A group of more than one lane-safe replicate runs as one
 task, a lane group (``harness.run_lanes``) that writes each replicate's run
-directory with its own run's bytes; any other group runs as one task per
-replicate (``_run_cell``). Tasks go out longest run first.
+directory with its own run's bytes, all in one pass (``runio.write_runs``);
+any other group runs as one task per replicate (``_run_cell``). Tasks go out
+longest run first.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .harness import RunRecord, _build_problem, _section, _train, build_engine, 
 from .optimizers.engine import wrong_kind
 from .problems import Problem
 from .rng import stable_hash
-from .runio import write_run_artifacts
+from .runio import write_run_artifacts, write_runs
 from .schedules import ScheduleSpec
 
 
@@ -235,11 +236,10 @@ def _run_cell(args: tuple[dict, str]) -> list[tuple[float | None, bool]]:
 
 
 def _run_lanes(args: tuple[list[dict], list[str]]) -> list[tuple[float | None, bool]]:
-    """Run one cell's replicates as a lane group, write each one's artifacts, and return their outcomes."""
+    """Run one cell's replicates as a lane group, write each one's artifacts in one pass, and return their outcomes."""
     configs, run_dirs = args
     records = run_lanes(configs)
-    for record, run_dir in zip(records, run_dirs):
-        write_run_artifacts(record, run_dir)
+    write_runs(records, run_dirs)
     return [(record.final_loss, record.diverged) for record in records]
 
 

@@ -73,19 +73,24 @@ class CommonHyper:
             raise ContractViolationError("eps must be finite and > 0")
 
 
+#: The axes after the lane axis of a lane-stacked array, by its ``ndim`` (numpy allows at most 64).
+_AFTER_LANE = tuple(tuple(range(1, ndim)) for ndim in range(65))
+
+
 def global_norm(arrays, lanes: int = 0):
     """l2 norm of the concatenation of all arrays.
 
     For arrays that stack ``lanes`` replicate runs on their first axis it is
-    each lane's norm, one float64 per lane: the same squares summed by the
-    same reduction per block and added block by block, so lane ``i``'s norm
-    is, bit for bit, the norm of the arrays' row ``i``.
+    each lane's norm, one float64 per lane (0.0 for no arrays): the same
+    squares summed by the same reduction per block and added block by block,
+    so lane ``i``'s norm is, bit for bit, the norm of the arrays' row ``i``.
     """
     if lanes:
-        total = 0.0
+        total = None
         for a in arrays:
-            total = total + np.add.reduce(np.multiply(a, a), axis=tuple(range(1, a.ndim)))
-        return np.sqrt(total)
+            squares = np.add.reduce(np.multiply(a, a), axis=_AFTER_LANE[a.ndim])
+            total = squares if total is None else total + squares
+        return np.zeros(lanes) if total is None else np.sqrt(total)
     total = 0.0
     for a in arrays:
         total += float(np.add.reduce(np.multiply(a, a), axis=None))

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import global_norm
-from .config import resolve, value_to_str
+from .config import resolve
 from .errors import ConfigurationError, ContractViolationError, PoisonedStateError
 from .optimizers import make_optimizer
 from .problems import Problem, build_problem
@@ -67,13 +67,42 @@ class RunRow(NamedTuple):
     d: float | None
     step_time_ns: int
 
-    def csv(self) -> str:
-        d_t = "" if self.d is None else value_to_str(self.d)
-        return (
-            f"{self.step},{value_to_str(self.loss)},{value_to_str(self.grad_norm)},"
-            f"{value_to_str(self.update_norm)},{value_to_str(self.param_norm)},"
-            f"{value_to_str(self.lr)},{value_to_str(self.effective_lr)},{d_t},{self.step_time_ns}"
-        )
+    def shared_text(self) -> tuple[str, str]:
+        """The text of the ``step`` column and of the ``lr`` to ``step_time_ns`` columns, which every lane of a lane
+        group logs alike."""
+        d_t = "" if self.d is None else repr(self.d)
+        return f"{self.step},", f",{self.lr!r},{self.effective_lr!r},{d_t},{self.step_time_ns}"
+
+    def csv(self, shared: tuple[str, str] | None = None) -> str:
+        """The row's ``record.csv`` line: each value as ``config.value_to_str`` writes it, a ``None`` ``d`` empty.
+
+        ``shared`` is the row's ``shared_text()``, if the caller formatted it already for a whole lane group.
+        """
+        head, tail = self.shared_text() if shared is None else shared
+        return f"{head}{self.loss!r},{self.grad_norm!r},{self.update_norm!r},{self.param_norm!r}{tail}"
+
+
+def csv_texts(records: list[RunRecord]) -> list[str]:
+    """Each record's ``record.csv`` text, formatted one logged step at a time across the records (a run: a group of one).
+
+    The lanes of a lane group log the same ``step``, ``lr``,
+    ``effective_lr``, ``d`` and ``step_time_ns`` objects at each step, so
+    their text is formatted once, from the first lane, and used by each lane
+    whose five values are those same objects; any other lane formats its own,
+    so each text is its own record's. Records that log different numbers of
+    rows are formatted one by one.
+    """
+    if len({len(record.rows) for record in records}) > 1:
+        return [text for record in records for text in csv_texts([record])]
+    texts = [[CSV_HEADER] for _ in records]
+    for rows in zip(*(record.rows for record in records)):
+        first = rows[0]
+        shared = first.shared_text()
+        for lines, row in zip(texts, rows):
+            same = (row.step is first.step and row.lr is first.lr and row.effective_lr is first.effective_lr
+                    and row.d is first.d and row.step_time_ns is first.step_time_ns)
+            lines.append(row.csv(shared if same else None))
+    return ["\n".join(lines) + "\n" for lines in texts]
 
 
 @dataclass
@@ -96,9 +125,7 @@ class RunRecord:
         return None if self.failure is None else self.failure["step"]
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(row.csv() for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return csv_texts([self])[0]
 
     def summary(self) -> dict:
         return {
@@ -116,18 +143,19 @@ def clip_gradients(grads: dict, threshold: float, lanes: int = 0) -> tuple[dict,
     """Global-norm clipping across all blocks; returns the pre-clip norm.
 
     For gradients that stack ``lanes`` lanes (``global_norm``'s lane form) the
-    norm and the clipping are each lane's own; a lane under the threshold is
-    scaled by 1.0, which leaves its bytes as they are.
+    norm and the clipping are each lane's own: a lane's scale is
+    ``threshold / max(norm, threshold)``, which is exactly 1.0 for a lane at or
+    under the threshold and so leaves its bytes as they are.
     """
     if not threshold > 0.0:  # a NaN threshold fails this too
         raise ConfigurationError(f"clip threshold must be positive, got {threshold!r}")
     norm = global_norm(grads.values(), lanes)
     if lanes:
-        if not np.isfinite(norm).all():
+        largest = float(norm.max())  # NaN if any lane's norm is NaN
+        if not math.isfinite(largest):
             raise PoisonedStateError("non-finite gradient norm")
-        over = norm > threshold
-        if over.any():
-            scale = np.divide(threshold, norm, out=np.ones(lanes), where=over)
+        if largest > threshold:
+            scale = threshold / np.maximum(norm, threshold)
             grads = {name: g * scale.reshape((lanes,) + (1,) * (g.ndim - 1)) for name, g in grads.items()}
         return grads, norm
     if not math.isfinite(norm):
@@ -184,7 +212,8 @@ def setup_run(cfg: dict):
 
 def _worst(losses: np.ndarray) -> float:
     """The largest of the lanes' losses, or NaN if any lane's is not finite."""
-    return float(losses.max()) if np.isfinite(losses).all() else math.nan
+    worst = float(losses.max())  # NaN if any lane's is NaN
+    return worst if math.isfinite(worst) and math.isfinite(losses.min()) else math.nan
 
 
 def _train(problem: Problem, seed, records: list[RunRecord], engine, schedule: ScheduleSpec, clip: float | None,

@@ -6,16 +6,31 @@ import json
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .harness import CSV_HEADER, RunRecord
+from .harness import CSV_HEADER, RunRecord, csv_texts
+
+
+def write_runs(records: list[RunRecord], run_dirs: list[str | Path]) -> list[Path]:
+    """Write each record's run directory: its ``record.csv`` and ``summary.json``, as UTF-8 bytes.
+
+    The records' CSV texts are formatted in one pass (``harness.csv_texts``),
+    so a lane group's records share the text of the columns their lanes log
+    alike; each file holds its own record's bytes.
+    """
+    written = []
+    for record, run_dir, text in zip(records, run_dirs, csv_texts(records), strict=True):
+        run_dir = Path(run_dir)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        summary = json.dumps(record.summary(), indent=2, sort_keys=True) + "\n"
+        for name, content in (("record.csv", text), ("summary.json", summary)):
+            with open(run_dir / name, "wb") as out:
+                out.write(content.encode("utf-8"))
+        written.append(run_dir)
+    return written
 
 
 def write_run_artifacts(record: RunRecord, run_dir: str | Path) -> Path:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "record.csv").write_text(record.csv_text(), encoding="utf-8")
-    summary = json.dumps(record.summary(), indent=2, sort_keys=True) + "\n"
-    (run_dir / "summary.json").write_text(summary, encoding="utf-8")
-    return run_dir
+    """Write one run's directory (``write_runs`` of a group of one)."""
+    return write_runs([record], [run_dir])[0]
 
 
 def read_record_csv(run_dir: str | Path) -> tuple[list[str], list[list[str]]]:

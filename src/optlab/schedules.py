@@ -37,7 +37,8 @@ class ScheduleSpec:
         total_steps: run length T; valid steps are 1..T.
         warmup_steps: linear warmup length (< T; for wsd, at most the cooldown start).
         final_lr_factor: gamma_end = factor * gamma_max; defaults per family.
-        wsd_cooldown_fraction: fraction of T spent cooling down (wsd only).
+        wsd_cooldown_fraction: fraction of T spent cooling down (wsd only; another
+            family rejects a value other than the default, which it would not read).
     """
 
     family: str
@@ -70,6 +71,11 @@ class ScheduleSpec:
                     f"wsd warmup_steps ({self.warmup_steps}) must not exceed the cooldown start "
                     f"(1 - wsd_cooldown_fraction) * total_steps = {self.cooldown_start!r}"
                 )
+        elif self.wsd_cooldown_fraction != ScheduleSpec.wsd_cooldown_fraction:  # the field's default
+            raise ContractViolationError(
+                f"schedule.family {self.family!r} does not read schedule.wsd_cooldown_fraction "
+                f"(got {self.wsd_cooldown_fraction!r}); only wsd does"
+            )
 
     @property
     def final_factor(self) -> float:

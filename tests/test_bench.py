@@ -100,9 +100,12 @@ def test_built_suite_is_checked_before_any_cell_runs(tmp_path, optimizers, overr
          "problem.kind 'rosenbrock' does not read problem.batch_size (got 8)"),
         ({**BASE, "problem.noise": 1.0}, "problem.kind", "quadratic", "mlp", ContractViolationError,
          "problem.kind 'mlp' does not read problem.noise (got 1.0)"),
+        # only the wsd family reads its cooldown fraction
+        ({**BASE, "schedule.family": "cosine"}, "schedule.wsd_cooldown_fraction", 0.2, 0.5, ContractViolationError,
+         "schedule.family 'cosine' does not read schedule.wsd_cooldown_fraction (got 0.5)"),
     ],
     ids=["kind", "noise-negative", "noise-inf", "condition", "coupled-wd-demo", "quadratic-unread",
-         "rosenbrock-unread", "mlp-unread"],
+         "rosenbrock-unread", "mlp-unread", "cosine-wsd-cooldown-unread"],
 )
 def test_every_entry_point_rejects_what_the_built_run_rejects_before_any_step(
     tmp_path, monkeypatch, capsys, base, key, good, bad, error, message
@@ -226,3 +229,30 @@ def test_suite_tasks_go_out_longest_budget_first_in_rule_order(tmp_path, monkeyp
             ("_run_cell", [f"prodigy-b{b}-r1"]),
         ]]
     assert tasks == expected
+
+
+def _run_files(run_dir: Path) -> dict[str, str]:
+    """A run directory's files, without ``record.csv``'s ``step_time_ns`` column and ``summary.json``'s
+    ``mean_step_time_ns`` line, the two wall times."""
+    files = {path.name: path.read_bytes().decode("utf-8") for path in run_dir.iterdir()}
+    files["record.csv"] = "\n".join(line.rsplit(",", 1)[0] for line in files["record.csv"].split("\n"))
+    files["summary.json"] = "".join(line for line in files["summary.json"].splitlines(keepends=True)
+                                    if '"mean_step_time_ns"' not in line)
+    return files
+
+
+def test_a_lane_group_task_writes_the_files_the_one_record_writer_writes_for_each_lanes_run(tmp_path, monkeypatch):
+    base = {**BASE, "schedule.family": "cosine", "schedule.warmup_steps": 2, "optimizer.name": "adamw",
+            "run.steps": 9, "run.log_every": 2, "run.clip": 0.5}
+    configs = [{**base, "run.seed": seed} for seed in (3, 4, 5)]
+    run_dirs = [tmp_path / "group" / f"r{lane}" for lane in range(3)]
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "run", None)  # the group must not fall back to runs of each lane alone
+        outcomes = bench._run_lanes((configs, [str(run_dir) for run_dir in run_dirs]))
+    for cfg, run_dir, outcome in zip(configs, run_dirs, outcomes):
+        record = harness.run(cfg)
+        alone = bench.write_run_artifacts(record, tmp_path / "alone" / run_dir.name)
+        assert outcome == (record.final_loss, record.diverged)
+        assert (alone / "record.csv").read_bytes() == record.csv_text().encode("utf-8")
+        assert sorted(path.name for path in run_dir.iterdir()) == ["record.csv", "summary.json"]
+        assert _run_files(run_dir) == _run_files(alone)

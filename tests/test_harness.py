@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optlab import harness, problems
-from optlab.config import config_hash
+from optlab.config import config_hash, value_to_str
 from optlab.errors import ConfigurationError, ContractViolationError, PoisonedStateError
 from optlab.harness import clip_gradients, run, sweep, time_optimizer
 from optlab.problems import _PREFETCH_VALUES, build_problem
@@ -398,6 +399,108 @@ def test_run_row_csv_bytes():
     assert harness.RunRow(7, 1e-20, 3e8, 0.0, 2.5, 0.05, 0.025, 1.5e-6, 99).csv() == (
         "7,1e-20,300000000.0,0.0,2.5,0.05,0.025,1.5e-06,99"
     )
+
+
+#: Floats whose text is easy to get wrong: signed zero, NaN, infinities, the smallest subnormal, a huge and a repeating one.
+AWKWARD = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1 / 3)
+
+
+def _value_to_str_line(row) -> str:
+    return ",".join("" if value is None else value_to_str(value) for value in row)
+
+
+def _record_text(rows) -> str:
+    return "".join(line + "\n" for line in (harness.CSV_HEADER, *map(_value_to_str_line, rows)))
+
+
+def test_the_record_formatter_writes_every_value_as_value_to_str_does():
+    n = len(AWKWARD)
+    rows = [
+        harness.RunRow(t, *(AWKWARD[(t + i) % n] for i in range(6)), d, 2**70 + t)
+        for t in range(1, 2 * n + 1)
+        for d in (None, AWKWARD[t % n])
+    ]
+    for row in rows:
+        assert row.csv() == _value_to_str_line(row)
+    assert harness.RunRecord({}, rows).csv_text() == _record_text(rows)
+    # a lane group: each logged step's shared columns are the same objects in every lane, as harness._train logs them
+    lanes = [harness.RunRecord({}) for _ in range(3)]
+    for t, row in enumerate(rows, start=1):
+        for lane, record in enumerate(lanes):
+            own = (AWKWARD[(t + lane + i) % n] for i in range(4))
+            record.rows.append(harness.RunRow(row.step, *own, row.lr, row.effective_lr, row.d, row.step_time_ns))
+    assert harness.csv_texts(lanes) == [_record_text(record.rows) for record in lanes]
+    assert harness.csv_texts([]) == []
+    assert harness.csv_texts([harness.RunRecord({})]) == [harness.CSV_HEADER + "\n"]
+
+
+def test_lanes_that_differ_in_a_shared_column_each_get_their_own_text():
+    zero, big = 0.0, 2**70
+    # equal by == but not by text (-0.0, 0.0), a NaN of its own, a step and a d of their own, and a lane with fewer rows
+    shared = [(1, zero, 0.5, None, big), (2, 0.25, zero, 1.5, big)]
+    lane_values = [
+        [(1, zero, 0.5, None, big), (2, 0.25, zero, 1.5, big)],
+        [(1, -0.0, 0.5, None, big), (2, 0.25, -0.0, 1.5, big)],
+        [(1, float("nan"), 0.5, None, big), (2, 0.25, zero, float("nan"), big)],
+        [(3, zero, 0.5, 2.5, 2**70), (2, 0.25, zero, None, big + 1)],
+    ]
+    groups = [[harness.RunRecord({}, [harness.RunRow(step, 1.0, 2.0, 3.0, 4.0, lr, eff, d, ns)
+                                      for step, lr, eff, d, ns in values]) for values in [shared, *lane_values]]]
+    groups.append([*groups[0], harness.RunRecord({}, groups[0][0].rows[:1])])
+    for records in groups:
+        texts = harness.csv_texts(records)
+        assert texts == [record.csv_text() for record in records] == [_record_text(r.rows) for r in records]
+    assert texts[2].splitlines()[1:] == ["1,1.0,2.0,3.0,4.0,-0.0,0.5,,1180591620717411303424",
+                                         "2,1.0,2.0,3.0,4.0,0.25,-0.0,1.5,1180591620717411303424"]
+
+
+def _lane_grads(block_shape, rng):
+    """Two blocks of 4 lanes: lane 0 under the threshold, lane 1 exactly at it, lane 2 over it, lane 3 all zeros."""
+    grads = {"w": rng.normal(size=(4, *block_shape)), "b": rng.normal(size=(4, 3))}
+    for g in grads.values():
+        g[0], g[2], g[3] = 0.5 * g[1], 3.0 * g[1], 0.0
+    threshold = harness.global_norm([g[1] for g in grads.values()])
+    return grads, threshold
+
+
+@pytest.mark.parametrize("block_shape", [(5,), (3, 2)], ids=["2-d", "3-d"])
+def test_the_lane_clip_and_norms_keep_each_lanes_bytes_without_numpy_warnings(block_shape):
+    grads, threshold = _lane_grads(block_shape, np.random.default_rng(7))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        clipped, norms = clip_gradients(grads, threshold, 4)
+        assert norms.shape == (4,) and norms[3] == 0.0 and norms[1] == threshold
+        for lane in range(4):
+            alone, norm = clip_gradients({name: g[lane] for name, g in grads.items()}, threshold)
+            assert norms[lane].tobytes() == np.float64(norm).tobytes()
+            assert norms[lane] == harness.global_norm([g[lane] for g in grads.values()])
+            for name, g in clipped.items():
+                assert g[lane].tobytes() == alone[name].tobytes()
+                if lane != 2:  # scaled by exactly 1.0
+                    assert g[lane].tobytes() == grads[name][lane].tobytes()
+        assert clip_gradients(grads, math.inf, 4)[0] is grads  # no lane over: nothing is scaled
+        assert clip_gradients(grads, 4 * threshold, 4)[0] is grads
+        for bad in (math.nan, math.inf):
+            poisoned = {name: g.copy() for name, g in grads.items()}
+            poisoned["w"][1].flat[0] = bad
+            with pytest.raises(PoisonedStateError, match="non-finite gradient norm"):
+                clip_gradients(poisoned, threshold, 4)
+        for not_positive in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="clip threshold must be positive"):
+                clip_gradients(grads, not_positive, 4)
+        assert np.array_equal(harness.global_norm([], 3), np.zeros(3))
+
+
+def test_the_worst_lane_loss_is_the_largest_or_nan_without_numpy_warnings():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert harness._worst(np.array([0.5, 2.5, -1.0])) == 2.5
+        assert harness._worst(np.array([7.0])) == 7.0
+        for bad in (math.nan, math.inf, -math.inf):
+            for lane in range(3):
+                losses = np.array([0.5, 2.5, -1.0])
+                losses[lane] = bad
+                assert math.isnan(harness._worst(losses))
 
 
 def test_profiled_names_are_reached_on_every_step(monkeypatch):
