@@ -27,13 +27,11 @@ Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
 diverged seed is flagged and ranked behind all clean aggregates.
 
-``plan_cells`` returns each cell's config and whether its engine is lane-safe
-(``Optimizer.lane_safe``); ``run_suite`` groups the planned labels by
-(optimizer, budget). A group of more than one lane-safe replicate runs as one
-task, a lane group (``harness.run_lanes``) that writes each replicate's run
-directory with its own run's bytes, all in one pass (``runio.write_runs``);
-any other group runs as one task per replicate (``_run_cell``). Tasks go out
-longest run first.
+``run_suite`` groups the planned labels by (optimizer, budget). A group of
+more than one replicate runs as one task, a lane group
+(``harness.run_lanes``) that writes each replicate's run directory with its
+own run's bytes, all in one pass (``runio.write_runs``); a group of one runs
+as one cell (``_run_cell``). Tasks go out longest run first.
 """
 
 from __future__ import annotations
@@ -179,9 +177,8 @@ def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> 
     return items
 
 
-def plan_cells(base_config: dict, base_seed: int, cells) -> list[tuple[dict, bool]]:
-    """Each ``(label, layer, assignment)`` cell's resolved run config, checked by running its first step, and whether
-    its engine is lane-safe (``Optimizer.lane_safe``), planned in the order given.
+def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
+    """Each ``(label, layer, assignment)`` cell's resolved run config, in order, checked by running its first step.
 
     A cell resolves ``base_config < layer < {"run.seed": stable_hash(base_seed,
     *label)} < assignment``. Each distinct cell (by ``config_hash``, which
@@ -193,24 +190,24 @@ def plan_cells(base_config: dict, base_seed: int, cells) -> list[tuple[dict, boo
     the run's outcome, not an error, and passes.
     """
     problems: dict[tuple, Problem] = {}
-    lane_safe: dict[str, bool] = {}
+    checked: set[str] = set()
     planned = []
     for label, layer, assignment in cells:
         cfg = resolve(base_config, layer, {"run.seed": stable_hash(base_seed, *label)}, assignment)
-        if (key := config_hash(cfg)) not in lane_safe:
+        if (key := config_hash(cfg)) not in checked:
             if (shape := tuple(_section(cfg, "problem").items())) not in problems:
                 problems[shape] = _build_problem(cfg, 0)
             problem = problems[shape]
             blocks = problem.init_blocks(0)
             engine, _ = build_engine(cfg, problem, blocks)
-            lane_safe[key] = engine.lane_safe
             _train(problem, 0, [RunRecord({})], engine, ScheduleSpec("constant", engine.lr, 1), cfg["run.clip"], 1)
-        planned.append((cfg, lane_safe[key]))
+            checked.add(key)
+        planned.append(cfg)
     return planned
 
 
-def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int, int], tuple[dict, bool]]:
-    """Every cell's checked run config and whether it is lane-safe (``plan_cells``), by (optimizer, budget, replicate).
+def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int, int], dict]:
+    """Every cell's checked run config (``plan_cells``), by (optimizer, budget, replicate).
 
     Each error names the suite.
     """
@@ -218,7 +215,7 @@ def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int, int], tuple[dict, boo
     cells = [((o, b, r), suite.overrides.get(o), {"optimizer.name": o, "run.steps": b}) for o, b, r in labels]
     try:
         planned = dict(zip(labels, plan_cells(suite.base_config, suite.base_seed, cells)))
-        kinds = {o: cfg["problem.kind"] for (o, _, _), (cfg, _) in planned.items()}
+        kinds = {o: cfg["problem.kind"] for (o, _, _), cfg in planned.items()}
         if len(set(kinds.values())) > 1:
             listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
             raise ConfigurationError(f"every rule must run the same problem.kind, got {listed}")
@@ -255,13 +252,11 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
     # (optimizer, budget) -> its replicates' labels, which the planner returns adjacent
     groups = {cell: list(labels) for cell, labels in itertools.groupby(planned, key=lambda label: label[:-1])}
     tasks = []  # (labels, task function, its argument), the longest run first
-    for labels in sorted(groups.values(), key=lambda labels: -planned[labels[0]][0]["run.steps"]):
-        cfgs = [planned[label][0] for label in labels]
+    for labels in sorted(groups.values(), key=lambda labels: -planned[labels[0]]["run.steps"]):
+        cfgs = [planned[label] for label in labels]
         run_dirs = [str(out_dir / "runs" / "{}-b{}-r{}".format(*label)) for label in labels]
-        if len(labels) > 1 and all(planned[label][1] for label in labels):
-            tasks.append((labels, _run_lanes, (cfgs, run_dirs)))
-        else:
-            tasks.extend(([label], _run_cell, cell) for label, cell in zip(labels, zip(cfgs, run_dirs)))
+        task = (_run_lanes, (cfgs, run_dirs)) if len(labels) > 1 else (_run_cell, (cfgs[0], run_dirs[0]))
+        tasks.append((labels, *task))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = [future.result() for future in [pool.submit(fn, args) for _, fn, args in tasks]]
@@ -277,7 +272,7 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
         rows.append(ReportRow(optimizer, budget, list(losses), mean, any(diverged)))
     rows.sort(key=lambda r: (r.budget, r.diverged, math.inf if r.mean_final_loss is None else r.mean_final_loss,
                              r.optimizer))
-    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, next(iter(planned.values()))[0]["problem.kind"])
+    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, next(iter(planned.values()))["problem.kind"])
     for _, ranked in itertools.groupby(rows, key=lambda r: r.budget):
         for rank, row in enumerate(ranked, start=1):
             row.rank = rank

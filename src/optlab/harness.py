@@ -15,18 +15,17 @@ The loop, ``_train``, steps one problem and one engine, and calls
 ``problem.loss_and_grad`` once per step. A run (``run``, ``time_optimizer``,
 each ``sweep`` cell, the planner's first steps) has no lane axis.
 ``run_lanes`` steps the replicates of one cell, which differ only in
-``run.seed``, as one lane group of a lane-safe engine
-(``Optimizer.lane_safe``): it builds one lane-stacked problem of the lanes'
-seeds (``build_problem`` with a tuple of seeds), whose ``init_blocks(0)``
-stack every lane's initial blocks on a leading axis, and one engine over
-them. Each lane keeps its own seed and record. A step evaluates every lane
-in one call, which returns a loss per lane and the stacked gradients; the
-loss check reads the worst lane (NaN if any lane is non-finite), the clip
-scale and the norms are each lane's own, and one ``engine.step`` moves every
-lane, so each lane's rows and final loss are those of its own run, bit for
-bit. A lane's ``step_time_ns`` is the group's step time divided by the lane
-count, rounded down. A group in which any lane diverges is discarded, and
-each of its lanes runs alone.
+``run.seed``, as one lane group, for every rule: it builds one lane-stacked
+problem of the lanes' seeds (``build_problem`` with a tuple of seeds), whose
+``init_blocks(0)`` stack every lane's initial blocks on a leading axis, and
+one engine over them. Each lane keeps its own seed and record. A step
+evaluates every lane in one call, which returns a loss per lane and the
+stacked gradients; the loss check reads the worst lane (NaN if any lane is
+non-finite), the clip scale and the norms are each lane's own, and one
+``engine.step`` moves every lane, so each lane's rows and final loss are those
+of its own run, bit for bit. A lane's ``step_time_ns`` is the group's step
+time divided by the lane count, rounded down. A group in which any lane
+diverges is discarded, and each of its lanes runs alone.
 """
 
 from __future__ import annotations
@@ -258,12 +257,12 @@ def _train(problem: Problem, seed, records: list[RunRecord], engine, schedule: S
         if t % log_every == 0 or t == total:
             param_norm = global_norm((b.values for b in engine.blocks), stacked)
             if stacked:
-                for lane, lane_loss, grad_norm, update_norm, norm in zip(
-                    records, loss.tolist(), pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist()
+                # prodigy's effective_lr and d are lists, one per lane; any other engine's are one value for all
+                per_lane = [x if isinstance(x, list) else itertools.repeat(x) for x in (info.effective_lr, info.d)]
+                for lane, lane_loss, grad_norm, update_norm, norm, eff_lr, d in zip(
+                    records, loss.tolist(), pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist(), *per_lane
                 ):
-                    lane.rows.append(
-                        RunRow(t, lane_loss, grad_norm, update_norm, norm, lr_t, info.effective_lr, info.d, elapsed)
-                    )
+                    lane.rows.append(RunRow(t, lane_loss, grad_norm, update_norm, norm, lr_t, eff_lr, d, elapsed))
             else:
                 record.rows.append(
                     RunRow(t, loss, pre_norm, info.update_norm, param_norm, lr_t, info.effective_lr, info.d, elapsed)
@@ -287,11 +286,11 @@ def run(config: dict) -> RunRecord:
 def run_lanes(configs: list[dict]) -> list[RunRecord]:
     """The records of ``configs``, replicates of one cell, stepped as one lane group; see the module docstring.
 
-    The configs may differ only in ``run.seed``, there must be at least one,
-    and the engine they build must be lane-safe; ``ContractViolationError``
-    otherwise. If any lane diverges (``PoisonedStateError``, a diverged loss
-    included), the group is discarded and each config runs alone through
-    ``run``, so every record equals its run's, ``failure`` included.
+    The configs may differ only in ``run.seed`` and there must be at least
+    one; ``ContractViolationError`` otherwise. If any lane diverges
+    (``PoisonedStateError``, a diverged loss included), the group is discarded
+    and each config runs alone through ``run``, so every record equals its
+    run's, ``failure`` included.
     """
     if not configs:
         raise ContractViolationError("a lane group needs at least one config")
@@ -372,8 +371,7 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
     runs each distinct cell's first step before any cell runs, as for a suite,
     so a misspelt grid key or a value the run would reject (a ``problem.dim``
     of 0, a lion ``beta1`` of 1.5) raises before the first run. Each cell then
-    runs alone the config planned for it; the grid's cells are not replicates,
-    so the planner's lane-safety flag goes unread.
+    runs alone the config planned for it.
     """
     if not grid:
         return [({}, run(base_config))]
@@ -381,4 +379,4 @@ def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecor
 
     points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
     planned = plan_cells(base_config, resolve(base_config)["run.seed"], [((i,), None, p) for i, p in enumerate(points)])
-    return [(point, run(cfg)) for point, (cfg, _) in zip(points, planned)]
+    return [(point, run(cfg)) for point, cfg in zip(points, planned)]

@@ -23,11 +23,12 @@ block as AdamW with the rule's 1-D values.
 An engine steps one run, or the replicate runs of one cell as a lane group:
 blocks of ``lanes`` > 0 (a lane-stacked problem's) hold every lane's values on
 a leading axis, the step's gradients stack the same way, and ``update_norm``
-is then one norm per lane. Only a rule whose step is element-wise, with
-scalars that every lane shares, keeps each lane's bytes that way; ``lane_safe``
-says whether an engine is one, and an engine that is not refuses lane-stacked
-blocks. Prodigy is not (its ``d`` is one scalar per run), nor is a hybrid
-rule with a block on its matrix path.
+is then one norm per lane. Element-wise paths step the stacked blocks at once.
+The two steps that read a block as a whole, a hybrid rule's matrix path and
+prodigy's per-run ``d``, ``r`` and ``t``, step each lane's rows as a block of
+its own, a row view built at construction, so each lane runs its own run's
+code and keeps its bytes; prodigy then reports one ``effective_lr`` and ``d``
+per lane.
 
 Engines are constructed through :func:`make_optimizer`.
 """
@@ -52,11 +53,11 @@ _BETAS_1D = {"beta1_1d": 0.8, "beta2_1d": 0.999}
 
 
 class StepInfo(NamedTuple):
-    """What one optimizer step reports back for logging."""
+    """What one optimizer step reports back for logging: in a lane group, a norm and (prodigy's) a list per lane."""
 
-    update_norm: float
-    effective_lr: float
-    d: float | None = None
+    update_norm: float | np.ndarray
+    effective_lr: float | list[float]
+    d: float | list[float] | None = None
 
 
 def wrong_kind(value, default, nullable: bool = False) -> str | None:
@@ -93,8 +94,6 @@ class Optimizer:
     nullable: tuple[str, ...] = ()
     #: whether ``step`` needs the label-resampled (GNB) gradient of a ``supports_gnb`` problem
     needs_gnb = False
-    #: whether lanes stepped together keep each lane's bytes (see the module docstring)
-    lane_safe = False
 
     def __init__(self, blocks: list[ParamBlock], **params):
         self.check_params(params)
@@ -109,8 +108,6 @@ class Optimizer:
             raise ContractViolationError(f"the blocks of one engine must stack the same lanes, got {sorted(lanes)}")
         #: the lane count of the blocks, 0 when they have no lane axis
         self.lanes = lanes.pop() if lanes else 0
-        if self.lanes and not self.lane_safe:
-            raise ContractViolationError(f"optimizer {self.name!r} cannot step replicate lanes together")
 
     @classmethod
     def check_params(cls, params: dict) -> None:
@@ -148,7 +145,8 @@ class _PerBlock(Optimizer):
     block is the 1-D group: its state goes in ``adam_states`` and
     ``base.adamw_step`` steps it at ``lr_1d * scale`` with ``weight_decay_1d``
     and ``betas_1d``, read from the attributes that ``keys_1d`` names. An
-    engine without ``keys_1d`` has no 1-D group.
+    engine without ``keys_1d`` has no 1-D group. A hybrid's lane-stacked
+    rule-path block has a row view (``lane_rows``) and a state per lane.
     """
 
     state_type = None
@@ -162,17 +160,15 @@ class _PerBlock(Optimizer):
         if self.keys_1d is not None:
             lr_1d, wd_1d, beta1_1d, beta2_1d = (getattr(self, key) for key in self.keys_1d)
             self.lr_1d, self.weight_decay_1d, self.betas_1d = lr_1d, wd_1d, (beta1_1d, beta2_1d)
-        self.states, self.adam_states = {}, {}
+        self.states, self.adam_states, self.lane_rows = {}, {}, {}
         for b in self.blocks:
-            if self._takes_rule_path(b):
-                self.states[b.name] = self._new_state(b)
-            else:
+            if not self._takes_rule_path(b):
                 self.adam_states[b.name] = base.AdamLikeState.zeros(b.shape)
-
-    @property
-    def lane_safe(self) -> bool:
-        # every path is element-wise but a hybrid's matrix path
-        return self.keys_1d is None or not any(map(self._takes_rule_path, self.blocks))
+            elif self.lanes and self.keys_1d is not None:
+                rows = self.lane_rows[b.name] = [ParamBlock(b.name, row, b.role) for row in b.values]
+                self.states[b.name] = [self._new_state(row) for row in rows]
+            else:
+                self.states[b.name] = self._new_state(b)
 
     def _takes_rule_path(self, block: ParamBlock) -> bool:
         return self.keys_1d is None or block.matrix_routed()
@@ -192,7 +188,11 @@ class _PerBlock(Optimizer):
             if adam is None:
                 hyper = hyper or CommonHyper(self.lr * scale, self.weight_decay, self.eps)
                 gnb = (None if resampled is None else resampled[b.name], batch_size) if self.needs_gnb else ()
-                deltas.append(self._rule(b, grads[b.name], self.states[b.name], hyper, *gnb))
+                if (rows := self.lane_rows.get(b.name)) is None:
+                    deltas.append(self._rule(b, grads[b.name], self.states[b.name], hyper, *gnb))
+                else:  # each lane's rows step as a block of their own
+                    per_lane = zip(rows, grads[b.name], self.states[b.name])
+                    deltas.append(np.stack([self._rule(row, g, state, hyper) for row, g, state in per_lane]))
             else:
                 hyper_1d = hyper_1d or CommonHyper(self.lr_1d * scale, self.weight_decay_1d, self.eps)
                 deltas.append(base.adamw_step(b, grads[b.name], adam, hyper_1d, *self.betas_1d))
@@ -356,8 +356,6 @@ class Sophia(_PerBlock):
 class ScheduleFreeAdamW(Optimizer):
     name = "sf-adamw"
     defaults = {"lr": 1e-3, "weight_decay": 0.0, "eps": 1e-8, "beta1": 0.9, "beta2": 0.9999, "sf_warmup": 0}
-    # its scalars, gamma_t and the averaging weight, follow the lr and the step count, which lanes share
-    lane_safe = True
 
     def __init__(self, blocks, **params):
         super().__init__(blocks, **params)
@@ -381,12 +379,21 @@ class Prodigy(Optimizer):
 
     def __init__(self, blocks, **params):
         super().__init__(blocks, **params)
-        self.state = prodigy.ProdigyState.for_blocks(self.blocks, self.d0, self.bias_correction)
+        if self.lanes:  # d, r and t are one run's: each lane steps its own rows, with a state of its own
+            rows = [[ParamBlock(b.name, b.values[i], b.role) for b in self.blocks] for i in range(self.lanes)]
+            self.per_lane = [(r, prodigy.ProdigyState.for_blocks(r, self.d0, self.bias_correction)) for r in rows]
+        else:
+            self.state = prodigy.ProdigyState.for_blocks(self.blocks, self.d0, self.bias_correction)
 
     def step(self, grads, scale=1.0, resampled=None, batch_size=None) -> StepInfo:
         hyper = CommonHyper(self.lr * scale, self.weight_decay, self.eps)
-        deltas, eff_lr = prodigy.prodigy_step(self.blocks, grads, self.state, hyper, self.beta1, self.beta2)
-        return StepInfo(global_norm(deltas.values()), eff_lr, self.state.d)
+        if not self.lanes:
+            deltas, eff_lr = prodigy.prodigy_step(self.blocks, grads, self.state, hyper, self.beta1, self.beta2)
+            return StepInfo(global_norm(deltas.values()), eff_lr, self.state.d)
+        steps = [prodigy.prodigy_step(rows, {k: g[i] for k, g in grads.items()}, state, hyper, self.beta1, self.beta2)
+                 for i, (rows, state) in enumerate(self.per_lane)]
+        deltas = [np.stack([lane_deltas[b.name] for lane_deltas, _ in steps]) for b in self.blocks]
+        return StepInfo(global_norm(deltas, self.lanes), [lr for _, lr in steps], [s.d for _, s in self.per_lane])
 
 
 class Mars(_Hybrid):

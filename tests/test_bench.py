@@ -216,18 +216,14 @@ def _recorded_tasks(monkeypatch) -> list:
 
 @pytest.mark.parametrize("seeds", [2, 1])
 def test_suite_tasks_go_out_longest_budget_first_in_rule_order(tmp_path, monkeypatch, seeds):
-    # adamw and signum are lane-safe, prodigy is not; a group of one replicate is one cell
+    # every group of more than one replicate is one lane group, prodigy's too; a group of one replicate is one cell
     tasks = _recorded_tasks(monkeypatch)
-    run_suite(SuiteSpec("x", ("adamw", "signum", "prodigy"), (10, 25), seeds, 1, dict(BASE), {}), tmp_path, jobs=1)
+    rules = ("adamw", "signum", "prodigy")
+    run_suite(SuiteSpec("x", rules, (10, 25), seeds, 1, dict(BASE), {}), tmp_path, jobs=1)
     if seeds == 1:
-        expected = [("_run_cell", [f"{rule}-b{b}-r0"]) for b in (25, 10) for rule in ("adamw", "signum", "prodigy")]
+        expected = [("_run_cell", [f"{rule}-b{b}-r0"]) for b in (25, 10) for rule in rules]
     else:
-        expected = [task for b in (25, 10) for task in [
-            ("_run_lanes", [f"adamw-b{b}-r0", f"adamw-b{b}-r1"]),
-            ("_run_lanes", [f"signum-b{b}-r0", f"signum-b{b}-r1"]),
-            ("_run_cell", [f"prodigy-b{b}-r0"]),
-            ("_run_cell", [f"prodigy-b{b}-r1"]),
-        ]]
+        expected = [("_run_lanes", [f"{rule}-b{b}-r0", f"{rule}-b{b}-r1"]) for b in (25, 10) for rule in rules]
     assert tasks == expected
 
 
@@ -241,8 +237,11 @@ def _run_files(run_dir: Path) -> dict[str, str]:
     return files
 
 
-def test_a_lane_group_task_writes_the_files_the_one_record_writer_writes_for_each_lanes_run(tmp_path, monkeypatch):
-    base = {**BASE, "schedule.family": "cosine", "schedule.warmup_steps": 2, "optimizer.name": "adamw",
+@pytest.mark.parametrize("problem,rule", [(BASE, "adamw"), (MLP, "muon"), (BASE, "prodigy")],
+                         ids=["adamw-quadratic", "muon-mlp", "prodigy-quadratic"])
+def test_a_lane_group_task_writes_the_files_the_one_record_writer_writes_for_each_lanes_run(tmp_path, monkeypatch,
+                                                                                             problem, rule):
+    base = {**problem, "schedule.family": "cosine", "schedule.warmup_steps": 2, "optimizer.name": rule,
             "run.steps": 9, "run.log_every": 2, "run.clip": 0.5}
     configs = [{**base, "run.seed": seed} for seed in (3, 4, 5)]
     run_dirs = [tmp_path / "group" / f"r{lane}" for lane in range(3)]

@@ -4,9 +4,9 @@
 only in ``run.seed``) as one engine over the blocks of one lane-stacked
 problem, which evaluates every lane in one call. Each lane's
 ``record.csv`` (without ``step_time_ns``), ``final_loss`` and ``summary.json``
-(without ``mean_step_time_ns``) must equal its ``run``'s, for every lane-safe
-rule on every problem, and a group in which a lane diverges is discarded for
-runs of each lane alone.
+(without ``mean_step_time_ns``) must equal its ``run``'s, for every rule on
+every problem, and a group in which a lane diverges is discarded for runs of
+each lane alone.
 """
 
 import json
@@ -17,27 +17,23 @@ import pytest
 from optlab import harness
 from optlab.blocks import ParamBlock, global_norm
 from optlab.errors import ContractViolationError
-from optlab.harness import run, run_lanes, setup_run
-from optlab.optimizers import OPTIMIZER_NAMES
+from optlab.harness import run, run_lanes
+from optlab.optimizers import OPTIMIZER_NAMES, engine, make_optimizer
 
 SEEDS = (11, 12, 13)
 
 PROBLEMS = {
     "quadratic": {"problem.kind": "quadratic", "problem.dim": 16, "problem.condition": 30.0, "problem.noise": 1.0},
     "rosenbrock": {"problem.kind": "rosenbrock", "problem.dim": 6},
+    # the MLP's w1, the one matrix block, is in_dim x hidden: wide (8x16) by default, then tall and square
     "mlp": {"problem.kind": "mlp", "problem.batch_size": 8},
+    "mlp-tall": {"problem.kind": "mlp", "problem.batch_size": 8, "problem.in_dim": 30, "problem.hidden": 5},
+    "mlp-square": {"problem.kind": "mlp", "problem.batch_size": 8, "problem.in_dim": 12, "problem.hidden": 12},
 }
 
-#: The rules whose lanes may step together on each problem: every rule whose
-#: step is element-wise with shared scalars, and the hybrids where no block
-#: takes their matrix path (the MLP's w1 does). Sophia needs the MLP's GNB
-#: estimator; prodigy's d is one scalar per run.
-LANE_SAFE = {
-    "quadratic": ("adamw", "adopt", "ademamix", "lion", "signum", "muon", "dmuon", "soap", "sf-adamw",
-                  "mars-adamw", "mars-lion", "mars-shampoo"),
-    "mlp": ("adamw", "adopt", "ademamix", "lion", "signum", "sophia", "sf-adamw"),
-}
-LANE_SAFE["rosenbrock"] = LANE_SAFE["quadratic"]
+#: Every rule on every problem; sophia needs an MLP's GNB estimator.
+CASES = [(problem, rule) for problem, keys in PROBLEMS.items() for rule in OPTIMIZER_NAMES
+         if rule != "sophia" or keys["problem.kind"] == "mlp"]
 
 #: (run.clip, run.log_every, schedule.family): clipping off and active, every step and every third logged
 VARIANTS = [(None, 1, "cosine"), (0.05, 3, "wsd"), (0.05, 1, "cosine"), (None, 3, "wsd")]
@@ -70,7 +66,7 @@ def _grouped(monkeypatch, configs):
 
 
 @pytest.mark.parametrize("clip,log_every,family", VARIANTS, ids=lambda v: str(v))
-@pytest.mark.parametrize("problem,rule", [(p, r) for p, rules in LANE_SAFE.items() for r in rules])
+@pytest.mark.parametrize("problem,rule", CASES)
 def test_each_lane_of_a_group_writes_the_bytes_of_its_own_run(monkeypatch, problem, rule, clip, log_every, family):
     configs = _configs(problem, rule, clip, log_every, family)
     singles = [run(cfg) for cfg in configs]
@@ -80,26 +76,6 @@ def test_each_lane_of_a_group_writes_the_bytes_of_its_own_run(monkeypatch, probl
     for lane, single in zip(_grouped(monkeypatch, configs), singles):
         assert lane.final_loss == single.final_loss
         assert _artifacts(lane) == _artifacts(single)
-
-
-def test_the_lane_safe_rules_are_the_ones_listed():
-    for problem, listed in LANE_SAFE.items():
-        safe = []
-        for rule in OPTIMIZER_NAMES:
-            if rule == "sophia" and problem != "mlp":
-                continue
-            engine = setup_run({**PROBLEMS[problem], "optimizer.name": rule})[3]
-            if engine.lane_safe:
-                safe.append(rule)
-        assert tuple(safe) == listed, problem
-
-
-@pytest.mark.parametrize("problem,rule", [("quadratic", "prodigy"), ("mlp", "muon"), ("mlp", "soap"),
-                                          ("mlp", "mars-shampoo"), ("rosenbrock", "prodigy")])
-def test_a_group_of_a_rule_that_is_not_lane_safe_raises_naming_it(problem, rule):
-    configs = _configs(problem, rule, None, 1, "cosine")
-    with pytest.raises(ContractViolationError, match=f"optimizer '{rule}' cannot step replicate lanes together"):
-        run_lanes(configs)
 
 
 def test_an_empty_group_raises():
@@ -141,6 +117,18 @@ def test_a_lane_block_counts_its_lane_axis():
         ParamBlock("w", np.zeros((3, 5)), "matrix", 3)
     with pytest.raises(ContractViolationError, match="of 3 lanes needs them on its first axis"):
         ParamBlock("b", np.zeros((2, 5)), "vector", 3)
+
+
+@pytest.mark.parametrize("rule", ["adamw", "muon", "prodigy"])
+def test_an_engine_over_stacked_and_plain_blocks_raises_before_it_builds_a_view_or_a_state(monkeypatch, rule):
+    blocks = [ParamBlock("w", np.zeros((3, 4, 5)), "matrix", 3), ParamBlock("b", np.zeros(5))]
+    built = []
+    for owner, maker in ((engine, "ParamBlock"), (engine.base.AdamLikeState, "zeros"),
+                         (engine.muon.MuonState, "for_block"), (engine.prodigy.ProdigyState, "for_blocks")):
+        monkeypatch.setattr(owner, maker, lambda *args: built.append(args))
+    with pytest.raises(ContractViolationError, match=r"one engine must stack the same lanes, got \[0, 3\]$"):
+        make_optimizer(rule, blocks, 10)
+    assert built == []
 
 
 # -- fallback: a group in which a lane diverges runs each lane alone ------------------------------------
@@ -240,3 +228,16 @@ def test_a_lane_error_of_another_kind_propagates_from_the_group(monkeypatch):
     _fault_in_lane(monkeypatch, SEEDS[1], "loss_and_grad", fault)
     with pytest.raises(RuntimeError, match="lane fault"):
         run_lanes(_configs("quadratic", "adamw", None, 1, "cosine"))
+
+
+@pytest.mark.parametrize("problem,rule,fault,message", [
+    ("mlp", "muon", lambda out: (out[0], {**out[1], "w1": np.full_like(out[1]["w1"], np.nan)}),
+     "non-finite gradient norm"),
+    ("quadratic", "prodigy", lambda out: (float("nan"), out[1]), "loss diverged"),
+], ids=["muon-mlp", "prodigy-quadratic"])
+def test_a_faulty_lane_of_a_rule_that_steps_lane_by_lane_sends_every_lane_to_its_own_run(
+    monkeypatch, problem, rule, fault, message
+):
+    # muon steps the MLP's w1 and prodigy every block one lane at a time; the group falls back all the same
+    _fault_in_lane(monkeypatch, SEEDS[1], "loss_and_grad", fault)
+    _assert_fallback_equals_singles(monkeypatch, _configs(problem, rule, None, 1, "cosine"), SEEDS[1], message)
