@@ -27,16 +27,16 @@ Each cell gets an independent seed derived from (base seed, optimizer,
 budget, replicate). Diverged cells are never dropped: an aggregate with any
 diverged seed is flagged and ranked behind all clean aggregates.
 
-``run_suite`` groups the planned labels by (optimizer, budget). A group of
-more than one replicate runs as one task, a lane group
+``_cell_config`` plans the configs by (optimizer, budget), in replicate order,
+and ``run_suite`` runs each group as one task: a lane group
 (``harness.run_lanes``) that writes each replicate's run directory with its
-own run's bytes, all in one pass (``runio.write_runs``); a group of one runs
-as one cell (``_run_cell``). Tasks go out longest run first.
+own run's bytes, all in one pass (``runio.write_runs``), or one cell
+(``_run_cell``) for a group of one. Tasks go out longest run first; each
+task's outcomes make its group's row (``ReportRow.of``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -79,6 +79,13 @@ class ReportRow:
     mean_final_loss: float | None
     diverged: bool
     rank: int = 0
+
+    @classmethod
+    def of(cls, optimizer: str, budget: int, outcomes: list[tuple[float | None, bool]]) -> ReportRow:
+        """The unranked row of a group's ``(final_loss, diverged)`` outcomes, in replicate order, mean skipping None."""
+        losses, diverged = zip(*outcomes)
+        clean = [loss for loss in losses if loss is not None]
+        return cls(optimizer, budget, list(losses), sum(clean) / len(clean) if clean else None, any(diverged))
 
 
 @dataclass
@@ -206,16 +213,18 @@ def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
     return planned
 
 
-def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int, int], dict]:
-    """Every cell's checked run config (``plan_cells``), by (optimizer, budget, replicate).
+def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int], list[dict]]:
+    """Every cell's checked run config (``plan_cells``): by (optimizer, budget), the replicates' in replicate order.
 
     Each error names the suite.
     """
     labels = [(o, b, r) for o in suite.optimizers for b in suite.budgets for r in range(suite.seeds)]
     cells = [((o, b, r), suite.overrides.get(o), {"optimizer.name": o, "run.steps": b}) for o, b, r in labels]
     try:
-        planned = dict(zip(labels, plan_cells(suite.base_config, suite.base_seed, cells)))
-        kinds = {o: cfg["problem.kind"] for (o, _, _), cfg in planned.items()}
+        planned = {}
+        for (o, b, _), cfg in zip(labels, plan_cells(suite.base_config, suite.base_seed, cells)):
+            planned.setdefault((o, b), []).append(cfg)
+        kinds = {o: cfgs[0]["problem.kind"] for (o, _), cfgs in planned.items()}
         if len(set(kinds.values())) > 1:
             listed = ", ".join(f"{opt}: {kind}" for opt, kind in kinds.items())
             raise ConfigurationError(f"every rule must run the same problem.kind, got {listed}")
@@ -248,35 +257,23 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
-    planned = _cell_config(suite)
-    # (optimizer, budget) -> its replicates' labels, which the planner returns adjacent
-    groups = {cell: list(labels) for cell, labels in itertools.groupby(planned, key=lambda label: label[:-1])}
-    tasks = []  # (labels, task function, its argument), the longest run first
-    for labels in sorted(groups.values(), key=lambda labels: -planned[labels[0]]["run.steps"]):
-        cfgs = [planned[label] for label in labels]
-        run_dirs = [str(out_dir / "runs" / "{}-b{}-r{}".format(*label)) for label in labels]
-        task = (_run_lanes, (cfgs, run_dirs)) if len(labels) > 1 else (_run_cell, (cfgs[0], run_dirs[0]))
-        tasks.append((labels, *task))
+    groups = sorted(_cell_config(suite).items(), key=lambda group: -group[0][1])  # longest run first, else plan order
+    tasks = []  # (task function, its argument), one per group
+    for (optimizer, budget), cfgs in groups:
+        run_dirs = [str(out_dir / "runs" / f"{optimizer}-b{budget}-r{r}") for r in range(len(cfgs))]
+        tasks.append((_run_lanes, (cfgs, run_dirs)) if len(cfgs) > 1 else (_run_cell, (cfgs[0], run_dirs[0])))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [future.result() for future in [pool.submit(fn, args) for _, fn, args in tasks]]
+            results = [future.result() for future in [pool.submit(fn, args) for fn, args in tasks]]
     else:
-        results = [fn(args) for _, fn, args in tasks]
-    by_cell = {label: outcome for (labels, _, _), result in zip(tasks, results)
-               for label, outcome in zip(labels, result)}
-    rows = []
-    for (optimizer, budget), labels in groups.items():
-        losses, diverged = zip(*(by_cell[label] for label in labels))
-        clean = [loss for loss in losses if loss is not None]
-        mean = sum(clean) / len(clean) if clean else None
-        rows.append(ReportRow(optimizer, budget, list(losses), mean, any(diverged)))
-    rows.sort(key=lambda r: (r.budget, r.diverged, math.inf if r.mean_final_loss is None else r.mean_final_loss,
-                             r.optimizer))
-    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, next(iter(planned.values()))["problem.kind"])
-    for _, ranked in itertools.groupby(rows, key=lambda r: r.budget):
-        for rank, row in enumerate(ranked, start=1):
-            row.rank = rank
-            table.rows[(row.optimizer, row.budget)] = row
+        results = [fn(args) for fn, args in tasks]
+    rows = sorted((ReportRow.of(*group, outcomes) for (group, _), outcomes in zip(groups, results)),
+                  key=lambda r: (r.budget, r.diverged, math.inf if r.mean_final_loss is None else r.mean_final_loss,
+                                 r.optimizer))
+    table = ReportTable(suite.optimizers, suite.budgets, suite.seeds, groups[0][1][0]["problem.kind"])
+    for row in rows:  # a row's rank is one more than the ranked rows of its budget
+        row.rank = 1 + sum(other.budget == row.budget for other in table.rows.values())
+        table.rows[(row.optimizer, row.budget)] = row
     return table
 
 

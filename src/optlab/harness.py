@@ -15,17 +15,16 @@ The loop, ``_train``, steps one problem and one engine, and calls
 ``problem.loss_and_grad`` once per step. A run (``run``, ``time_optimizer``,
 each ``sweep`` cell, the planner's first steps) has no lane axis.
 ``run_lanes`` steps the replicates of one cell, which differ only in
-``run.seed``, as one lane group, for every rule: it builds one lane-stacked
-problem of the lanes' seeds (``build_problem`` with a tuple of seeds), whose
-``init_blocks(0)`` stack every lane's initial blocks on a leading axis, and
-one engine over them. Each lane keeps its own seed and record. A step
-evaluates every lane in one call, which returns a loss per lane and the
-stacked gradients; the loss check reads the worst lane (NaN if any lane is
-non-finite), the clip scale and the norms are each lane's own, and one
-``engine.step`` moves every lane, so each lane's rows and final loss are those
-of its own run, bit for bit. A lane's ``step_time_ns`` is the group's step
-time divided by the lane count, rounded down. A group in which any lane
-diverges is discarded, and each of its lanes runs alone.
+``run.seed``, as one lane group, for every rule: ``setup_run`` at the tuple of
+the lanes' seeds builds one lane-stacked problem, whose ``init_blocks(0)``
+stack every lane's initial blocks on a leading axis, and one engine over them.
+Each lane keeps its own seed and record. A step evaluates every lane in one
+call, which returns a loss per lane, one list that the loss check and the rows
+read, and the stacked gradients; the clip scale and the norms are each lane's
+own, and one ``engine.step`` moves every lane, so each lane's rows and final
+loss are those of its own run, bit for bit. A lane's ``step_time_ns`` is the
+group's step time divided by the lane count, rounded down. A group in which
+any lane diverges is discarded, and each of its lanes runs alone.
 """
 
 from __future__ import annotations
@@ -201,18 +200,15 @@ def _build_problem(cfg: dict, seed):
     return build_problem(problem_cfg.pop("kind"), seed, **problem_cfg)
 
 
-def setup_run(cfg: dict):
-    """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from its sections."""
+def setup_run(cfg: dict, seed=None):
+    """Resolve ``cfg``, then build (cfg, problem, blocks, engine, schedule) from its sections.
+
+    The problem's seed is ``seed``, else ``run.seed``; a tuple of seeds stacks its lanes (``rng.lane_seeds``).
+    """
     cfg = resolve(cfg)
-    problem = _build_problem(cfg, cfg["run.seed"])
+    problem = _build_problem(cfg, cfg["run.seed"] if seed is None else seed)
     blocks = problem.init_blocks(0)
     return cfg, problem, blocks, *build_engine(cfg, problem, blocks)
-
-
-def _worst(losses: np.ndarray) -> float:
-    """The largest of the lanes' losses, or NaN if any lane's is not finite."""
-    worst = float(losses.max())  # NaN if any lane's is NaN
-    return worst if math.isfinite(worst) and math.isfinite(losses.min()) else math.nan
 
 
 def _train(problem: Problem, seed, records: list[RunRecord], engine, schedule: ScheduleSpec, clip: float | None,
@@ -239,7 +235,11 @@ def _train(problem: Problem, seed, records: list[RunRecord], engine, schedule: S
         point = eval_point()
         loss, grads = evaluate(point, (seed, t))
         try:
-            worst = _worst(loss) if stacked else loss
+            if stacked:  # one list per step, which the loss check and the rows read
+                loss = loss.tolist()
+                worst = max(loss) if all(map(math.isfinite, loss)) else math.nan
+            else:
+                worst = loss
             if not math.isfinite(worst) or worst > DIVERGENCE_LOSS:
                 raise PoisonedStateError("loss diverged")
             grads, pre_norm = clip_gradients(grads, threshold, stacked)
@@ -260,7 +260,7 @@ def _train(problem: Problem, seed, records: list[RunRecord], engine, schedule: S
                 # prodigy's effective_lr and d are lists, one per lane; any other engine's are one value for all
                 per_lane = [x if isinstance(x, list) else itertools.repeat(x) for x in (info.effective_lr, info.d)]
                 for lane, lane_loss, grad_norm, update_norm, norm, eff_lr, d in zip(
-                    records, loss.tolist(), pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist(), *per_lane
+                    records, loss, pre_norm.tolist(), info.update_norm.tolist(), param_norm.tolist(), *per_lane
                 ):
                     lane.rows.append(RunRow(t, lane_loss, grad_norm, update_norm, norm, lr_t, eff_lr, d, elapsed))
             else:
@@ -299,9 +299,7 @@ def run_lanes(configs: list[dict]) -> list[RunRecord]:
     if any({**other, "run.seed": None} != {**cfg, "run.seed": None} for other in cfgs):
         raise ContractViolationError("the configs of a lane group may differ only in run.seed")
     seeds = tuple(lane_cfg["run.seed"] for lane_cfg in cfgs)
-    problem = _build_problem(cfg, seeds)
-    blocks = problem.init_blocks(0)
-    engine, schedule = build_engine(cfg, problem, blocks)
+    cfg, problem, blocks, engine, schedule = setup_run(cfg, seeds)
     records = [RunRecord(lane_cfg) for lane_cfg in cfgs]
     try:
         _train(problem, seeds, records, engine, schedule, cfg["run.clip"], cfg["run.log_every"])

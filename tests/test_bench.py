@@ -255,3 +255,20 @@ def test_a_lane_group_task_writes_the_files_the_one_record_writer_writes_for_eac
         assert (alone / "record.csv").read_bytes() == record.csv_text().encode("utf-8")
         assert sorted(path.name for path in run_dir.iterdir()) == ["record.csv", "summary.json"]
         assert _run_files(run_dir) == _run_files(alone)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # signum's divergence is the point
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_report_row_pairs_its_outcomes_with_its_replicates_run_directories(tmp_path, jobs):
+    # at lr 200 signum diverges on some replicates of its budget-4 group only, which falls back to runs of each lane
+    base = {**BASE, "problem.dim": 8, "problem.condition": 10.0}
+    table = run_suite(SuiteSpec("x", ("adamw", "signum"), (6, 4), 3, 2, base, {"signum": {"optimizer.lr": 200.0}}),
+                      tmp_path, jobs=jobs)
+    mixed = 0
+    for (rule, budget), row in table.rows.items():
+        summaries = [json.loads((tmp_path / "runs" / f"{rule}-b{budget}-r{rep}" / "summary.json").read_text())
+                     for rep in range(3)]
+        assert row.losses == [summary["final_loss"] for summary in summaries]
+        assert row.diverged == any(summary["diverged"] for summary in summaries)
+        mixed += 0 < sum(summary["diverged"] for summary in summaries) < 3
+    assert mixed == 1 and [row.diverged for row in table.rows.values()].count(False) == 3

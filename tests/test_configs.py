@@ -24,8 +24,9 @@ def test_shipped_config_passes_its_pre_flight(path, monkeypatch):
     flat = load_config_file(path)
     if any(key.startswith("suite.") for key in flat):
         suite = bench.parse_suite(flat, source=str(path))
-        planned = bench._cell_config(suite)
-        assert len(planned) == len(suite.optimizers) * len(suite.budgets) * suite.seeds
+        groups = bench._cell_config(suite)  # (optimizer, budget) -> its replicates' configs
+        assert list(groups) == [(o, b) for o in suite.optimizers for b in suite.budgets]
+        assert [len(cfgs) for cfgs in groups.values()] == [suite.seeds] * len(groups)
     else:
         cfg, _, _, engine, schedule = harness.setup_run(flat)
         assert (engine.name, schedule.total_steps) == (cfg["optimizer.name"], cfg["run.steps"])

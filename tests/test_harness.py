@@ -491,18 +491,6 @@ def test_the_lane_clip_and_norms_keep_each_lanes_bytes_without_numpy_warnings(bl
         assert np.array_equal(harness.global_norm([], 3), np.zeros(3))
 
 
-def test_the_worst_lane_loss_is_the_largest_or_nan_without_numpy_warnings():
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        assert harness._worst(np.array([0.5, 2.5, -1.0])) == 2.5
-        assert harness._worst(np.array([7.0])) == 7.0
-        for bad in (math.nan, math.inf, -math.inf):
-            for lane in range(3):
-                losses = np.array([0.5, 2.5, -1.0])
-                losses[lane] = bad
-                assert math.isnan(harness._worst(losses))
-
-
 def test_profiled_names_are_reached_on_every_step(monkeypatch):
     # perfbench wraps these module attributes; the step loop and the rules must look them up on every call
     from optlab.optimizers import base, engine

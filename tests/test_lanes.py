@@ -10,6 +10,7 @@ each lane alone.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,14 @@ def _faulty_lane(out, lane: int, fault):
     return losses, put(grads, lane_grads)
 
 
+@pytest.fixture
+def no_numpy_warnings():
+    """Any warning, and any numpy floating-point error, raises."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        yield
+
+
 def _assert_fallback_equals_singles(monkeypatch, configs, failed_seed, message):
     fell_back = []
     real_run = harness.run
@@ -194,20 +203,20 @@ def _assert_fallback_equals_singles(monkeypatch, configs, failed_seed, message):
             assert lane.failure is None and lane.final_loss is not None
 
 
-def test_a_lane_whose_loss_goes_non_finite_sends_every_lane_to_its_own_run(monkeypatch):
+def test_a_lane_whose_loss_goes_non_finite_sends_every_lane_to_its_own_run(monkeypatch, no_numpy_warnings):
     _fault_in_lane(monkeypatch, SEEDS[1], "loss_and_grad", lambda out: (float("nan"), out[1]))
     _assert_fallback_equals_singles(monkeypatch, _configs("quadratic", "adamw", 0.05, 1, "cosine"), SEEDS[1],
                                     "loss diverged")
 
 
-def test_a_lane_whose_loss_goes_to_minus_infinity_sends_every_lane_to_its_own_run(monkeypatch):
+def test_a_lane_whose_loss_goes_to_minus_infinity_sends_every_lane_to_its_own_run(monkeypatch, no_numpy_warnings):
     # the other lanes' losses are finite, so the largest loss alone would pass the check
     _fault_in_lane(monkeypatch, SEEDS[2], "loss_and_grad", lambda out: (float("-inf"), out[1]))
     _assert_fallback_equals_singles(monkeypatch, _configs("quadratic", "signum", None, 1, "cosine"), SEEDS[2],
                                     "loss diverged")
 
 
-def test_a_lane_whose_loss_diverges_sends_every_lane_to_its_own_run(monkeypatch):
+def test_a_lane_whose_loss_diverges_sends_every_lane_to_its_own_run(monkeypatch, no_numpy_warnings):
     _fault_in_lane(monkeypatch, SEEDS[2], "loss_and_grad", lambda out: (2e6, out[1]))
     _assert_fallback_equals_singles(monkeypatch, _configs("quadratic", "lion", None, 3, "wsd"), SEEDS[2],
                                     "loss diverged")
