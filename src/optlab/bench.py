@@ -9,17 +9,18 @@ A suite file uses the flat config grammar with a ``suite.`` section::
     problem.kind = quadratic          # everything else: base run config
     signum.optimizer.lr = 0.003       # per-optimizer overrides
 
-``config.validate_keys`` checks the ``suite.*`` keys against
-``SUITE_DEFAULTS`` as it checks run keys; budgets are distinct whole numbers
->= 1, and the name, an output directory's, holds no path separator. The
-suite sets each cell's ``run.seed``, ``run.steps`` and ``optimizer.name``
-from ``suite.base_seed``, ``suite.budgets`` and ``suite.optimizers``, so a
-file that sets one of them, in its base or a rule's section, is rejected.
+``parse_suite`` rejects unknown ``suite.*`` keys, splits the two lists and
+routes each other key to the base config or a listed rule's overrides.
+``SuiteSpec`` alone holds a suite's rules, so one built in code is refused at
+construction with a file's messages less the file name: two non-empty lists
+without duplicates, whole-number budgets, seeds (both >= 1) and base seed,
+overrides for listed rules only, and no ``run.seed``, ``run.steps`` or
+``optimizer.name``, which the suite sets in each cell's assignment.
 ``plan_cells``, the cell planner of ``run_suite`` and ``harness.sweep``,
 builds each distinct cell as its run will and runs its first step before any
 cell runs, so the problem, the engine and the rule's own step checks judge
-every value (a ``beta1`` of 1.5, a negative ``eps`` or ``lr_1d``), and a
-``SuiteSpec`` built in code is checked as a parsed file is.
+every value (a ``beta1`` of 1.5, a negative ``eps`` or ``lr_1d``); a suite's
+errors there start ``suite '<name>': ``.
 Every rule must resolve to the same ``problem.kind``: ranks compare final
 losses across rules, and losses of different problems are not comparable.
 
@@ -56,7 +57,7 @@ from .schedules import ScheduleSpec
 #: ``suite.budgets`` are required comma-separated lists.
 SUITE_DEFAULTS = {"suite.name": "bench", "suite.seeds": 3, "suite.base_seed": 1}
 SUITE_KEYS = frozenset([*SUITE_DEFAULTS, "suite.optimizers", "suite.budgets"])
-#: The run keys a suite sets for every cell, and the ``suite.*`` key each comes from; a suite file may not set them.
+#: The run keys a suite sets in each cell's assignment, and the ``suite.*`` key each comes from; none is set elsewhere.
 _SET_BY_SUITE = {"run.seed": "suite.base_seed", "run.steps": "suite.budgets", "optimizer.name": "suite.optimizers"}
 
 
@@ -69,6 +70,26 @@ class SuiteSpec:
     base_seed: int
     base_config: dict
     overrides: dict  # optimizer name -> {config key: value}
+
+    def __post_init__(self):
+        validate_keys({"suite.name": self.name, "suite.seeds": self.seeds, "suite.base_seed": self.base_seed},
+                      SUITE_KEYS, SUITE_DEFAULTS, source="suite")
+        for key, items, noun in (("suite.optimizers", self.optimizers, "optimizer"),
+                                 ("suite.budgets", self.budgets, "budget")):
+            if not items:
+                raise ConfigurationError(f"{key} must list at least one {noun}")
+            if len(set(items)) != len(items):
+                raise ConfigurationError(f"{key} has duplicates")
+        if any(wrong_kind(b, 1) or b < 1 for b in self.budgets):
+            raise ConfigurationError(f"suite.budgets must be whole numbers >= 1, got {list(self.budgets)}")
+        if self.seeds < 1:
+            raise ConfigurationError(f"suite.seeds must be >= 1, got {self.seeds}")
+        if unlisted := [o for o in self.overrides if o not in self.optimizers]:
+            raise ConfigurationError(f"overrides for {unlisted[0]!r} are never read; suite.optimizers does not list it")
+        for prefix, keys in [("", self.base_config), *((f"{o}.", kv) for o, kv in self.overrides.items())]:
+            for key in keys:
+                if (by := _SET_BY_SUITE.get(key)) is not None:
+                    raise ConfigurationError(f"{prefix}{key} is never read; {by} sets each cell's {key}")
 
 
 @dataclass
@@ -149,46 +170,29 @@ class ReportTable:
 
 def parse_suite(flat: dict, source: str = "suite") -> SuiteSpec:
     meta = {k: v for k, v in flat.items() if k.startswith("suite.")}
-    validate_keys(meta, SUITE_KEYS, SUITE_DEFAULTS, source=f"{source}: suite")
+    validate_keys(meta, SUITE_KEYS, {}, source=f"{source}: suite")
     meta = {**SUITE_DEFAULTS, **meta}
-    if "/" in meta["suite.name"] or "\\" in meta["suite.name"]:  # the name becomes an output directory
-        raise ConfigurationError(f"{source}: suite.name must not contain a path separator, got {meta['suite.name']!r}")
-    optimizers = _csv_list(meta, "suite.optimizers", "optimizer", source)
-    budgets = _csv_list(meta, "suite.budgets", "budget", source, parse=parse_value)
-    if any(wrong_kind(b, 1) or b < 1 for b in budgets):
-        raise ConfigurationError(f"{source}: suite.budgets must be whole numbers >= 1, got {budgets}")
-    if meta["suite.seeds"] < 1:
-        raise ConfigurationError(f"{source}: suite.seeds must be >= 1, got {meta['suite.seeds']}")
+    optimizers, budgets = ([parse(item) for item in str(meta.get(key, "")).split(",") if item.strip()]
+                           for key, parse in (("suite.optimizers", str.strip), ("suite.budgets", parse_value)))
     base_config: dict = {}
     overrides: dict[str, dict] = {}
     for key, value in flat.items():
-        if key.startswith("suite."):
-            continue
-        owner = next((o for o in optimizers if key.startswith(o + ".")), None)
-        run_key = key if owner is None else key[len(owner) + 1 :]
-        if (by := _SET_BY_SUITE.get(run_key)) is not None:
-            raise ConfigurationError(f"{source}: {key} is never read; {by} sets each cell's {run_key}")
-        (base_config if owner is None else overrides.setdefault(owner, {}))[run_key] = value
-    return SuiteSpec(meta["suite.name"], tuple(optimizers), tuple(budgets), meta["suite.seeds"],
-                     meta["suite.base_seed"], base_config, overrides)
-
-
-def _csv_list(meta: dict, key: str, noun: str, source: str, parse=str.strip) -> list:
-    if meta.get(key) is None:
-        raise ConfigurationError(f"{source}: missing {key}")
-    items = [parse(item) for item in str(meta[key]).split(",") if item.strip()]
-    if not items:
-        raise ConfigurationError(f"{source}: {key} must list at least one {noun}")
-    if len(set(items)) != len(items):
-        raise ConfigurationError(f"{source}: {key} has duplicates")
-    return items
+        if not key.startswith("suite."):
+            owner = next((o for o in optimizers if key.startswith(o + ".")), None)
+            layer = base_config if owner is None else overrides.setdefault(owner, {})
+            layer[key if owner is None else key[len(owner) + 1 :]] = value
+    try:
+        return SuiteSpec(meta["suite.name"], tuple(optimizers), tuple(budgets), meta["suite.seeds"],
+                         meta["suite.base_seed"], base_config, overrides)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{source}: {exc}") from None
 
 
 def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
-    """Each ``(label, layer, assignment)`` cell's resolved run config, in order, checked by running its first step.
+    """Each ``(label, assignment)`` cell's resolved run config, in order, checked by running its first step.
 
-    A cell resolves ``base_config < layer < {"run.seed": stable_hash(base_seed,
-    *label)} < assignment``. Each distinct cell (by ``config_hash``, which
+    A cell resolves ``base_config < {"run.seed": stable_hash(base_seed, *label)}
+    < assignment``. Each distinct cell (by ``config_hash``, which
     leaves out ``run.seed``) builds its engine and schedule
     (``harness.build_engine``) on fresh ``init_blocks(0)`` of its problem, and
     ``harness._train`` runs one step of it at the engine's lr with the cell's
@@ -199,8 +203,8 @@ def plan_cells(base_config: dict, base_seed: int, cells) -> list[dict]:
     problems: dict[tuple, Problem] = {}
     checked: set[str] = set()
     planned = []
-    for label, layer, assignment in cells:
-        cfg = resolve(base_config, layer, {"run.seed": stable_hash(base_seed, *label)}, assignment)
+    for label, assignment in cells:
+        cfg = resolve(base_config, {"run.seed": stable_hash(base_seed, *label)}, assignment)
         if (key := config_hash(cfg)) not in checked:
             if (shape := tuple(_section(cfg, "problem").items())) not in problems:
                 problems[shape] = _build_problem(cfg, 0)
@@ -219,7 +223,7 @@ def _cell_config(suite: SuiteSpec) -> dict[tuple[str, int], list[dict]]:
     Each error names the suite.
     """
     labels = [(o, b, r) for o in suite.optimizers for b in suite.budgets for r in range(suite.seeds)]
-    cells = [((o, b, r), suite.overrides.get(o), {"optimizer.name": o, "run.steps": b}) for o, b, r in labels]
+    cells = [((o, b, r), {**suite.overrides.get(o, {}), "optimizer.name": o, "run.steps": b}) for o, b, r in labels]
     try:
         planned = {}
         for (o, b, _), cfg in zip(labels, plan_cells(suite.base_config, suite.base_seed, cells)):

@@ -70,6 +70,8 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         flat["suite.base_seed"] = args.seed
     suite = parse_suite(flat, source=str(args.config))
+    if "/" in suite.name or "\\" in suite.name:  # the name becomes an output directory
+        raise ConfigurationError(f"{args.config}: suite.name must not contain a path separator, got {suite.name!r}")
     out_dir = _out_root(args) / f"bench-{suite.name}-{suite_hash(suite)}"
     table = run_suite(suite, out_dir, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)

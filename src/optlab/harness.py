@@ -362,19 +362,21 @@ def time_optimizer(
 def sweep(base_config: dict, grid: dict[str, list]) -> list[tuple[dict, RunRecord]]:
     """Cartesian-product runs over config fields; empty grid = one base run.
 
-    Each grid cell runs with an independent seed derived from the base seed
-    and the cell index, so cells are comparable but not correlated; a grid
-    over ``run.seed`` runs the seeds it names instead. ``bench.plan_cells``
-    resolves every cell's config, builds its problem, engine and schedule and
-    runs each distinct cell's first step before any cell runs, as for a suite,
-    so a misspelt grid key or a value the run would reject (a ``problem.dim``
-    of 0, a lion ``beta1`` of 1.5) raises before the first run. Each cell then
-    runs alone the config planned for it.
+    An axis that is text or lists no values raises, naming its key. Each grid
+    point is the assignment of ``bench.plan_cells`` cell ``((index,), point)``,
+    seeded from the base seed and the index, so cells are comparable but not
+    correlated; a grid over ``run.seed`` runs the seeds it names instead. The
+    planner builds each distinct cell's problem, engine and schedule and runs
+    its first step before any cell runs, as for a suite, so a misspelt key or
+    a value the run would reject (a ``problem.dim`` of 0, a lion ``beta1`` of
+    1.5) raises before the first run. Each cell then runs its planned config.
     """
     if not grid:
         return [({}, run(base_config))]
+    if bad := next((key for key, values in grid.items() if isinstance(values, str) or len(values) == 0), None):
+        raise ConfigurationError(f"sweep axis {bad!r} must list at least one value, got {grid[bad]!r}")
     from .bench import plan_cells  # bench imports this module
 
     points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
-    planned = plan_cells(base_config, resolve(base_config)["run.seed"], [((i,), None, p) for i, p in enumerate(points)])
+    planned = plan_cells(base_config, resolve(base_config)["run.seed"], [((i,), p) for i, p in enumerate(points)])
     return [(point, run(cfg)) for point, cfg in zip(points, planned)]

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from optlab import bench, harness
-from optlab.bench import SuiteSpec, run_suite
+from optlab.bench import SuiteSpec, parse_suite, run_suite
 from optlab.cli import main
-from optlab.config import value_to_str
+from optlab.config import parse_config_text, value_to_str
 from optlab.errors import ConfigurationError, ContractViolationError
 from optlab.rng import stable_hash
 
@@ -18,6 +18,59 @@ MLP = {"problem.kind": "mlp"}
 def on_mlp(rule, key, value):
     """Suite overrides that run adamw and ``rule`` on the MLP, whose matrix blocks take the rule's own path."""
     return {"adamw": MLP, rule: {**MLP, f"optimizer.{key}": value}}
+
+
+#: The fields of a valid ``SuiteSpec``: one adamw cell of 5 steps.
+SUITE = {"name": "x", "optimizers": ("adamw",), "budgets": (5,), "seeds": 1, "base_seed": 1, "base_config": BASE,
+         "overrides": {}}
+
+
+def suite_file(fields: dict) -> str:
+    """The suite file text that ``parse_suite`` reads into a ``SuiteSpec`` of ``fields``."""
+    keys = {"suite.name": fields["name"], "suite.optimizers": ", ".join(fields["optimizers"]),
+            "suite.budgets": ", ".join(map(value_to_str, fields["budgets"])), "suite.seeds": fields["seeds"],
+            "suite.base_seed": fields["base_seed"], **fields["base_config"],
+            **{f"{rule}.{key}": value for rule, kv in fields["overrides"].items() for key, value in kv.items()}}
+    return "".join(f"{key} = {value_to_str(value)}\n" for key, value in keys.items())
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"optimizers": ("adamw", "adamw")}, "suite.optimizers has duplicates"),
+        ({"budgets": (3, 3)}, "suite.budgets has duplicates"),
+        ({"optimizers": ()}, "suite.optimizers must list at least one optimizer"),
+        ({"seeds": 0}, "suite.seeds must be >= 1, got 0"),
+        ({"seeds": 1.5}, "suite key 'suite.seeds' needs a whole number, got 1.5"),
+        ({"budgets": (2.5,)}, "suite.budgets must be whole numbers >= 1, got [2.5]"),
+        ({"base_seed": 1.5}, "suite key 'suite.base_seed' needs a whole number, got 1.5"),
+        ({"base_config": {**BASE, "run.seed": 7}}, "run.seed is never read; suite.base_seed sets each cell's run.seed"),
+        ({"overrides": {"adamw": {"run.steps": 500}}},
+         "adamw.run.steps is never read; suite.budgets sets each cell's run.steps"),
+        ({"overrides": {"adamw": {"optimizer.name": "lion"}}},
+         "adamw.optimizer.name is never read; suite.optimizers sets each cell's optimizer.name"),
+        # no file says this: lion.* keys of an adamw-only file are base keys, which the planner's resolve rejects
+        ({"overrides": {"lion": {"optimizer.lr": 0.003}}},
+         "overrides for 'lion' are never read; suite.optimizers does not list it"),
+    ],
+    ids=["duplicate-optimizers", "duplicate-budgets", "no-optimizers", "zero-seeds", "fractional-seeds",
+         "fractional-budget", "fractional-base-seed", "base-run-seed", "rule-run-steps", "rule-optimizer-name",
+         "unlisted-rule"],
+)
+def test_a_built_suite_is_refused_at_construction_with_the_files_message(change, message):
+    fields = {**SUITE, **change}
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        SuiteSpec(**fields)
+    if set(fields["overrides"]) <= set(fields["optimizers"]):  # a file routes an unlisted rule's keys to its base
+        with pytest.raises(ConfigurationError, match=f"^{re.escape('suite.cfg: ' + message)}$"):
+            parse_suite(parse_config_text(suite_file(fields)), source="suite.cfg")
+
+
+@pytest.mark.parametrize("key,noun", [("suite.optimizers", "optimizer"), ("suite.budgets", "budget")])
+def test_a_suite_file_without_a_list_names_its_key(key, noun):
+    flat = {k: v for k, v in parse_config_text(suite_file(SUITE)).items() if k != key}
+    with pytest.raises(ConfigurationError, match=f"^suite.cfg: {re.escape(key)} must list at least one {noun}$"):
+        parse_suite(flat, source="suite.cfg")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -181,6 +182,18 @@ class TestSweep:
         with pytest.raises(ContractViolationError, match="dim must be >= 1"):
             sweep(quad_config(**{"run.steps": 5}), {"problem.dim": [4, 0]})
         assert ran == []
+
+    @pytest.mark.parametrize("axis", [{"optimizer.lr": []}, {"optimizer.name": "adamw"}], ids=["empty", "text"])
+    def test_an_axis_without_a_list_of_values_raises_naming_it_before_any_cell_is_planned(self, monkeypatch, axis):
+        from optlab import bench
+
+        planned = []
+        monkeypatch.setattr(bench, "plan_cells", lambda *args: planned.append(args))
+        ((key, values),) = axis.items()
+        message = f"sweep axis {key!r} must list at least one value, got {values!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            sweep(quad_config(), {"run.clip": [None], **axis})
+        assert planned == []
 
     def test_seed_grid_runs_the_seeds_it_names(self):
         results = sweep(quad_config(**{"run.steps": 3}), {"run.seed": [1, 2]})

@@ -86,8 +86,8 @@ CASES.update(
 )
 
 #: Suite files, pinned in the keyed section: element-wise (adamw, signum) and lane-by-lane (prodigy) lane groups on
-#: the noisy quadratic, the hybrid matrix path (muon) and the GNB estimator (sophia) on the MLP, and groups of one
-#: replicate, each run as one cell.
+#: the noisy quadratic, the hybrid matrix path (muon) and the GNB estimator (sophia) on the MLP, groups of one
+#: replicate, each run as one cell, and per-rule overrides of a schedule, a run and an optimizer key.
 SUITE_CASES = {
     "suite/quadratic": """
         suite.optimizers = adamw, signum, prodigy
@@ -125,6 +125,17 @@ SUITE_CASES = {
         problem.dim = 8
         problem.noise = 1.0
         schedule.family = wsd
+    """,
+    "suite/overrides": """
+        suite.optimizers = adamw, lion
+        suite.budgets = 8
+        suite.seeds = 2
+        problem.kind = quadratic
+        problem.dim = 8
+        problem.noise = 0.5
+        adamw.schedule.warmup_steps = 2
+        lion.run.clip = 0.5
+        lion.optimizer.lr = 0.003
     """,
 }
 
