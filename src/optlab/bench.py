@@ -39,9 +39,10 @@ task's outcomes make its group's row (``ReportRow.of``).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .config import config_hash, parse_value, resolve, validate_keys, value_to_str
 from .errors import ConfigurationError, ContractViolationError
@@ -63,15 +64,24 @@ _SET_BY_SUITE = {"run.seed": "suite.base_seed", "run.steps": "suite.budgets", "o
 
 @dataclass(frozen=True)
 class SuiteSpec:
+    """One suite: its rules, budgets and replicate seeds, the base run config and each rule's overrides.
+
+    Construction checks the rules listed in the module docstring and stores ``base_config`` and each rule's overrides
+    as read-only copies, so a key added after the checks raises instead of planning a cell that never reads it.
+    """
+
     name: str
     optimizers: tuple[str, ...]
     budgets: tuple[int, ...]
     seeds: int
     base_seed: int
-    base_config: dict
-    overrides: dict  # optimizer name -> {config key: value}
+    base_config: Mapping
+    overrides: Mapping  # optimizer name -> {config key: value}
 
     def __post_init__(self):
+        object.__setattr__(self, "base_config", MappingProxyType(dict(self.base_config)))
+        object.__setattr__(self, "overrides",
+                           MappingProxyType({o: MappingProxyType(dict(kv)) for o, kv in self.overrides.items()}))
         validate_keys({"suite.name": self.name, "suite.seeds": self.seeds, "suite.base_seed": self.base_seed},
                       SUITE_KEYS, SUITE_DEFAULTS, source="suite")
         for key, items, noun in (("suite.optimizers", self.optimizers, "optimizer"),
@@ -94,6 +104,8 @@ class SuiteSpec:
 
 @dataclass
 class ReportRow:
+    """One (optimizer, budget) group's final losses in replicate order, their mean, divergence flag and rank."""
+
     optimizer: str
     budget: int
     losses: list[float | None]
@@ -267,6 +279,8 @@ def run_suite(suite: SuiteSpec, out_dir: str | Path, jobs: int = 1) -> ReportTab
         run_dirs = [str(out_dir / "runs" / f"{optimizer}-b{budget}-r{r}") for r in range(len(cfgs))]
         tasks.append((_run_lanes, (cfgs, run_dirs)) if len(cfgs) > 1 else (_run_cell, (cfgs[0], run_dirs[0])))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded on first use: one job runs without the pool
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = [future.result() for future in [pool.submit(fn, args) for fn, args in tasks]]
     else:

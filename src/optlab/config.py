@@ -13,7 +13,6 @@ the preset registry, so everything stays human-diffable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -184,5 +183,7 @@ def format_config(cfg: dict) -> str:
 
 
 def config_hash(cfg: dict) -> str:
+    import hashlib  # loaded on first use, so importing optlab does not load OpenSSL
+
     material = format_config({k: v for k, v in cfg.items() if k != "run.seed"})
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:12]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -268,7 +267,7 @@ def _train(problem: Problem, seed, records: list[RunRecord], engine, schedule: S
                     RunRow(t, loss, pre_norm, info.update_norm, param_norm, lr_t, info.effective_lr, info.d, elapsed)
                 )
     if times:
-        mean = float(statistics.fmean(times))
+        mean = math.fsum(times) / len(times)  # statistics.fmean's value
         for lane in records:
             lane.mean_step_time_ns = mean
 
@@ -341,6 +340,8 @@ def time_optimizer(
         raise ContractViolationError(f"time_optimizer times one run's problem, got one of {problem.lanes} lanes")
     if steps < 1 or repeats < 1:
         raise ConfigurationError("steps and repeats must be >= 1")
+    import statistics  # loaded on first use: only timing reads it
+
     repeat_means = []
     for rep in range(repeats):
         blocks = problem.init_blocks(rep)

@@ -117,6 +117,8 @@ class AdamLikeState:
 
 @dataclass
 class AdoptState:
+    """First/second moments, the step counter, and whether ``adopt_init`` has seeded v from the first gradient."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
@@ -129,6 +131,8 @@ class AdoptState:
 
 @dataclass
 class AdemamixState:
+    """Fast and slow first-moment EMAs, the second moment, and the step counter."""
+
     m: np.ndarray
     m_slow: np.ndarray
     v: np.ndarray

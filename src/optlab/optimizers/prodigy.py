@@ -24,6 +24,8 @@ D_INIT = 1e-6
 
 @dataclass
 class ProdigyState:
+    """The step-size estimate d and its numerator r, per-block s, m, v and start point, and the step counter."""
+
     d: float
     r: float
     s: dict[str, np.ndarray]

@@ -23,6 +23,8 @@ from .base import check_beta, check_finite_grad, decoupled_update, ema_update
 
 @dataclass
 class SophiaState:
+    """Momentum, the Hessian-diagonal EMA, and the step counter."""
+
     m: np.ndarray
     h: np.ndarray  # Hessian-diagonal EMA, elementwise >= 0
     t: int = 0

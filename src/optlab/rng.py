@@ -177,6 +177,8 @@ _U = {c: np.uint64(c) for c in (1, 11, 15, 17, 19, 23, 41, 45, _GOLDEN, _FNV_PRI
 _TWO_PI = 2.0 * math.pi
 #: Nibble ``i`` of a state is the 4 bits of word ``i // 16`` at ``4 * (i % 16)``; its table rows start at ``16 * i``.
 _NIBBLE_SHIFTS, _NIBBLE_ROWS = np.arange(0, 64, 4, dtype=np.uint64)[:, None], 16 * np.arange(64, dtype=np.intp)[:, None]
+#: The table rows of the single-bit nibble values, nibble by nibble: row ``4 * i + b`` is nibble ``i``'s value ``2**b``.
+_BIT_ROWS = (_NIBBLE_ROWS + (1 << np.arange(4, dtype=np.intp))).ravel()
 
 
 def _check_bound(bound: int, bits: int, size: int = 0) -> None:
@@ -287,15 +289,20 @@ def _xoshiro_lanes(state: list[np.ndarray], n: int) -> np.ndarray:
 def _jump_table(round_: int) -> np.ndarray:
     """Row ``16 * i + v`` is where the state holding only value ``v`` in nibble ``i`` is ``_JUMP * 2**round_`` steps on.
 
-    The update is linear over GF(2), so any state lands on the XOR of the rows its 64 nibbles select. Each table
-    (32 KB, built once per process) is the one before applied to itself; round 0 runs the one-nibble states.
+    The update is linear over GF(2), so any state lands on the XOR of the rows its 64 nibbles select. Only the 256
+    single-bit rows (``v`` of 1, 2, 4 or 8) are moved: round 0 runs those states, each later round jumps them by the
+    table before; every other row is the XOR of its bits' rows. Each table takes 32 KB, built once per process.
     """
     if round_:
-        table = _jump(_jump_table(round_ - 1), _jump_table(round_ - 1))
+        bits = _jump(_jump_table(round_ - 1)[_BIT_ROWS], _jump_table(round_ - 1))
     else:
-        state = np.kron(np.eye(4, dtype=np.uint64), (np.arange(16, dtype=np.uint64) << _NIBBLE_SHIFTS).ravel())
+        state = np.kron(np.eye(4, dtype=np.uint64), _U[1] << np.arange(64, dtype=np.uint64))
         _xoshiro_lanes(list(state), _JUMP)
-        table = np.ascontiguousarray(state.T)
+        bits = state.T
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for b, bit in enumerate(bits.reshape(64, 4, 4).transpose(1, 0, 2)):  # values 2**b .. 2**(b+1) - 1 add bit b
+        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ bit[:, None]
+    table = table.reshape(1024, 4)
     table.setflags(write=False)  # every caller shares the cached table
     return table
 

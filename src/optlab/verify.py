@@ -36,6 +36,8 @@ NS_BAND = (0.0075, 1.21)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's name, outcome and detail text, and its wall time once ``run_all_checks`` has run it."""
+
     name: str
     passed: bool
     detail: str

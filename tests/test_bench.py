@@ -7,7 +7,7 @@ import pytest
 from optlab import bench, harness
 from optlab.bench import SuiteSpec, parse_suite, run_suite
 from optlab.cli import main
-from optlab.config import parse_config_text, value_to_str
+from optlab.config import parse_config_text, resolve, value_to_str
 from optlab.errors import ConfigurationError, ContractViolationError
 from optlab.rng import stable_hash
 
@@ -64,6 +64,25 @@ def test_a_built_suite_is_refused_at_construction_with_the_files_message(change,
     if set(fields["overrides"]) <= set(fields["optimizers"]):  # a file routes an unlisted rule's keys to its base
         with pytest.raises(ConfigurationError, match=f"^{re.escape('suite.cfg: ' + message)}$"):
             parse_suite(parse_config_text(suite_file(fields)), source="suite.cfg")
+
+
+def test_a_suite_holds_read_only_copies_of_its_tables():
+    base, overrides = dict(BASE), {"lion": {"optimizer.lr": 0.003}}
+    suite = SuiteSpec("x", ("adamw", "lion"), (5,), 2, 1, base, overrides)
+    base["run.steps"], overrides["lion"]["run.seed"] = 500, 7  # the caller's dicts are not the suite's
+    assert (dict(suite.base_config), dict(suite.overrides["lion"])) == (BASE, {"optimizer.lr": 0.003})
+    for table, key in ((suite.base_config, "run.steps"), (suite.overrides, "adamw"), (suite.overrides["lion"], "x")):
+        with pytest.raises(TypeError):
+            table[key] = 500
+    assert bench.suite_hash(suite) == "132ea6f793ef"
+    planned = bench._cell_config(suite)
+    assert list(planned) == [("adamw", 5), ("lion", 5)]
+    for (rule, budget), cfgs in planned.items():
+        for rep, cfg in enumerate(cfgs):
+            assert type(cfg) is dict
+            assert cfg == resolve(BASE, {"run.seed": stable_hash(1, rule, budget, rep)},
+                                  {**({"optimizer.lr": 0.003} if rule == "lion" else {}), "optimizer.name": rule,
+                                   "run.steps": budget})
 
 
 @pytest.mark.parametrize("key,noun", [("suite.optimizers", "optimizer"), ("suite.budgets", "budget")])

@@ -252,6 +252,25 @@ class TestTimeOptimizer:
             time_optimizer("adamw", {"lr": 0.01}, problem, steps=3, repeats=2)
 
 
+@pytest.mark.parametrize("times", [
+    [7], [1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [10**6 + k * 997 for k in range(1000)],
+    [2**53 - 1, 2**53, 2**53 + 1], [2**53 + 1, 1, 2**53 + 3],
+    [2**53 + 1, 2**53 - 8, 2**53 + 5, 2**53 - 5, 2**53 - 3],  # fsum rounds each int first: the exact mean reads 1 more
+])
+def test_mean_step_time_is_statistics_fmean(monkeypatch, times):
+    # the pins strip mean_step_time_ns, so this holds _train's mean of the step times to fmean's value
+    import statistics
+
+    assert math.fsum(times) / len(times) == statistics.fmean(times)
+    problem = build_problem("quadratic", 1, dim=4, condition=2.0)
+    engine = harness.make_optimizer("adamw", problem.init_blocks(0), len(times), {"lr": 1e-3})
+    record, clock = harness.RunRecord(config={}), iter(tick for t in times for tick in (0, t))
+    monkeypatch.setattr(harness.time, "perf_counter_ns", lambda: next(clock))  # step t takes times[t - 1]
+    harness._train(problem, 1, [record], engine, harness.ScheduleSpec("constant", 1e-3, len(times)), None, 1)
+    monkeypatch.undo()
+    assert record.mean_step_time_ns == statistics.fmean(times)
+
+
 @pytest.mark.parametrize("key, numpy_value, value", [
     ("run.seed", np.int64(5), 5),
     ("optimizer.lr", np.float64(0.01), 0.01),

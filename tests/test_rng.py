@@ -18,7 +18,9 @@ from optlab.rng import (
     _MIN_JUMP_DRAWS,
     _NORMAL_BLOCK,
     Rng,
+    _jump,
     _jump_starts,
+    _jump_table,
     _lane_states,
     _xoshiro_lanes,
     _xoshiro_streams,
@@ -177,6 +179,25 @@ def test_jump_matches_scalar_steps():
             assert [int(s[lane]) for s in starts] == [r._s0, r._s1, r._s2, r._s3]
             for _ in range(_JUMP):
                 r.next_u64()
+
+
+def _reference_jump_tables(rounds: int) -> list[np.ndarray]:
+    """The jump tables as built row by row: round 0 runs all 1024 one-nibble states, each later round jumps every
+    row of the table before by that table."""
+    state = np.kron(np.eye(4, dtype=np.uint64), (np.arange(16, dtype=np.uint64) << rng_module._NIBBLE_SHIFTS).ravel())
+    _xoshiro_lanes(list(state), _JUMP)
+    tables = [np.ascontiguousarray(state.T)]
+    for _ in range(1, rounds):
+        tables.append(_jump(tables[-1], tables[-1]))
+    return tables
+
+
+def test_jump_tables_filled_from_single_bit_rows_are_the_full_jumps():
+    # the update is linear over GF(2): a row is the XOR of its value's single-bit rows
+    for round_, reference in enumerate(_reference_jump_tables(12)):
+        table = _jump_table(round_)
+        assert (table.shape, table.dtype, table.flags.writeable) == ((1024, 4), np.uint64, False)
+        assert table.tobytes() == reference.tobytes(), round_
 
 
 def test_raw_draws_are_the_scalar_stream():
